@@ -36,7 +36,7 @@ __all__ = [
     "export_curves",
 ]
 
-_FLAGS = ("", "terminal", "beyond_data")
+_FLAGS = ("", "terminal")
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,12 @@ the prior for the parent node's own lifetime data.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, second_moment
+from .bsp import BetaStacyProcess, DiscreteCdf, _extend_precision, second_moment
 from .errors import PrecisionRecoveryWarning
-from .rbd import RbdNode
 
 __all__ = [
     "DEFAULT_PRECISION_CAP",
@@ -38,8 +36,6 @@ __all__ = [
     "combine_series",
     "recover_precision",
     "merge_priors",
-    "reduce_rbd",
-    "fuse_to_prior",
 ]
 
 DEFAULT_PRECISION_CAP = 1e12
@@ -234,8 +230,6 @@ def recover_precision(
 def _extend_precision_weights(
     process: BetaStacyProcess, grid: np.ndarray, cap: float
 ) -> np.ndarray:
-    from .bsp import _extend_precision
-
     weights = _extend_precision(process, grid)
     terminal_from = process.base.at(grid) >= 1.0
     weights = np.where(terminal_from, cap, weights)
@@ -281,43 +275,3 @@ def merge_priors(
     first = np.minimum(mono, 1.0)
     second = np.clip(second, first * first, first)
     return recover_precision(MomentCurve(union, first, second), max_precision)
-
-
-def reduce_rbd(node: RbdNode, leaf_curves: Mapping[str, MomentCurve]) -> MomentCurve:
-    """Fold a diagram into one moment curve from its components' curves.
-
-    Children are aligned pairwise and combined left to right with the
-    combiner matching the group kind.  Every component id must have a curve.
-    """
-    if node.kind == "component":
-        try:
-            return leaf_curves[node.id]
-        except KeyError:
-            raise ValueError(f"no moment curve bound to component '{node.id}'") from None
-    if not node.children:
-        raise ValueError(f"'{node.kind}' group has no children")
-    combine = combine_series if node.kind == "series" else combine_parallel
-    acc = reduce_rbd(node.children[0], leaf_curves)
-    for child in node.children[1:]:
-        nxt = reduce_rbd(child, leaf_curves)
-        acc_a, nxt_a = align_grids(acc, nxt)
-        acc = combine(acc_a, nxt_a)
-    return acc
-
-
-def fuse_to_prior(
-    node: RbdNode,
-    leaf_curves: Mapping[str, MomentCurve],
-    extra_prior: BetaStacyProcess | None = None,
-    max_precision: float = DEFAULT_PRECISION_CAP,
-) -> BetaStacyProcess:
-    """Reduce a subtree to a process usable as the node's own prior.
-
-    Optionally blends in an elicited prior for the node via
-    ``merge_priors``.
-    """
-    curve = reduce_rbd(node, leaf_curves)
-    fused = recover_precision(curve, max_precision)
-    if extra_prior is not None:
-        fused = merge_priors(fused, extra_prior, max_precision)
-    return fused

@@ -19,11 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, credible_interval, second_moment
+from .bsp import BetaStacyProcess, credible_interval, posterior_update, second_moment
 from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
     DEFAULT_PRECISION_CAP,
+    MomentCurve,
+    align_grids,
+    combine_parallel,
+    combine_series,
     merge_priors,
     moments_of,
     recover_precision,
@@ -83,57 +87,42 @@ def fit_system(
     data_map = _dataset_map(datasets)
     prior_map = dict(priors) if priors else {}
     posteriors: dict[str, BetaStacyProcess] = {}
+    inputs = {
+        label: (data_map.get(spec.data_name(label)), prior_map.get(spec.prior_name(label)))
+        for label in spec.labels
+    }
 
-    def node_inputs(node: RbdNode):
+    def update(node: RbdNode, fused: MomentCurve | None) -> BetaStacyProcess:
+        # ``fused`` is None exactly for a component, which has no children.
         label = node.binding_label
-        if label is None:
-            return None, None, None
-        ds = data_map.get(spec.data_name(label))
-        pr = prior_map.get(spec.prior_name(label))
-        return label, ds, pr
-
-    def fit_node(node: RbdNode, is_root: bool):
-        from .bsp import posterior_update
-
-        label, ds, elicited = node_inputs(node)
-        if node.kind == "component":
+        ds, elicited = inputs.get(label, (None, None))
+        if fused is None:
             prior = elicited if elicited is not None else BetaStacyProcess.noninformative()
-            post = posterior_update(prior, ds.samples if ds else ())
-            if label is not None:
-                posteriors[label] = post
-            return moments_of(post)
-        curves = [fit_node(child, False) for child in node.children]
-        fused_curve = _fold(node, curves)
-        if ds is None and elicited is None and not is_root:
-            return fused_curve
-        process = recover_precision(fused_curve, max_precision)
-        if elicited is not None:
-            process = merge_priors(process, elicited, max_precision)
-        post = posterior_update(process, ds.samples if ds else ())
-        if label is not None:
-            posteriors[label] = post
-        elif is_root:
-            posteriors.setdefault("<root>", post)
-        return moments_of(post)
+        else:
+            prior = recover_precision(fused, max_precision)
+            if elicited is not None:
+                prior = merge_priors(prior, elicited, max_precision)
+        post = posterior_update(prior, ds.samples if ds else ())
+        posteriors[label if label is not None else "<root>"] = post
+        return post
 
-    def _fold(node: RbdNode, curves):
-        from .fusion import align_grids, combine_parallel, combine_series
-
+    def fuse(node: RbdNode) -> MomentCurve | None:
         combine = combine_series if node.kind == "series" else combine_parallel
-        acc = curves[0]
-        for nxt in curves[1:]:
-            a, b = align_grids(acc, nxt)
-            acc = combine(a, b)
-        return acc
+        fused = None
+        for child in node.children:
+            nxt = curve(child)
+            fused = nxt if fused is None else combine(*align_grids(fused, nxt))
+        return fused
 
-    root = spec.root
-    if root.kind == "component":
-        fit_node(root, True)
-        label = root.binding_label
-        return FitResult(posteriors[label], posteriors)
-    fit_node(root, True)
-    root_label = root.binding_label if root.binding_label is not None else "<root>"
-    return FitResult(posteriors[root_label], posteriors)
+    def curve(node: RbdNode) -> MomentCurve:
+        fused = fuse(node)
+        ds, elicited = inputs.get(node.binding_label, (None, None))
+        # A group below the root with nothing of its own skips recovery.
+        if fused is not None and ds is None and elicited is None:
+            return fused
+        return moments_of(update(node, fused))
+
+    return FitResult(update(spec.root, fuse(spec.root)), posteriors)
 
 
 def fit_system_only(
@@ -143,8 +132,6 @@ def fit_system_only(
     max_precision: float = DEFAULT_PRECISION_CAP,
 ) -> FitResult:
     """Fit from the root's own data alone, ignoring the rest of the tree."""
-    from .bsp import posterior_update
-
     data_map = _dataset_map(datasets)
     prior_map = dict(priors) if priors else {}
     label = spec.root.binding_label

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 
 from .bsp import (
     BetaStacyProcess,
@@ -25,7 +25,7 @@ from .bsp import (
     posterior_update,
     second_moment,
 )
-from .fusion import MomentCurve, combine_parallel, combine_series, moments_of
+from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
 from .oracle import (
     exact_three_beta_product_pdf,
     kaplan_meier,
@@ -200,8 +200,6 @@ def check_series_degenerate(combiner=None) -> CheckResult:
 
 def check_roundtrip(seed: int, n_curves: int = 50, tol: float = 1e-9) -> CheckResult:
     """Moment curves survive recovery to a process and back."""
-    from .fusion import recover_precision
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     with warnings.catch_warnings():
@@ -228,8 +226,6 @@ def check_three_beta_product() -> CheckResult:
     beta CDF must stay within Kolmogorov-Smirnov distance 0.05 of the exact
     CDF computed by quadrature.
     """
-    from scipy import integrate
-
     total, _ = integrate.quad(exact_three_beta_product_pdf, 0.0, 1.0, limit=200)
     mean_val, _ = integrate.quad(lambda y: y * exact_three_beta_product_pdf(y), 0.0, 1.0, limit=200)
     m = (9 / 12) * (8 / 11) * (4 / 6)

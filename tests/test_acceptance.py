@@ -13,7 +13,6 @@ from scipy import integrate, stats
 
 from relfuse.bsp import (
     BetaStacyProcess,
-    DiscreteCdf,
     LifetimeSample,
     beta_match,
     dp_prior,
@@ -32,26 +31,12 @@ from relfuse.oracle import (
     three_beta_product_cdf_grid,
 )
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
-from relfuse.validation import check_fusion_mc, check_series_degenerate
-
-
-def _random_bsp(rng, max_points):
-    n = int(rng.integers(2, max_points + 1))
-    grid = np.unique(np.round(rng.uniform(0.1, 30.0, n), 6))
-    vals = np.clip(np.sort(rng.uniform(0.0, 1.0, grid.size)), 1e-4, 0.999)
-    if rng.random() < 0.3:
-        vals[-1] = 1.0
-    prec = rng.lognormal(1.0, 1.2, grid.size)
-    return BetaStacyProcess(DiscreteCdf(grid, vals), prec)
-
-
-def _random_censored(rng, n_max=50):
-    n = int(rng.integers(2, n_max + 1))
-    times = np.round(rng.exponential(10.0, n), 2) + 0.01
-    events = (rng.random(n) > 0.3).astype(int)
-    if events.sum() == 0:
-        events[int(rng.integers(0, n))] = 1
-    return [LifetimeSample(float(t), int(e)) for t, e in zip(times, events)]
+from relfuse.validation import (
+    _random_bsp,
+    _random_censored_samples,
+    check_fusion_mc,
+    check_series_degenerate,
+)
 
 
 def _best_time(fn, repeats=5):
@@ -100,7 +85,7 @@ def test_03_kaplan_meier_equivalence():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(1000):
-        samples = _random_censored(rng)
+        samples = _random_censored_samples(rng)
         km = kaplan_meier(samples)
         post = posterior_update(BetaStacyProcess.noninformative(), samples)
         est = np.array([mean(post, float(t)) for t in km.grid])

@@ -127,9 +127,10 @@ class TestCurveExport:
         with pytest.raises(ValueError, match="band"):
             small_export(lower=np.array([0.3, 0.2, 1.0]))
 
-    def test_rejects_unknown_flags(self):
+    @pytest.mark.parametrize("flag", ["weird", "beyond_data"])
+    def test_rejects_unknown_flags(self, flag):
         with pytest.raises(ValueError, match="flags"):
-            small_export(flags=("", "", "weird"))
+            small_export(flags=("", "", flag))
 
     def test_rejects_decreasing_mean(self):
         with pytest.raises(ValueError, match="nondecreasing"):

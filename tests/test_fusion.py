@@ -8,7 +8,6 @@ from relfuse.bsp import (
     dp_prior,
     mean,
     posterior_update,
-    second_moment,
 )
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import (
@@ -16,13 +15,10 @@ from relfuse.fusion import (
     align_grids,
     combine_parallel,
     combine_series,
-    fuse_to_prior,
     merge_priors,
     moments_of,
     recover_precision,
-    reduce_rbd,
 )
-from relfuse.rbd import component, parallel, series
 
 from conftest import bsp_processes, moment_curves
 
@@ -232,60 +228,3 @@ class TestMergePriors:
         nothing = BetaStacyProcess.noninformative()
         with pytest.raises(ValueError):
             merge_priors(nothing, nothing)
-
-
-class TestReduceRbd:
-    def test_single_component_passthrough(self):
-        c = curve([1.0], [0.4], [0.2])
-        got = reduce_rbd(component("a"), {"a": c})
-        np.testing.assert_array_equal(got.first, c.first)
-
-    def test_series_pair_known_values(self):
-        a = curve([1.0], [0.3], [0.15])
-        b = curve([1.0], [0.2], [0.08])
-        got = reduce_rbd(series(component("a"), component("b")), {"a": a, "b": b})
-        assert got.first[0] == pytest.approx(1 - 0.7 * 0.8)
-
-    def test_mixed_tree_matches_manual_fold(self):
-        curves = {
-            "a": curve([1.0, 2.0], [0.2, 0.6], [0.06, 0.4]),
-            "b": curve([1.5, 2.0], [0.3, 0.5], [0.12, 0.3]),
-            "c": curve([1.0, 3.0], [0.1, 0.9], [0.02, 0.85]),
-        }
-        tree = series(parallel(component("a"), component("b")), component("c"))
-        got = reduce_rbd(tree, curves)
-        ab = combine_parallel(*align_grids(curves["a"], curves["b"]))
-        want = combine_series(*align_grids(ab, curves["c"]))
-        np.testing.assert_allclose(got.first, want.first, atol=1e-15)
-        np.testing.assert_allclose(got.second, want.second, atol=1e-15)
-
-    def test_missing_leaf_curve(self):
-        with pytest.raises(ValueError, match="no moment curve bound"):
-            reduce_rbd(series(component("a"), component("b")), {"a": curve([1.0], [0.4], [0.2])})
-
-
-class TestFuseToPrior:
-    def test_series_fusion_is_exactly_recoverable(self):
-        a = moments_of(ecdf_posterior((1.0, 2.0, 3.0)))
-        b = moments_of(ecdf_posterior((1.5, 2.5, 3.5)))
-        tree = series(component("a"), component("b"))
-        fused = fuse_to_prior(tree, {"a": a, "b": b})
-        want = combine_series(*align_grids(a, b))
-        got = moments_of(posterior_update(fused, []))
-        np.testing.assert_allclose(got.first, want.first, atol=1e-9)
-        np.testing.assert_allclose(got.second, want.second, atol=1e-9)
-
-    def test_extra_prior_is_blended(self):
-        a = moments_of(ecdf_posterior())
-        elicited = dp_prior(np.array([1.0, 3.0]), np.array([0.5, 1.0]), 2.0)
-        fused = fuse_to_prior(component("a"), {"a": a}, extra_prior=elicited)
-        assert 1.0 in fused.grid and 3.0 in fused.grid
-
-    def test_fused_prior_feeds_posterior_update(self):
-        a = moments_of(ecdf_posterior((1.0, 2.0)))
-        b = moments_of(ecdf_posterior((1.5, 2.5)))
-        fused = fuse_to_prior(series(component("a"), component("b")), {"a": a, "b": b})
-        post = posterior_update(fused, [LifetimeSample(2.0, 1), LifetimeSample(4.0, 0)])
-        for t in post.base.grid[post.estimable]:
-            m = mean(post, t)
-            assert m * m - 1e-9 <= second_moment(post, t) <= m + 1e-9

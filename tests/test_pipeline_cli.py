@@ -4,11 +4,19 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from relfuse.bsp import LifetimeSample, dp_prior
+from relfuse.bsp import BetaStacyProcess, LifetimeSample, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
 from relfuse.demo import DemoConfig, demo_config, load_sim_config
 from relfuse.errors import BindingError
+from relfuse.fusion import (
+    align_grids,
+    combine_parallel,
+    combine_series,
+    merge_priors,
+    moments_of,
+    recover_precision,
+)
 from relfuse.pipeline import (
     curve_export,
     fit_system,
@@ -21,6 +29,25 @@ from relfuse.rbd import parse_rbd
 def dataset(label, times, events=None):
     events = events if events is not None else [1] * len(times)
     return Dataset(label, tuple(LifetimeSample(t, e) for t, e in zip(times, events)))
+
+
+LEAF_DATA = {
+    "a": dataset("a", [1.0, 2.0, 4.0], [1, 1, 0]),
+    "b": dataset("b", [1.5, 3.0, 3.5]),
+    "c": dataset("c", [2.5, 5.0], [1, 0]),
+}
+SYS_DATA = dataset("sys", [1.2, 2.2, 6.0], [1, 1, 0])
+SUB_DATA = dataset("sub", [1.8, 2.8])
+
+
+def leaf_curve(label):
+    return moments_of(posterior_update(BetaStacyProcess.noninformative(), LEAF_DATA[label].samples))
+
+
+def assert_same_process(got, want):
+    np.testing.assert_array_equal(got.grid, want.grid)
+    np.testing.assert_array_equal(got.base.values, want.base.values)
+    np.testing.assert_array_equal(got.precision, want.precision)
 
 
 class TestFitSystem:
@@ -70,6 +97,43 @@ class TestFitSystem:
         assert with_sys.posterior.precision[np.searchsorted(with_sys.posterior.grid, t)] > (
             without.posterior.precision[np.searchsorted(without.posterior.grid, t)]
         )
+
+
+    def test_unlabelled_group_passes_fused_curve_up(self):
+        spec = parse_rbd("sys@series(parallel(a, b), c)")
+        result = fit_system(spec, [*LEAF_DATA.values(), SYS_DATA])
+        ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
+        fused = combine_series(*align_grids(ab, leaf_curve("c")))
+        want = posterior_update(recover_precision(fused), SYS_DATA.samples)
+        assert set(result.node_posteriors) == {"a", "b", "c", "sys"}
+        assert_same_process(result.posterior, want)
+
+    def test_labelled_subsystem_applies_its_own_data(self):
+        spec = parse_rbd("sys@series(sub@parallel(a, b), c)")
+        result = fit_system(spec, [*LEAF_DATA.values(), SUB_DATA, SYS_DATA])
+        ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
+        sub = posterior_update(recover_precision(ab), SUB_DATA.samples)
+        fused = combine_series(*align_grids(moments_of(sub), leaf_curve("c")))
+        want = posterior_update(recover_precision(fused), SYS_DATA.samples)
+        assert set(result.node_posteriors) == {"a", "b", "c", "sub", "sys"}
+        assert_same_process(result.node_posteriors["sub"], sub)
+        assert_same_process(result.posterior, want)
+
+    @pytest.mark.parametrize("sub_data", [(), SUB_DATA.samples], ids=["prior_only", "with_data"])
+    def test_group_prior_is_merged(self, sub_data):
+        spec = parse_rbd("sys@series(sub@parallel(a, b), c)")
+        elicited = dp_prior(np.array([1.5, 3.0, 5.0]), np.array([0.1, 0.4, 1.0]), 2.0)
+        datasets = [*LEAF_DATA.values(), SYS_DATA]
+        if sub_data:
+            datasets.append(Dataset("sub", sub_data))
+        result = fit_system(spec, datasets, {"sub": elicited})
+        ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
+        sub = posterior_update(merge_priors(recover_precision(ab), elicited), sub_data)
+        fused = combine_series(*align_grids(moments_of(sub), leaf_curve("c")))
+        want = posterior_update(recover_precision(fused), SYS_DATA.samples)
+        assert set(result.node_posteriors) == {"a", "b", "c", "sub", "sys"}
+        assert_same_process(result.node_posteriors["sub"], sub)
+        assert_same_process(result.posterior, want)
 
 
 class TestFitSystemOnly:

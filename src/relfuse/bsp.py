@@ -86,6 +86,8 @@ class DiscreteCdf:
         if grid.size:
             if not np.isfinite(grid).all():
                 raise ValueError("grid times must be finite")
+            if not np.isfinite(values).all():
+                raise ValueError("values must be finite")
             if grid[0] <= 0.0:
                 raise ValueError("grid times must be strictly positive")
             if np.any(np.diff(grid) <= 0.0):

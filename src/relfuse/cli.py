@@ -10,58 +10,36 @@ Subcommands:
   system CDF for later overlay.
 * ``validate``: run the self-check suite and report.
 
-Exit codes: 0 on success, 1 for parse, format, or binding failures, 2 when
-numerical degeneracy prevents estimation.
+Exit codes: 0 on success, 1 for parse, format, binding, or file-access
+failures, 2 when numerical degeneracy prevents estimation.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import export_curves, load_lifetimes, load_prior_spec, save_lifetimes
 from .demo import demo_config, load_sim_config
-from .errors import (
-    BindingError,
-    DataFormatError,
-    NotEstimableError,
-    RbdError,
-)
-from .pipeline import curve_export, fit_system, fit_system_only, precision_cap_from_env
+from .errors import NotEstimableError, RelfuseError
+from .pipeline import curve_export, fit_system, fit_system_only
 from .rbd import load_system_source, validate_bindings
 from .validation import format_report, run_checks
 
-__all__ = ["RunConfig", "cmd_fit", "cmd_simulate", "cmd_validate", "main"]
+__all__ = ["cmd_fit", "cmd_simulate", "cmd_validate", "main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, resolved from flags and environment."""
-
-    rbd_path: Path | None = None
-    data_path: Path | None = None
-    priors_path: Path | None = None
-    level: float = 0.95
-    system_only: bool = False
-    out_dir: Path = Path(".")
-    svg: bool = False
-    sim_config: str = "demo"
-    seed: int = 0
-    precision_cap: float = 1e12
-
-
-def cmd_fit(config: RunConfig) -> int:
-    spec = load_system_source(Path(config.rbd_path).read_text(encoding="utf-8"))
-    datasets = load_lifetimes(config.data_path)
-    priors = load_prior_spec(config.priors_path) if config.priors_path else {}
+def cmd_fit(args: argparse.Namespace) -> int:
+    spec = load_system_source(args.rbd.read_text(encoding="utf-8"))
+    datasets = load_lifetimes(args.data)
+    priors = load_prior_spec(args.priors) if args.priors else {}
     diags = validate_bindings(spec, [d.label for d in datasets], priors.keys())
     errors = [d for d in diags if d.severity == "error"]
     for diag in diags:
@@ -69,60 +47,58 @@ def cmd_fit(config: RunConfig) -> int:
         print(f"{diag.severity}: {diag.message}", file=stream)
     if errors:
         return EXIT_INPUT
-    if not (0.0 < config.level < 1.0):
+    if not (0.0 < args.level < 1.0):
         raise ValueError("--level must lie strictly inside (0, 1)")
-    fitter = fit_system_only if config.system_only else fit_system
-    result = fitter(spec, datasets, priors, max_precision=config.precision_cap)
+    fitter = fit_system_only if args.system_only else fit_system
+    result = fitter(spec, datasets, priors)
     if not result.posterior.estimable.any():
         raise NotEstimableError("no grid point is estimable from the given inputs")
-    curve = curve_export(result.posterior, config.level)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "system_cdf.csv"
+    curve = curve_export(result.posterior, args.level)
+    args.out.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out / "system_cdf.csv"
     export_curves(curve, csv_path, format="csv")
     written = [csv_path]
-    if config.svg:
+    if args.svg:
         overlay = None
-        true_path = Path(config.data_path).parent / "true_system_cdf.csv"
+        true_path = args.data.parent / "true_system_cdf.csv"
         if true_path.exists():
             raw = np.loadtxt(true_path, delimiter=",", skiprows=1)
             overlay = (raw[:, 0], raw[:, 1])
-        svg_path = out_dir / "system_cdf.svg"
+        svg_path = args.out / "system_cdf.svg"
         export_curves(curve, svg_path, format="svg", overlay=overlay)
         written.append(svg_path)
-    mode = "system-only" if config.system_only else "hierarchical"
-    print(f"{mode} fit: {len(curve)} grid points, level {config.level:g}")
+    mode = "system-only" if args.system_only else "hierarchical"
+    print(f"{mode} fit: {len(curve)} grid points, level {args.level:g}")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    cfg = demo_config() if config.sim_config == "demo" else load_sim_config(config.sim_config)
-    datasets = cfg.simulate(config.seed)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rbd_path = out_dir / "system.rbd"
+def cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = demo_config() if args.config == "demo" else load_sim_config(args.config)
+    datasets = cfg.simulate(args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
+    rbd_path = args.out / "system.rbd"
     rbd_path.write_text(cfg.rbd_source, encoding="utf-8")
-    data_path = out_dir / "lifetimes.csv"
+    data_path = args.out / "lifetimes.csv"
     save_lifetimes(datasets, data_path)
     t_max = max(s.time for d in datasets for s in d.samples)
     ts = np.linspace(0.0, 1.1 * t_max, 400)
     truth = np.asarray(cfg.true_system_cdf(ts), dtype=float)
-    true_path = out_dir / "true_system_cdf.csv"
+    true_path = args.out / "true_system_cdf.csv"
     with open(true_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,cdf\n")
         for t, v in zip(ts, truth):
             fh.write(f"{t:.12g},{v:.12g}\n")
     n_obs = sum(len(d) for d in datasets)
-    print(f"simulated {len(datasets)} datasets, {n_obs} observations (seed {config.seed})")
+    print(f"simulated {len(datasets)} datasets, {n_obs} observations (seed {args.seed})")
     for path in (rbd_path, data_path, true_path):
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig) -> int:
-    results = run_checks(config.seed)
+def cmd_validate(args: argparse.Namespace) -> int:
+    results = run_checks(args.seed)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_INPUT
 
@@ -162,38 +138,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(precision_cap=precision_cap_from_env())
-    if args.command == "fit":
-        config.rbd_path = args.rbd
-        config.data_path = args.data
-        config.priors_path = args.priors
-        config.level = args.level
-        config.system_only = args.system_only
-        config.out_dir = args.out
-        config.svg = args.svg
-    elif args.command == "simulate":
-        config.sim_config = args.config
-        config.seed = args.seed
-        config.out_dir = args.out
-    else:
-        config.seed = args.seed
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     handler = {"fit": cmd_fit, "simulate": cmd_simulate, "validate": cmd_validate}[args.command]
     try:
-        return handler(config)
-    except (RbdError, DataFormatError, BindingError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return handler(args)
     except NotEstimableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except (RelfuseError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

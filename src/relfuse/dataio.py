@@ -199,6 +199,8 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
         time = _parse_float(row[1], "time", where)
         cdf = _parse_float(row[2], "cdf", where)
         prec = _parse_float(row[3], "precision", where)
+        if not np.isfinite(prec):
+            raise DataFormatError(f"{where}: precision {row[3]!r} is not finite")
         grouped.setdefault(node, []).append((time, cdf, prec, where))
     priors: dict[str, BetaStacyProcess] = {}
     for node, entries in grouped.items():

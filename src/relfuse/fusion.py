@@ -28,7 +28,7 @@ from .bsp import BetaStacyProcess, DiscreteCdf, _extend_precision, second_moment
 from .errors import PrecisionRecoveryWarning
 
 __all__ = [
-    "DEFAULT_PRECISION_CAP",
+    "PRECISION_CAP",
     "MomentCurve",
     "moments_of",
     "align_grids",
@@ -38,7 +38,7 @@ __all__ = [
     "merge_priors",
 ]
 
-DEFAULT_PRECISION_CAP = 1e12
+PRECISION_CAP = 1e12
 
 _ENVELOPE_SLACK = 1e-9
 
@@ -152,9 +152,25 @@ def combine_series(a: MomentCurve, b: MomentCurve) -> MomentCurve:
     return MomentCurve(a.grid, first, second)
 
 
-def recover_precision(
-    curve: MomentCurve, max_precision: float = DEFAULT_PRECISION_CAP
-) -> BetaStacyProcess:
+def _clamp_precision(num: float, den: float) -> tuple[float, str | None]:
+    """``num / den`` clamped to ``[0, PRECISION_CAP]``, plus the clamp's message.
+
+    The message is a template for the grid time, or None when no clamp
+    applied.
+    """
+    if den <= 0.0:
+        return PRECISION_CAP, "zero-variance increment at t={:g}: precision capped"
+    value = num / den
+    if not np.isfinite(value):
+        return PRECISION_CAP, "non-finite precision at t={:g}: capped"
+    if value < 0.0:
+        return 0.0, "negative precision at t={:g}: clamped to 0"
+    if value > PRECISION_CAP:
+        return PRECISION_CAP, "precision above cap at t={:g}: capped"
+    return value, None
+
+
+def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
     """Fit a beta-Stacy process to a moment curve.
 
     The base measure is the first moment.  The precision at each grid
@@ -168,11 +184,9 @@ def recover_precision(
     with zero accumulated mass get precision 0 (no information recorded),
     later flat points carry the previous value forward.  Terminal points
     keep the undefined marker.  A zero denominator (zero-variance increment)
-    is capped at ``max_precision`` and negative or non-finite results are
+    is capped at ``PRECISION_CAP`` and negative or non-finite results are
     clamped, each with a warning.
     """
-    if max_precision <= 0.0:
-        raise ValueError("max_precision must be positive")
     n = len(curve)
     g = curve.first
     u = curve.survival_second
@@ -190,36 +204,9 @@ def recover_precision(
             continue
         num = prev_u * r[i] - u[i] * prev_r
         den = u[i] * prev_r * prev_r - prev_u * r[i] * r[i]
-        if den <= 0.0:
-            warnings.warn(
-                f"zero-variance increment at t={curve.grid[i]:g}: precision capped",
-                PrecisionRecoveryWarning,
-                stacklevel=2,
-            )
-            value = max_precision
-        else:
-            value = num / den
-            if not np.isfinite(value):
-                warnings.warn(
-                    f"non-finite precision at t={curve.grid[i]:g}: capped",
-                    PrecisionRecoveryWarning,
-                    stacklevel=2,
-                )
-                value = max_precision
-            elif value < 0.0:
-                warnings.warn(
-                    f"negative precision at t={curve.grid[i]:g}: clamped to 0",
-                    PrecisionRecoveryWarning,
-                    stacklevel=2,
-                )
-                value = 0.0
-            elif value > max_precision:
-                warnings.warn(
-                    f"precision above cap at t={curve.grid[i]:g}: capped",
-                    PrecisionRecoveryWarning,
-                    stacklevel=2,
-                )
-                value = max_precision
+        value, note = _clamp_precision(num, den)
+        if note is not None:
+            warnings.warn(note.format(curve.grid[i]), PrecisionRecoveryWarning, stacklevel=2)
         alpha[i] = value
         prev_alpha = value
         prev_u = u[i]
@@ -227,20 +214,13 @@ def recover_precision(
     return BetaStacyProcess(DiscreteCdf(curve.grid, g), alpha)
 
 
-def _extend_precision_weights(
-    process: BetaStacyProcess, grid: np.ndarray, cap: float
-) -> np.ndarray:
+def _extend_precision_weights(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray:
     weights = _extend_precision(process, grid)
     terminal_from = process.base.at(grid) >= 1.0
-    weights = np.where(terminal_from, cap, weights)
-    return weights
+    return np.where(terminal_from, PRECISION_CAP, weights)
 
 
-def merge_priors(
-    a: BetaStacyProcess,
-    b: BetaStacyProcess,
-    max_precision: float = DEFAULT_PRECISION_CAP,
-) -> BetaStacyProcess:
+def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> BetaStacyProcess:
     """Blend two priors for the same node into one.
 
     On the union grid the two pointwise laws are mixed with weights
@@ -256,8 +236,8 @@ def merge_priors(
         raise ValueError("cannot merge two empty priors")
     ca = _extend_curve(moments_of(a), union)
     cb = _extend_curve(moments_of(b), union)
-    wa = _extend_precision_weights(a, union, max_precision)
-    wb = _extend_precision_weights(b, union, max_precision)
+    wa = _extend_precision_weights(a, union)
+    wb = _extend_precision_weights(b, union)
     total = wa + wb
     flat = total == 0.0
     wa = np.where(flat, 0.5, wa)
@@ -274,4 +254,4 @@ def merge_priors(
         )
     first = np.minimum(mono, 1.0)
     second = np.clip(second, first * first, first)
-    return recover_precision(MomentCurve(union, first, second), max_precision)
+    return recover_precision(MomentCurve(union, first, second))

@@ -13,7 +13,6 @@ with identical output formatting, so band widths are directly comparable.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ from .bsp import BetaStacyProcess, credible_interval, posterior_update, second_m
 from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
-    DEFAULT_PRECISION_CAP,
     MomentCurve,
     align_grids,
     combine_parallel,
@@ -34,23 +32,7 @@ from .fusion import (
 )
 from .rbd import RbdNode, SystemSpec
 
-__all__ = ["FitResult", "fit_system", "fit_system_only", "curve_export", "precision_cap_from_env"]
-
-PRECISION_CAP_ENV = "RELFUSE_PRECISION_CAP"
-
-
-def precision_cap_from_env(default: float = DEFAULT_PRECISION_CAP) -> float:
-    """Precision cap, overridable through the environment."""
-    raw = os.environ.get(PRECISION_CAP_ENV)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{PRECISION_CAP_ENV} must be a number, found {raw!r}") from None
-    if value <= 0.0:
-        raise ValueError(f"{PRECISION_CAP_ENV} must be positive")
-    return value
+__all__ = ["FitResult", "fit_system", "fit_system_only", "curve_export"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +58,6 @@ def fit_system(
     spec: SystemSpec,
     datasets,
     priors: Mapping[str, BetaStacyProcess] | None = None,
-    max_precision: float = DEFAULT_PRECISION_CAP,
 ) -> FitResult:
     """Fit the full hierarchy described by ``spec``.
 
@@ -87,10 +68,7 @@ def fit_system(
     data_map = _dataset_map(datasets)
     prior_map = dict(priors) if priors else {}
     posteriors: dict[str, BetaStacyProcess] = {}
-    inputs = {
-        label: (data_map.get(spec.data_name(label)), prior_map.get(spec.prior_name(label)))
-        for label in spec.labels
-    }
+    inputs = {label: (data_map.get(label), prior_map.get(label)) for label in spec.labels}
 
     def update(node: RbdNode, fused: MomentCurve | None) -> BetaStacyProcess:
         # ``fused`` is None exactly for a component, which has no children.
@@ -99,9 +77,9 @@ def fit_system(
         if fused is None:
             prior = elicited if elicited is not None else BetaStacyProcess.noninformative()
         else:
-            prior = recover_precision(fused, max_precision)
+            prior = recover_precision(fused)
             if elicited is not None:
-                prior = merge_priors(prior, elicited, max_precision)
+                prior = merge_priors(prior, elicited)
         post = posterior_update(prior, ds.samples if ds else ())
         posteriors[label if label is not None else "<root>"] = post
         return post
@@ -129,7 +107,6 @@ def fit_system_only(
     spec: SystemSpec,
     datasets,
     priors: Mapping[str, BetaStacyProcess] | None = None,
-    max_precision: float = DEFAULT_PRECISION_CAP,
 ) -> FitResult:
     """Fit from the root's own data alone, ignoring the rest of the tree."""
     data_map = _dataset_map(datasets)
@@ -137,10 +114,10 @@ def fit_system_only(
     label = spec.root.binding_label
     if label is None:
         raise BindingError("system-only fit needs a binding label on the root node")
-    ds = data_map.get(spec.data_name(label))
+    ds = data_map.get(label)
     if ds is None:
         raise BindingError(f"system-only fit needs data bound to the root label '{label}'")
-    prior = prior_map.get(spec.prior_name(label))
+    prior = prior_map.get(label)
     if prior is None:
         prior = BetaStacyProcess.noninformative()
     post = posterior_update(prior, ds.samples)

@@ -9,7 +9,8 @@ An identifier on its own is a component; ``IDENT "@" node`` attaches a data
 binding label to a node (used for subsystems with their own test data).
 ``#`` starts a comment running to end of line.  A JSON tree with the same
 shape ({"type": ..., "id": ..., "label": ..., "children": [...]}) is
-accepted interchangeably for machine-generated diagrams.
+accepted interchangeably for machine-generated diagrams.  Either form may
+nest groups at most ``MAX_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
-from .errors import BindingError, RbdError, RbdSyntaxError
+from .errors import RbdError, RbdSyntaxError
 
 __all__ = [
     "RbdNode",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 _KEYWORDS = ("series", "parallel")
+
+# Deepest group nesting either grammar accepts; deeper input is rejected
+# before it can exhaust the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -112,31 +117,17 @@ def _validate_tree(root: RbdNode) -> dict[str, RbdNode]:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A validated diagram plus optional dataset and prior binding maps.
+    """A validated diagram.
 
-    Binding maps send a node's binding label to the name under which its
-    dataset or prior is stored; an absent entry means the label binds to its
-    own name.  ``labels`` maps every bindable label to its node.
+    ``labels`` maps every bindable label to its node; a node's dataset and
+    prior are the ones stored under its binding label.
     """
 
     root: RbdNode
-    data_bindings: dict[str, str] = field(default_factory=dict)
-    prior_bindings: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        labels = _validate_tree(self.root)
-        for name in (*self.data_bindings, *self.prior_bindings):
-            if name not in labels:
-                raise BindingError(f"binding references unknown node label '{name}'")
-        object.__setattr__(self, "labels", labels)
-
     labels: dict[str, RbdNode] = field(init=False, repr=False, compare=False, default=None)
 
-    def data_name(self, label: str) -> str:
-        return self.data_bindings.get(label, label)
-
-    def prior_name(self, label: str) -> str:
-        return self.prior_bindings.get(label, label)
+    def __post_init__(self):
+        object.__setattr__(self, "labels", _validate_tree(self.root))
 
 
 @dataclass(frozen=True)
@@ -216,26 +207,32 @@ class _Parser:
             raise RbdSyntaxError(f"expected {what}, found {found}", tok.line, tok.col)
         return self.advance()
 
-    def parse_node(self) -> RbdNode:
+    def parse_node(self, depth: int = 0) -> RbdNode:
         tok = self.expect("ident", "component name or group keyword")
+        if self.peek().kind != "@":
+            return self.parse_unlabeled(tok, depth)
+        if tok.text in _KEYWORDS:
+            raise RbdSyntaxError(f"'{tok.text}' is reserved and cannot be a label", tok.line, tok.col)
+        self.advance()
+        inner = self.expect("ident", "component name or group keyword")
+        if self.peek().kind == "@":
+            raise RbdSyntaxError(f"node already labeled '{inner.text}'", tok.line, tok.col)
+        return replace(self.parse_unlabeled(inner, depth), label=tok.text)
+
+    def parse_unlabeled(self, tok: _Token, depth: int) -> RbdNode:
         name = tok.text
-        nxt = self.peek()
-        if nxt.kind == "@":
-            if name in _KEYWORDS:
-                raise RbdSyntaxError(f"'{name}' is reserved and cannot be a label", tok.line, tok.col)
-            self.advance()
-            node = self.parse_node()
-            if node.label is not None:
-                raise RbdSyntaxError(f"node already labeled '{node.label}'", tok.line, tok.col)
-            return replace(node, label=name)
-        if nxt.kind == "(":
+        if self.peek().kind == "(":
             if name not in _KEYWORDS:
                 raise RbdSyntaxError(f"unknown keyword '{name}'", tok.line, tok.col)
+            if depth >= MAX_DEPTH:
+                raise RbdSyntaxError(
+                    f"groups nest more than {MAX_DEPTH} levels deep", tok.line, tok.col
+                )
             self.advance()
-            children = [self.parse_node()]
+            children = [self.parse_node(depth + 1)]
             while self.peek().kind == ",":
                 self.advance()
-                children.append(self.parse_node())
+                children.append(self.parse_node(depth + 1))
             closing = self.expect(")", "',' or ')'")
             if len(children) < 2:
                 raise RbdSyntaxError(
@@ -268,6 +265,10 @@ def parse_rbd(source: str) -> SystemSpec:
 
 def rbd_from_json(data) -> RbdNode:
     """Build a tree from the JSON object form of the grammar."""
+    return _node_from_json(data, 0)
+
+
+def _node_from_json(data, depth: int) -> RbdNode:
     if not isinstance(data, dict):
         raise RbdError("JSON diagram nodes must be objects")
     kind = data.get("type")
@@ -277,7 +278,10 @@ def rbd_from_json(data) -> RbdNode:
         children = data.get("children")
         if not isinstance(children, list):
             raise RbdError(f"'{kind}' node needs a children array")
-        node = RbdNode(kind, label=data.get("label"), children=tuple(rbd_from_json(c) for c in children))
+        if depth >= MAX_DEPTH:
+            raise RbdError(f"groups nest more than {MAX_DEPTH} levels deep")
+        children = tuple(_node_from_json(c, depth + 1) for c in children)
+        node = RbdNode(kind, label=data.get("label"), children=children)
     else:
         raise RbdError(f"unknown node type {kind!r}")
     return node
@@ -300,6 +304,8 @@ def load_system_source(source: str) -> SystemSpec:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise RbdSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+        except RecursionError:
+            raise RbdSyntaxError("invalid JSON: nested too deeply") from None
         return SystemSpec(rbd_from_json(data))
     return parse_rbd(source)
 
@@ -324,11 +330,9 @@ def validate_bindings(
         diags.append(Diagnostic("error", f"dataset '{name}' does not match any node label"))
     for name in sorted(prior_names - labels.keys()):
         diags.append(Diagnostic("error", f"prior '{name}' does not match any node label"))
-    bound_data = {label for label in labels if spec.data_name(label) in dataset_names}
-    bound_prior = {label for label in labels if spec.prior_name(label) in prior_names}
     for node in spec.root.iter_components():
         name = node.binding_label
-        if name not in bound_data and name not in bound_prior:
+        if name not in dataset_names and name not in prior_names:
             diags.append(
                 Diagnostic(
                     "info",

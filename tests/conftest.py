@@ -74,3 +74,18 @@ def rbd_trees(draw, max_depth=3):
         return node
 
     return build(0)
+
+
+def nested_series_dsl(depth):
+    """Diagram text of ``depth`` series groups, each nested in the next."""
+    return "series(" * depth + "a" + "".join(f", b{k})" for k in range(depth))
+
+
+def nested_series_json(depth):
+    """JSON text of the same diagram as ``nested_series_dsl(depth)``."""
+    leaf = '{{"type": "component", "id": "{}"}}'
+    return (
+        '{"type": "series", "children": [' * depth
+        + leaf.format("a")
+        + "".join(f", {leaf.format(f'b{k}')}]}}" for k in range(depth))
+    )

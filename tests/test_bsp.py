@@ -55,6 +55,7 @@ class TestDiscreteCdf:
             ([1.0, 2.0], [0.5, 1.2]),
             ([1.0, 2.0], [-0.1, 0.4]),
             ([1.0], [0.1, 0.2]),
+            ([1.0, 2.0], [0.5, np.nan]),
         ],
     )
     def test_rejects_malformed(self, grid, values):

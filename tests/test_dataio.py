@@ -115,6 +115,8 @@ class TestLoadPriorSpec:
             ("node,time,cdf,precision\nx,1,0.5,1\nx,2,0.9,1", "node 'x'"),
             ("node,time,cdf,precision\nx,1,0.5,-1\nx,2,1.0,-1", "node 'x'"),
             ("node,time,cdf,precision\nx,1,oops,1", "row 2"),
+            ("node,time,cdf,precision\nx,1,0.5,nan\nx,2,1.0,1", "row 2"),
+            ("node,time,cdf,precision\nx,1,nan,1\nx,2,1.0,1", "node 'x'"),
         ],
     )
     def test_malformed_priors(self, body, fragment):

@@ -11,6 +11,7 @@ from relfuse.bsp import (
 )
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import (
+    PRECISION_CAP,
     MomentCurve,
     align_grids,
     combine_parallel,
@@ -190,8 +191,8 @@ class TestRecoverPrecision:
         # Second moment decays faster than any finite precision allows.
         c = curve([1.0, 2.0], [0.3, 0.5], [0.15, 0.26])
         with pytest.warns(PrecisionRecoveryWarning):
-            back = recover_precision(c, max_precision=1e9)
-        assert back.precision[1] == 1e9
+            back = recover_precision(c)
+        assert back.precision[1] == PRECISION_CAP
 
     @given(bsp_processes(min_precision=0.05))
     @settings(max_examples=80, deadline=None)

@@ -17,13 +17,10 @@ from relfuse.fusion import (
     moments_of,
     recover_precision,
 )
-from relfuse.pipeline import (
-    curve_export,
-    fit_system,
-    fit_system_only,
-    precision_cap_from_env,
-)
-from relfuse.rbd import parse_rbd
+from relfuse.pipeline import curve_export, fit_system, fit_system_only
+from relfuse.rbd import MAX_DEPTH, parse_rbd
+
+from conftest import nested_series_dsl, nested_series_json
 
 
 def dataset(label, times, events=None):
@@ -167,21 +164,6 @@ class TestCurveExport:
         result = fit_system(spec, [dataset("sys", [1.0], [0])], {"sys": prior})
         curve = curve_export(result.posterior)
         np.testing.assert_array_equal(curve.t, [1.0])
-
-
-class TestPrecisionCapEnv:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("RELFUSE_PRECISION_CAP", raising=False)
-        assert precision_cap_from_env() == 1e12
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RELFUSE_PRECISION_CAP", "1e6")
-        assert precision_cap_from_env() == 1e6
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("RELFUSE_PRECISION_CAP", "zero")
-        with pytest.raises(ValueError):
-            precision_cap_from_env()
 
 
 class TestDemoConfig:
@@ -349,3 +331,52 @@ class TestCliErrors:
         )
         assert code == EXIT_OK
         assert "info" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "row",
+        ["system,100,0.5,nan", "system,100,nan,20"],
+        ids=["nan_precision", "nan_cdf"],
+    )
+    def test_nan_prior_is_rejected(self, tmp_path, capsys, row):
+        (tmp_path / "sys.rbd").write_text("system")
+        (tmp_path / "d.csv").write_text("node,time,event\nsystem,150,1\n")
+        (tmp_path / "p.csv").write_text(f"node,time,cdf,precision\n{row}\nsystem,200,1.0,20\n")
+        code = main(
+            [
+                "fit",
+                "--rbd", str(tmp_path / "sys.rbd"),
+                "--data", str(tmp_path / "d.csv"),
+                "--priors", str(tmp_path / "p.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestCliHostileInputs:
+    """Hostile diagrams and paths end in ``error:`` and exit 1; ``main`` raises nothing."""
+
+    def fit(self, tmp_path, rbd, data):
+        return main(["fit", "--rbd", str(rbd), "--data", str(data), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "source",
+        [nested_series_dsl(1200), nested_series_json(MAX_DEPTH + 1), nested_series_json(1200)],
+        ids=["dsl_1200", "json_past_limit", "json_1200"],
+    )
+    def test_deep_diagram(self, tmp_path, capsys, source):
+        (tmp_path / "deep.rbd").write_text(source)
+        (tmp_path / "d.csv").write_text("node,time,event\na,1,1\n")
+        assert self.fit(tmp_path, tmp_path / "deep.rbd", tmp_path / "d.csv") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("which", ["rbd", "data"])
+    def test_directory_path(self, tmp_path, capsys, which):
+        (tmp_path / "sys.rbd").write_text("sys")
+        (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\n")
+        paths = {"rbd": tmp_path / "sys.rbd", "data": tmp_path / "d.csv"}
+        paths[which] = tmp_path
+        assert self.fit(tmp_path, paths["rbd"], paths["data"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")

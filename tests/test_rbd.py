@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
-from relfuse.errors import BindingError, RbdError, RbdSyntaxError
+from relfuse.errors import RbdError, RbdSyntaxError
 from relfuse.rbd import (
-    SystemSpec,
+    MAX_DEPTH,
     component,
     format_rbd,
     load_system_source,
@@ -14,7 +16,7 @@ from relfuse.rbd import (
     validate_bindings,
 )
 
-from conftest import rbd_trees
+from conftest import nested_series_dsl, nested_series_json, rbd_trees
 
 NESTED = """
 # hybrid-electric propulsion demo
@@ -110,6 +112,16 @@ class TestParseErrors:
         with pytest.raises(RbdError, match="duplicate"):
             parse_rbd("x@series(a, x@parallel(b, c))")
 
+    def test_nesting_limit(self):
+        assert parse_rbd(nested_series_dsl(MAX_DEPTH)).root.kind == "series"
+        with pytest.raises(RbdSyntaxError, match="levels deep"):
+            parse_rbd(nested_series_dsl(MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("count", [2, 1200])
+    def test_chained_labels_rejected(self, count):
+        with pytest.raises(RbdSyntaxError, match="already labeled"):
+            parse_rbd("x@" * count + "a")
+
 
 class TestJson:
     def test_equivalent_to_dsl(self):
@@ -144,6 +156,11 @@ class TestJson:
         with pytest.raises(RbdError, match="children"):
             rbd_from_json({"type": "series"})
 
+    def test_nesting_limit(self):
+        assert rbd_from_json(json.loads(nested_series_json(MAX_DEPTH))).kind == "series"
+        with pytest.raises(RbdError, match="levels deep"):
+            rbd_from_json(json.loads(nested_series_json(MAX_DEPTH + 1)))
+
 
 class TestFormat:
     def test_canonical_text(self):
@@ -157,11 +174,6 @@ class TestFormat:
 
 
 class TestBindings:
-    def test_unknown_binding_label_rejected(self):
-        root = series(component("a"), component("b"))
-        with pytest.raises(BindingError, match="unknown node label"):
-            SystemSpec(root, data_bindings={"ghost": "file"})
-
     def test_dangling_names_are_errors(self):
         spec = parse_rbd("sys@series(a, b)")
         diags = validate_bindings(spec, ["a", "ghost"], ["phantom"])

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import NotEstimableError
 
@@ -470,8 +470,8 @@ def credible_interval(process: BetaStacyProcess, t: float, level: float = 0.95) 
         return (0.0, 1.0)
     shape = beta_match(m, s)
     tail = (1.0 - level) / 2.0
-    lo = float(stats.beta.ppf(tail, shape.a, shape.b))
-    hi = float(stats.beta.ppf(1.0 - tail, shape.a, shape.b))
+    lo = float(special.betaincinv(shape.a, shape.b, tail))
+    hi = float(special.betaincinv(shape.a, shape.b, 1.0 - tail))
     # Extreme skew can push both quantiles past the mean; widen minimally so
     # the band always brackets the point estimate.
     return (min(lo, m), max(hi, m))

@@ -112,6 +112,8 @@ def load_sim_config(path) -> DemoConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise DataFormatError(f"{path}: configuration must be a JSON object")
     try:

@@ -258,15 +258,19 @@ class StructuralLifetime:
         return float(np.median([s.time_scale() for s in self.leaves.values()]))
 
 
-def _censored_probability(sampler, lam: float) -> float:
-    """P(censor time < lifetime) under Exp(lam) censoring."""
+def _censored_probability(sampler, survival, lam: float) -> float:
+    """P(censor time < lifetime) under Exp(lam) censoring.
+
+    ``survival(t)`` returns ``1 - sampler.cdf(t)``; it is only called when
+    the sampler has no exact ``censored_probability``.
+    """
     if lam <= 0.0:
         return 0.0
     exact = getattr(sampler, "censored_probability", None)
     if exact is not None:
         return exact(lam)
     value, _ = integrate.quad(
-        lambda t: lam * math.exp(-lam * t) * (1.0 - float(sampler.cdf(t))),
+        lambda t: lam * math.exp(-lam * t) * survival(t),
         0.0,
         np.inf,
         limit=200,
@@ -278,7 +282,10 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
     """Exponential censoring rate giving the requested expected censored share.
 
     Solved by bisection on P(C < T), which increases monotonically in the
-    rate.  Results are cached on the sampler, keyed by the fraction.
+    rate.  Results are cached on the sampler, keyed by the fraction.  Within
+    one solve the survival ``1 - sampler.cdf(t)`` is evaluated once per
+    distinct time: the quadrature's nodes on ``[0, inf)`` do not depend on
+    the rate, so successive bisection steps revisit most of them.
     """
     censor_fraction = float(censor_fraction)
     if not (0.0 <= censor_fraction < 1.0):
@@ -288,15 +295,23 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
     cache = getattr(sampler, "_rate_cache", None)
     if cache is not None and censor_fraction in cache:
         return cache[censor_fraction]
+    survival_at: dict[float, float] = {}
+
+    def survival(t: float) -> float:
+        value = survival_at.get(t)
+        if value is None:
+            value = survival_at[t] = 1.0 - float(sampler.cdf(t))
+        return value
+
     hi = 1.0 / max(sampler.time_scale(), 1e-300)
-    while _censored_probability(sampler, hi) < censor_fraction:
+    while _censored_probability(sampler, survival, hi) < censor_fraction:
         hi *= 2.0
         if hi > 1e300:
             raise RuntimeError("failed to bracket the censoring rate")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _censored_probability(sampler, mid) < censor_fraction:
+        if _censored_probability(sampler, survival, mid) < censor_fraction:
             lo = mid
         else:
             hi = mid

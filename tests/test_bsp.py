@@ -273,6 +273,33 @@ class TestCredibleInterval:
         assert lo == pytest.approx(1.0 - np.sqrt(0.975), abs=1e-12)
         assert hi == pytest.approx(1.0 - np.sqrt(0.025), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1e-3, 1e-3),
+            (0.02, 5.0),
+            (0.5, 0.5),
+            (3.0, 0.07),
+            (2.0, 2.0),
+            (40.0, 1.5),
+            (0.3, 900.0),
+            (250.0, 250.0),
+            (1e5, 1e5),
+            (120.0, 9.9e4),
+            (8.5e4, 2.0),
+        ],
+    )
+    def test_equals_scipy_stats_quantiles(self, a, b):
+        # A one-jump DP prior has F(1) ~ Beta(c G, c (1 - G)) with c = a + b.
+        post = posterior_update(dp_prior([1.0, 2.0], [a / (a + b), 1.0], a + b), [])
+        m = mean(post, 1.0)
+        shape = beta_match(m, second_moment(post, 1.0))
+        for level in (0.5, 0.9, 0.95, 0.99):
+            tail = (1.0 - level) / 2.0
+            lo = float(stats.beta.ppf(tail, shape.a, shape.b))
+            hi = float(stats.beta.ppf(1.0 - tail, shape.a, shape.b))
+            assert credible_interval(post, 1.0, level) == (min(lo, m), max(hi, m))
+
     def test_degenerate_endpoints(self):
         post = ecdf_posterior()
         assert credible_interval(post, 0.5, 0.95) == (0.0, 0.0)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -8,6 +10,7 @@ from relfuse.bsp import (
     LifetimeSample,
     dp_prior,
 )
+from relfuse.demo import demo_config
 from relfuse.oracle import (
     DiscreteCdfSampler,
     StructuralLifetime,
@@ -165,6 +168,45 @@ class TestCensoringCalibration:
     def test_rate_is_cached(self):
         w = WeibullLifetime(2.0, 100.0)
         assert censoring_rate(w, 0.15) is censoring_rate(w, 0.15)
+
+    def test_demo_rates_are_pinned(self):
+        # Bit-exact rates: seeded simulations, and the benchmark's recorded
+        # outputs, depend on every digit of them.
+        expected = {
+            "system": "0x1.8d5269dd5c17ep-12",
+            "propeller": "0x1.18288378f3102p-13",
+            "drive_shaft": "0x1.2c96c58239f1ep-13",
+            "gearing": "0x1.6597f97422094p-13",
+            "propulsion": "0x1.3db05c666eaf8p-12",
+            "electric": "0x1.31540d3fc252ep-11",
+            "motor": "0x1.9d84c1a68c990p-13",
+            "batteries": "0x1.3334e104e1403p-12",
+            "motor_controller": "0x1.74e09a9585ca6p-13",
+            "serpentine_belt": "0x1.791ec376341f8p-12",
+            "gas": "0x1.6039e79a86218p-12",
+            "engine": "0x1.0308d9aac686cp-12",
+            "gas_delivery": "0x1.befdf7d12a8b8p-13",
+        }
+        samplers = demo_config().samplers()
+        assert samplers.keys() == expected.keys()
+        for label, sampler in samplers.items():
+            assert censoring_rate(sampler, 0.15) == float.fromhex(expected[label]), label
+
+    @pytest.mark.parametrize("label", ["electric", "batteries"])
+    def test_survival_evaluated_once_per_time(self, label):
+        sampler = demo_config().samplers()[label]
+        seen = Counter()
+        cdf = sampler.cdf
+
+        def counting_cdf(t):
+            seen[t] += 1
+            return cdf(t)
+
+        sampler.cdf = counting_cdf
+        for fraction in (0.15, 0.3):
+            seen.clear()
+            censoring_rate(sampler, fraction)
+            assert seen and max(seen.values()) == 1
 
 
 class TestSimulateLifetimes:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relfuse
 from relfuse.bsp import BetaStacyProcess, LifetimeSample, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
@@ -356,7 +361,7 @@ class TestCliErrors:
 
 
 class TestCliHostileInputs:
-    """Hostile diagrams and paths end in ``error:`` and exit 1; ``main`` raises nothing."""
+    """Hostile diagrams, configs and paths end in ``error:`` and exit 1; ``main`` raises nothing."""
 
     def fit(self, tmp_path, rbd, data):
         return main(["fit", "--rbd", str(rbd), "--data", str(data), "--out", str(tmp_path / "out")])
@@ -372,6 +377,12 @@ class TestCliHostileInputs:
         assert self.fit(tmp_path, tmp_path / "deep.rbd", tmp_path / "d.csv") == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_deep_sim_config(self, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text(nested_series_json(3000))
+        args = ["simulate", "--config", str(tmp_path / "deep.json"), "--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("which", ["rbd", "data"])
     def test_directory_path(self, tmp_path, capsys, which):
         (tmp_path / "sys.rbd").write_text("sys")
@@ -380,3 +391,11 @@ class TestCliHostileInputs:
         paths[which] = tmp_path
         assert self.fit(tmp_path, paths["rbd"], paths["data"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats would be the bulk of every CLI start's import time.
+    env = dict(os.environ, PYTHONPATH=str(Path(relfuse.__file__).parent.parent))
+    code = "import sys, relfuse.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

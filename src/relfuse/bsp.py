@@ -40,10 +40,8 @@ __all__ = [
     "DiscreteCdf",
     "BetaStacyProcess",
     "LifetimeSample",
-    "CountingSummary",
     "BetaShape",
     "dp_prior",
-    "counting_summary",
     "posterior_update",
     "mean",
     "second_moment",
@@ -187,53 +185,6 @@ class LifetimeSample:
 
 
 @dataclass(frozen=True)
-class CountingSummary:
-    """At-risk and failure counts at each distinct observed time.
-
-    ``at_risk[k]`` counts samples with time >= ``times[k]`` (censored units
-    tied with failures still count as at risk); ``failures[k]`` counts
-    event=1 samples at exactly ``times[k]``.
-    """
-
-    times: np.ndarray
-    at_risk: np.ndarray
-    failures: np.ndarray
-
-    def __post_init__(self):
-        times = _as_float_1d(self.times, "times")
-        at_risk = np.asarray(self.at_risk, dtype=np.int64)
-        failures = np.asarray(self.failures, dtype=np.int64)
-        if times.shape != at_risk.shape or times.shape != failures.shape:
-            raise ValueError("summary columns must have equal length")
-        if times.size == 0:
-            raise ValueError("counting summary requires at least one sample")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("summary times must be strictly increasing")
-        if np.any(np.diff(at_risk) > 0):
-            raise ValueError("at-risk counts must be nonincreasing")
-        if np.any(failures < 0) or np.any(failures > at_risk):
-            raise ValueError("failure counts must lie within at-risk counts")
-        object.__setattr__(self, "times", _freeze(times))
-        object.__setattr__(self, "at_risk", _freeze(at_risk))
-        object.__setattr__(self, "failures", _freeze(failures))
-
-    def at_risk_at(self, t) -> np.ndarray:
-        """Number of samples with time >= ``t`` (vectorized)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        idx = np.searchsorted(self.times, t_arr, side="left")
-        out = np.where(idx < self.times.size, self.at_risk[np.minimum(idx, self.times.size - 1)], 0)
-        return out.astype(np.int64)
-
-    def failures_at(self, t) -> np.ndarray:
-        """Number of observed failures at exactly ``t`` (vectorized)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        idx = np.searchsorted(self.times, t_arr, side="left")
-        idx_c = np.minimum(idx, self.times.size - 1)
-        hit = (idx < self.times.size) & (self.times[idx_c] == t_arr)
-        return np.where(hit, self.failures[idx_c], 0).astype(np.int64)
-
-
-@dataclass(frozen=True)
 class BetaShape:
     """Shape pair (a, b) of a beta distribution, both strictly positive."""
 
@@ -276,20 +227,6 @@ def dp_prior(grid, cdf_values, precision_const: float) -> BetaStacyProcess:
     return BetaStacyProcess(base, np.full(base.grid.size, precision_const))
 
 
-def counting_summary(samples: Iterable[LifetimeSample]) -> CountingSummary:
-    """Tabulate at-risk and failure counts at each distinct sample time."""
-    samples = tuple(samples)
-    if not samples:
-        raise ValueError("counting summary requires at least one sample")
-    times = np.array([s.time for s in samples], dtype=np.float64)
-    events = np.array([s.event for s in samples], dtype=np.int64)
-    distinct, inverse = np.unique(times, return_inverse=True)
-    failures = np.zeros(distinct.size, dtype=np.int64)
-    np.add.at(failures, inverse, events)
-    at_risk = times.size - np.searchsorted(np.sort(times), distinct, side="left")
-    return CountingSummary(distinct, at_risk, failures)
-
-
 def _extend_precision(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray:
     """Precision step function sampled on ``grid``.
 
@@ -326,23 +263,17 @@ def posterior_update(prior: BetaStacyProcess, samples: Iterable[LifetimeSample])
     if not samples and prior.grid.size == 0:
         return prior
 
-    if samples:
-        data_times = np.unique(np.array([s.time for s in samples], dtype=np.float64))
-        summary = counting_summary(samples)
-    else:
-        data_times = np.empty(0)
-        summary = None
-    union = np.union1d(prior.grid, data_times)
+    times = np.array([s.time for s in samples], dtype=np.float64)
+    failed = np.array([s.time for s in samples if s.event], dtype=np.float64)
+    union = np.union1d(prior.grid, times)
 
     g = prior.base.at(union)
     g_prev = np.concatenate(([0.0], g[:-1]))
     alpha = _extend_precision(prior, union)
-    if summary is not None:
-        m_at = summary.at_risk_at(union).astype(np.float64)
-        j_at = summary.failures_at(union).astype(np.float64)
-    else:
-        m_at = np.zeros(union.size)
-        j_at = np.zeros(union.size)
+    # Units at risk at t have time >= t (a censored unit tied with a failure
+    # still counts); failures count at exactly t, which is on the union grid.
+    m_at = (times.size - np.searchsorted(np.sort(times), union, side="left")).astype(np.float64)
+    j_at = np.bincount(np.searchsorted(union, failed), minlength=union.size).astype(np.float64)
 
     terminal = g >= 1.0
     num = alpha * (g - g_prev) + j_at

@@ -5,8 +5,9 @@ Input formats, both with a required header row:
 * lifetimes: ``node,time,event`` with one row per observation, times
   positive, event 1 for a failure and 0 for a right-censored withdrawal.
 * priors: ``node,time,cdf,precision`` with one row per prior grid point;
-  per node the times must be strictly increasing and the cdf column must be
-  nondecreasing and end at exactly 1.
+  per node the times must be strictly increasing, the cdf column must be
+  nondecreasing and end at exactly 1, and precisions must be finite and
+  nonnegative.
 
 Exports carry rows of ``t,mean,second_moment,lower,upper,precision,flags``
 with 12 significant digits.  The SVG export draws right-continuous step
@@ -19,12 +20,13 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample, dp_prior
+from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample
 from .errors import DataFormatError
 
 __all__ = [
@@ -115,7 +117,10 @@ def _rows_from(source) -> tuple[list[list[str]], str]:
         path = Path(source)
         text = path.read_text(encoding="utf-8")
         name = str(path)
-    return list(csv.reader(io.StringIO(text))), name
+    try:
+        return list(csv.reader(io.StringIO(text))), name
+    except csv.Error as exc:
+        raise DataFormatError(f"{name}: {exc}") from None
 
 
 def _parse_float(raw: str, what: str, where: str) -> float:
@@ -158,28 +163,31 @@ def load_lifetimes(source) -> list[Dataset]:
     return [Dataset(label, tuple(samples)) for label, samples in grouped.items()]
 
 
+@contextmanager
+def _text_out(destination):
+    """``destination`` itself when it is a stream, else that path opened for writing."""
+    if hasattr(destination, "write"):
+        yield destination
+    else:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
 def save_lifetimes(datasets: Iterable[Dataset], destination) -> None:
     """Write datasets back out in the ``node,time,event`` format."""
-
-    def write(fh):
+    with _text_out(destination) as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "time", "event"])
         for ds in datasets:
             for s in ds.samples:
                 writer.writerow([ds.label, format(s.time, ".12g"), s.event])
 
-    if hasattr(destination, "write"):
-        write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-
 
 def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
     """Read a ``node,time,cdf,precision`` CSV into per-node prior processes.
 
-    A node whose precision column is constant becomes a Dirichlet-process
-    prior; otherwise the per-point precisions are kept as given.
+    Per-point precisions are kept as given, except where the cdf reaches 1:
+    there the precision is undefined and stored as NaN.
     """
     rows, name = _rows_from(source)
     rows = [r for r in rows if r]
@@ -199,8 +207,10 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
         time = _parse_float(row[1], "time", where)
         cdf = _parse_float(row[2], "cdf", where)
         prec = _parse_float(row[3], "precision", where)
-        if not np.isfinite(prec):
-            raise DataFormatError(f"{where}: precision {row[3]!r} is not finite")
+        if not np.isfinite(prec) or prec < 0.0:
+            raise DataFormatError(
+                f"{where} (node '{node}'): precision {row[3]!r} must be finite and nonnegative"
+            )
         grouped.setdefault(node, []).append((time, cdf, prec, where))
     priors: dict[str, BetaStacyProcess] = {}
     for node, entries in grouped.items():
@@ -209,12 +219,10 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
         precs = np.array([e[2] for e in entries])
         first_row = entries[0][3]
         try:
-            if precs.min() == precs.max():
-                priors[node] = dp_prior(times, cdfs, precs[0])
-            else:
-                if cdfs[-1] != 1.0:
-                    raise ValueError("prior base measure must end at exactly 1")
-                priors[node] = BetaStacyProcess(DiscreteCdf(times, cdfs), precs)
+            base = DiscreteCdf(times, cdfs)
+            if base.values[-1] != 1.0:
+                raise ValueError("prior base measure must end at exactly 1")
+            priors[node] = BetaStacyProcess(base, precs)
         except ValueError as exc:
             raise DataFormatError(f"{first_row} (node '{node}'): {exc}") from None
     return priors
@@ -346,15 +354,8 @@ def export_curves(curve: CurveExport, destination, format: str = "csv", overlay=
         raise ValueError("format must be 'csv' or 'svg'")
     if format == "csv" and overlay is not None:
         raise ValueError("overlay applies only to SVG output")
-
-    def write(fh):
+    with _text_out(destination) as fh:
         if format == "csv":
             _write_csv(curve, fh)
         else:
             _write_svg(curve, fh, overlay=overlay)
-
-    if hasattr(destination, "write"):
-        write(destination)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            write(fh)

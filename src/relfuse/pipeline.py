@@ -13,12 +13,12 @@ with identical output formatting, so band widths are directly comparable.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, credible_interval, posterior_update, second_moment
+from .bsp import BetaStacyProcess, credible_interval, posterior_update
 from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
@@ -43,9 +43,7 @@ class FitResult:
     node_posteriors: dict[str, BetaStacyProcess] = field(default_factory=dict)
 
 
-def _dataset_map(datasets) -> dict[str, Dataset]:
-    if isinstance(datasets, Mapping):
-        return dict(datasets)
+def _dataset_map(datasets: Iterable[Dataset]) -> dict[str, Dataset]:
     out = {}
     for ds in datasets:
         if ds.label in out:
@@ -56,12 +54,12 @@ def _dataset_map(datasets) -> dict[str, Dataset]:
 
 def fit_system(
     spec: SystemSpec,
-    datasets,
+    datasets: Iterable[Dataset],
     priors: Mapping[str, BetaStacyProcess] | None = None,
 ) -> FitResult:
     """Fit the full hierarchy described by ``spec``.
 
-    ``datasets`` is a mapping or iterable of per-label datasets; ``priors``
+    ``datasets`` is an iterable of per-label datasets; ``priors``
     maps labels to elicited prior processes.  Unbound components default to
     zero-precision priors (their posterior is purely empirical).
     """
@@ -105,7 +103,7 @@ def fit_system(
 
 def fit_system_only(
     spec: SystemSpec,
-    datasets,
+    datasets: Iterable[Dataset],
     priors: Mapping[str, BetaStacyProcess] | None = None,
 ) -> FitResult:
     """Fit from the root's own data alone, ignoring the rest of the tree."""
@@ -132,21 +130,18 @@ def curve_export(process: BetaStacyProcess, level: float = 0.95) -> CurveExport:
     point, matching the left-limit convention for a precision that is
     undefined exactly at the terminal time.
     """
-    keep = process.estimable
-    grid = process.grid[keep]
-    means = process.base.values[keep]
-    seconds = np.array([second_moment(process, float(t)) for t in grid])
-    bands = [credible_interval(process, float(t), level) for t in grid]
+    moments = moments_of(process)
+    bands = [credible_interval(process, float(t), level) for t in moments.grid]
     lower = np.array([b[0] for b in bands]) if bands else np.empty(0)
     upper = np.array([b[1] for b in bands]) if bands else np.empty(0)
-    precision = process.precision[keep].copy()
+    precision = process.precision[process.estimable]
     flags = []
     last_defined = np.nan
-    for i in range(grid.size):
+    for i in range(precision.size):
         if np.isnan(precision[i]):
             precision[i] = last_defined
             flags.append("terminal")
         else:
             last_defined = precision[i]
             flags.append("")
-    return CurveExport(grid, means, seconds, lower, upper, precision, tuple(flags))
+    return CurveExport(moments.grid, moments.first, moments.second, lower, upper, precision, tuple(flags))

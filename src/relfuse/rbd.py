@@ -272,8 +272,14 @@ def _node_from_json(data, depth: int) -> RbdNode:
     if not isinstance(data, dict):
         raise RbdError("JSON diagram nodes must be objects")
     kind = data.get("type")
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise RbdError(f"node label must be a string, not {type(label).__name__}")
     if kind == "component":
-        node = RbdNode("component", id=data.get("id"), label=data.get("label"))
+        node_id = data.get("id")
+        if not isinstance(node_id, str):
+            raise RbdError(f"component id must be a string, not {type(node_id).__name__}")
+        node = RbdNode("component", id=node_id, label=label)
     elif kind in _KEYWORDS:
         children = data.get("children")
         if not isinstance(children, list):
@@ -281,7 +287,7 @@ def _node_from_json(data, depth: int) -> RbdNode:
         if depth >= MAX_DEPTH:
             raise RbdError(f"groups nest more than {MAX_DEPTH} levels deep")
         children = tuple(_node_from_json(c, depth + 1) for c in children)
-        node = RbdNode(kind, label=data.get("label"), children=children)
+        node = RbdNode(kind, label=label, children=children)
     else:
         raise RbdError(f"unknown node type {kind!r}")
     return node

@@ -11,7 +11,6 @@ from relfuse.bsp import (
     LifetimeSample,
     NotEstimableError,
     beta_match,
-    counting_summary,
     credible_interval,
     dp_prior,
     mean,
@@ -73,33 +72,60 @@ class TestLifetimeSample:
             LifetimeSample(1.0, 2)
 
 
-class TestCountingSummary:
-    def test_uncensored(self):
-        s = counting_summary([LifetimeSample(t, 1) for t in (1.0, 2.0, 3.0)])
-        np.testing.assert_array_equal(s.times, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(s.at_risk, [3, 2, 1])
-        np.testing.assert_array_equal(s.failures, [1, 1, 1])
+class TestPosteriorCounts:
+    """The update's at-risk and failure counts, read back from a zero-precision prior.
 
-    def test_censoring_and_ties(self):
+    With no prior weight the hazard at a grid time is failures / at-risk and
+    the posterior precision is (at-risk - failures) / survival, so the base
+    values and precisions together pin both counts.
+    """
+
+    def test_uncensored(self):
+        data = [LifetimeSample(t, 1) for t in (1.0, 2.0, 3.0)]
+        post = posterior_update(BetaStacyProcess.noninformative(), data)
+        # at risk 3, 2, 1; one failure each, so the last hazard is 1
+        np.testing.assert_array_equal(post.grid, [1.0, 2.0, 3.0])
+        hazard = np.diff(post.base.values, prepend=0.0) / (
+            1.0 - np.concatenate(([0.0], post.base.values[:-1]))
+        )
+        np.testing.assert_allclose(hazard, [1 / 3, 1 / 2, 1.0], atol=1e-12)
+        np.testing.assert_allclose(post.precision[:2], [3.0, 3.0], atol=1e-12)
+        np.testing.assert_array_equal(post.estimable, [True, True, True])
+
+    def test_censored_tie_is_at_risk(self):
         data = [
             LifetimeSample(1.0, 1),
             LifetimeSample(2.0, 0),
             LifetimeSample(2.0, 1),
             LifetimeSample(3.0, 1),
         ]
-        s = counting_summary(data)
-        np.testing.assert_array_equal(s.times, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(s.at_risk, [4, 3, 1])
-        np.testing.assert_array_equal(s.failures, [1, 1, 1])
+        post = posterior_update(BetaStacyProcess.noninformative(), data)
+        # at risk 4, 3, 1: the unit censored at 2 is still at risk there
+        np.testing.assert_array_equal(post.grid, [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(post.base.values, [1 / 4, 1 / 2, 1.0], atol=1e-12)
+        np.testing.assert_allclose(post.precision[:2], [4.0, 4.0], atol=1e-12)
 
-    def test_lookup_between_times(self):
-        s = counting_summary([LifetimeSample(1.0, 1), LifetimeSample(3.0, 1)])
-        assert s.at_risk_at(0.5) == 2
-        assert s.at_risk_at(1.0) == 2
-        assert s.at_risk_at(1.5) == 1
-        assert s.at_risk_at(99.0) == 0
-        assert s.failures_at(1.0) == 1
-        assert s.failures_at(2.0) == 0
+    def test_failures_counted_at_exact_times(self):
+        prior = BetaStacyProcess(DiscreteCdf(np.array([1.0, 1.5]), np.array([0.1, 0.2])), np.zeros(2))
+        times_events = [(1.0, 1), (1.0, 0), (1.0, 1), (2.0, 1), (4.0, 0)]
+        post = posterior_update(prior, [LifetimeSample(t, e) for t, e in times_events])
+        np.testing.assert_array_equal(post.grid, [1.0, 1.5, 2.0, 4.0])
+        # at risk 5, 2, 2, 1; failures 2, 0, 1, 0 (the prior point at 1.0 adds none)
+        np.testing.assert_allclose(post.base.values, [0.4, 0.4, 0.7, 0.7], atol=1e-12)
+        np.testing.assert_allclose(post.precision, [5.0, 2 / 0.6, 1 / 0.3, 1 / 0.3], atol=1e-12)
+
+    def test_prior_points_between_data_times(self):
+        prior = BetaStacyProcess(
+            DiscreteCdf(np.array([0.5, 1.5, 99.0]), np.array([0.1, 0.2, 0.3])), np.zeros(3)
+        )
+        post = posterior_update(prior, [LifetimeSample(1.0, 1), LifetimeSample(3.0, 1)])
+        np.testing.assert_array_equal(post.grid, [0.5, 1.0, 1.5, 3.0, 99.0])
+        # at 0.5: 2 at risk, no failure; at 1.5 (between data times): 1 at
+        # risk, no failure; at 99, past every sample: none at risk, so the
+        # zero-precision prior leaves nothing to estimate from.
+        np.testing.assert_allclose(post.base.values[:4], [0.0, 0.5, 0.5, 1.0], atol=1e-12)
+        np.testing.assert_allclose(post.precision[:3], [2.0, 2.0, 2.0], atol=1e-12)
+        np.testing.assert_array_equal(post.estimable, [True, True, True, True, False])
 
 
 class TestDpPrior:
@@ -185,8 +211,9 @@ class TestPosteriorUpdate:
     def test_uncensored_subset_drives_noninformative_fit(self, data):
         data = [LifetimeSample(s.time, 1) for s in data]
         post = posterior_update(BetaStacyProcess.noninformative(), data)
-        s = counting_summary(data)
-        ecdf = 1.0 - np.cumprod(1.0 - s.failures / s.at_risk)
+        _, failures = np.unique([s.time for s in data], return_counts=True)
+        at_risk = len(data) - np.concatenate(([0], np.cumsum(failures)[:-1]))
+        ecdf = 1.0 - np.cumprod(1.0 - failures / at_risk)
         np.testing.assert_allclose(post.base.values, ecdf, atol=1e-12)
         inner = post.base.values < 1.0
         np.testing.assert_allclose(post.precision[inner], float(len(data)), atol=1e-12)

@@ -81,6 +81,19 @@ class TestLoadLifetimes:
         assert again == datasets
 
 
+@pytest.mark.parametrize(
+    "loader, header",
+    [(load_lifetimes, "node,time,event"), (load_prior_spec, "node,time,cdf,precision")],
+    ids=["lifetimes", "priors"],
+)
+def test_oversized_field_names_the_file(tmp_path, loader, header):
+    # Past the csv module's 131,072-character field limit.
+    path = tmp_path / "big.csv"
+    path.write_text(f"{header}\n{'x' * 131_073},1,1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="big.csv: field larger than field limit"):
+        loader(path)
+
+
 class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -114,6 +127,7 @@ class TestLoadPriorSpec:
             ("node,time,cdf,precision\nx,1,0.5,1\nx,2,0.4,1", "node 'x'"),
             ("node,time,cdf,precision\nx,1,0.5,1\nx,2,0.9,1", "node 'x'"),
             ("node,time,cdf,precision\nx,1,0.5,-1\nx,2,1.0,-1", "node 'x'"),
+            ("node,time,cdf,precision\nx,1,0.5,1\nx,2,1.0,-5", r"row 3 \(node 'x'\)"),
             ("node,time,cdf,precision\nx,1,oops,1", "row 2"),
             ("node,time,cdf,precision\nx,1,0.5,nan\nx,2,1.0,1", "row 2"),
             ("node,time,cdf,precision\nx,1,nan,1\nx,2,1.0,1", "node 'x'"),

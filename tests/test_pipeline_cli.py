@@ -163,6 +163,17 @@ class TestCurveExport:
         assert np.all(curve.lower <= curve.mean + 1e-12)
         assert np.all(curve.upper >= curve.mean - 1e-12)
 
+    @pytest.mark.parametrize("with_prior", [False, True], ids=["data_only", "with_prior"])
+    def test_columns_are_the_moment_curve(self, with_prior):
+        spec = parse_rbd("sys@series(a, parallel(b, c))")
+        priors = {"a": dp_prior(np.array([2.0, 5.0]), np.array([0.5, 1.0]), 2.0)} if with_prior else None
+        post = fit_system(spec, [*LEAF_DATA.values(), SYS_DATA], priors).posterior
+        curve = curve_export(post)
+        moments = moments_of(post)
+        np.testing.assert_array_equal(curve.t, moments.grid)
+        np.testing.assert_array_equal(curve.mean, moments.first)
+        np.testing.assert_array_equal(curve.second_moment, moments.second)
+
     def test_nonestimable_tail_is_dropped(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 0.0)
         spec = parse_rbd("sys")
@@ -375,6 +386,27 @@ class TestCliHostileInputs:
         (tmp_path / "deep.rbd").write_text(source)
         (tmp_path / "d.csv").write_text("node,time,event\na,1,1\n")
         assert self.fit(tmp_path, tmp_path / "deep.rbd", tmp_path / "d.csv") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"type": "component", "id": "a", "label": {}},
+            {"type": "component", "id": ["x"]},
+            {"type": "component", "id": "a", "label": 5},
+        ],
+        ids=["label_object", "id_list", "label_number"],
+    )
+    def test_non_string_json_fields(self, tmp_path, capsys, node):
+        (tmp_path / "sys.json").write_text(json.dumps(node))
+        (tmp_path / "d.csv").write_text("node,time,event\na,1,1\n")
+        assert self.fit(tmp_path, tmp_path / "sys.json", tmp_path / "d.csv") == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_oversized_csv_field(self, tmp_path, capsys):
+        (tmp_path / "sys.rbd").write_text("a")
+        (tmp_path / "d.csv").write_text(f"node,time,event\n{'a' * 131_073},1,1\n")
+        assert self.fit(tmp_path, tmp_path / "sys.rbd", tmp_path / "d.csv") == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
     def test_deep_sim_config(self, tmp_path, capsys):

@@ -156,6 +156,25 @@ class TestJson:
         with pytest.raises(RbdError, match="children"):
             rbd_from_json({"type": "series"})
 
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"type": "component", "id": "a", "label": {}},
+            {"type": "component", "id": ["x"]},
+            {"type": "component", "id": "a", "label": 5},
+            {"type": "component", "id": 5},
+            {"type": "component"},
+            {"type": "series", "label": ["g"], "children": [
+                {"type": "component", "id": "a"},
+                {"type": "component", "id": "b"},
+            ]},
+        ],
+        ids=["label_object", "id_list", "label_number", "id_number", "id_missing", "group_label_list"],
+    )
+    def test_non_string_id_or_label_rejected(self, node):
+        with pytest.raises(RbdError, match="must be a string"):
+            rbd_from_json(node)
+
     def test_nesting_limit(self):
         assert rbd_from_json(json.loads(nested_series_json(MAX_DEPTH))).kind == "series"
         with pytest.raises(RbdError, match="levels deep"):

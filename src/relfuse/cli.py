@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import export_curves, load_lifetimes, load_prior_spec, save_lifetimes
 from .demo import demo_config, load_sim_config
-from .errors import NotEstimableError, RelfuseError
+from .errors import DataFormatError, NotEstimableError, RelfuseError
 from .pipeline import curve_export, fit_system, fit_system_only
 from .rbd import load_system_source, validate_bindings
 from .validation import format_report, run_checks
@@ -34,6 +35,20 @@ __all__ = ["cmd_fit", "cmd_simulate", "cmd_validate", "main"]
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
+
+
+def _read_overlay(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``t,cdf`` columns that ``simulate`` writes, drawn under the fit."""
+    try:
+        with warnings.catch_warnings():
+            # An empty file is reported as an error below, not as a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if raw.shape[1] != 2 or not np.isfinite(raw).all():
+        raise DataFormatError(f"{path}: need rows of two finite columns t,cdf")
+    return raw[:, 0], raw[:, 1]
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -49,6 +64,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     if not (0.0 < args.level < 1.0):
         raise ValueError("--level must lie strictly inside (0, 1)")
+    true_path = args.data.parent / "true_system_cdf.csv"
+    overlay = _read_overlay(true_path) if args.svg and true_path.exists() else None
     fitter = fit_system_only if args.system_only else fit_system
     result = fitter(spec, datasets, priors)
     if not result.posterior.estimable.any():
@@ -59,11 +76,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     export_curves(curve, csv_path, format="csv")
     written = [csv_path]
     if args.svg:
-        overlay = None
-        true_path = args.data.parent / "true_system_cdf.csv"
-        if true_path.exists():
-            raw = np.loadtxt(true_path, delimiter=",", skiprows=1)
-            overlay = (raw[:, 0], raw[:, 1])
         svg_path = args.out / "system_cdf.svg"
         export_curves(curve, svg_path, format="svg", overlay=overlay)
         written.append(svg_path)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .dataio import Dataset
 from .errors import DataFormatError
-from .oracle import StructuralLifetime, WeibullLifetime, simulate_lifetimes
+from .oracle import StructuralLifetime, WeibullLifetime, censoring_rate, simulate_lifetimes
 from .rbd import SystemSpec, parse_rbd
 
 __all__ = ["DemoConfig", "demo_config", "load_sim_config"]
@@ -68,6 +68,7 @@ class DemoConfig:
         if not (0.0 <= self.censor_fraction < 1.0):
             raise ValueError("censor_fraction must lie in [0, 1)")
         self._samplers: dict[str, object] | None = None
+        self._censor_rates: dict[str, float] | None = None
 
     def samplers(self) -> dict[str, object]:
         """One lifetime sampler per bindable node label, leaves first."""
@@ -84,15 +85,19 @@ class DemoConfig:
             self._samplers = out
         return self._samplers
 
-    def system_sampler(self) -> StructuralLifetime:
-        return StructuralLifetime(self.spec.root, self.components)
-
     def true_system_cdf(self, t):
         """Exact system CDF under the configured Weibulls."""
-        return self.system_sampler().cdf(t)
+        return StructuralLifetime(self.spec.root, self.components).cdf(t)
 
     def simulate(self, seed: int) -> list[Dataset]:
-        return simulate_lifetimes(self.samplers(), self.n_per_node, self.censor_fraction, seed)
+        """Simulated datasets for ``seed``; censoring is calibrated on the first call."""
+        samplers = self.samplers()
+        if self._censor_rates is None:
+            self._censor_rates = {
+                label: censoring_rate(sampler, self.censor_fraction)
+                for label, sampler in samplers.items()
+            }
+        return simulate_lifetimes(samplers, self.n_per_node, self._censor_rates, seed)
 
 
 def demo_config() -> DemoConfig:
@@ -104,8 +109,8 @@ def load_sim_config(path) -> DemoConfig:
     """Read a simulation configuration from JSON.
 
     Expected keys: ``rbd`` (diagram source text), ``components`` (map of
-    component id to ``{"shape": ..., "scale": ...}``), and optional
-    ``n_per_node`` and ``censor_fraction``.
+    component id to ``{"shape": ..., "scale": ...}``, both finite and
+    positive), and optional ``n_per_node`` and ``censor_fraction``.
     """
     path = Path(path)
     try:
@@ -134,5 +139,5 @@ def load_sim_config(path) -> DemoConfig:
             n_per_node=int(data.get("n_per_node", 30)),
             censor_fraction=float(data.get("censor_fraction", 0.15)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None

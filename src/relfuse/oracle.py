@@ -28,7 +28,6 @@ __all__ = [
     "exact_three_beta_product_pdf",
     "three_beta_product_cdf_grid",
     "WeibullLifetime",
-    "DiscreteCdfSampler",
     "StructuralLifetime",
     "censoring_rate",
     "simulate_lifetimes",
@@ -168,11 +167,10 @@ class WeibullLifetime:
     """Weibull lifetime sampler with the usual shape/scale parameterization."""
 
     def __init__(self, shape: float, scale: float):
-        if shape <= 0.0 or scale <= 0.0:
-            raise ValueError("Weibull shape and scale must be positive")
         self.shape = float(shape)
         self.scale = float(scale)
-        self._rate_cache: dict[float, float] = {}
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("Weibull shape and scale must be finite and positive")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * rng.weibull(self.shape, size=n)
@@ -184,32 +182,6 @@ class WeibullLifetime:
 
     def time_scale(self) -> float:
         return self.scale
-
-
-class DiscreteCdfSampler:
-    """Inverse-transform sampler for a proper discrete CDF."""
-
-    def __init__(self, cdf: DiscreteCdf):
-        if cdf.grid.size == 0 or cdf.values[-1] != 1.0:
-            raise ValueError("sampling requires a proper CDF ending at 1")
-        self.discrete = cdf
-        self._rate_cache: dict[float, float] = {}
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        idx = np.searchsorted(self.discrete.values, u, side="left")
-        return self.discrete.grid[np.minimum(idx, self.discrete.grid.size - 1)]
-
-    def cdf(self, t):
-        return self.discrete.at(t)
-
-    def time_scale(self) -> float:
-        return float(np.median(self.discrete.grid))
-
-    def censored_probability(self, lam: float) -> float:
-        # P(C < T) with C ~ Exp(lam): exact sum over the atoms of T.
-        masses = np.diff(np.concatenate(([0.0], self.discrete.values)))
-        return float(np.sum(masses * -np.expm1(-lam * self.discrete.grid)))
 
 
 class StructuralLifetime:
@@ -226,7 +198,6 @@ class StructuralLifetime:
             raise ValueError(f"no sampler for components: {', '.join(sorted(missing))}")
         self.node = node
         self.leaves = dict(leaves)
-        self._rate_cache: dict[float, float] = {}
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self._sample_node(self.node, rng, n)
@@ -258,43 +229,19 @@ class StructuralLifetime:
         return float(np.median([s.time_scale() for s in self.leaves.values()]))
 
 
-def _censored_probability(sampler, survival, lam: float) -> float:
-    """P(censor time < lifetime) under Exp(lam) censoring.
-
-    ``survival(t)`` returns ``1 - sampler.cdf(t)``; it is only called when
-    the sampler has no exact ``censored_probability``.
-    """
-    if lam <= 0.0:
-        return 0.0
-    exact = getattr(sampler, "censored_probability", None)
-    if exact is not None:
-        return exact(lam)
-    value, _ = integrate.quad(
-        lambda t: lam * math.exp(-lam * t) * survival(t),
-        0.0,
-        np.inf,
-        limit=200,
-    )
-    return value
-
-
 def censoring_rate(sampler, censor_fraction: float) -> float:
     """Exponential censoring rate giving the requested expected censored share.
 
     Solved by bisection on P(C < T), which increases monotonically in the
-    rate.  Results are cached on the sampler, keyed by the fraction.  Within
-    one solve the survival ``1 - sampler.cdf(t)`` is evaluated once per
-    distinct time: the quadrature's nodes on ``[0, inf)`` do not depend on
-    the rate, so successive bisection steps revisit most of them.
+    rate.  Within one solve the survival ``1 - sampler.cdf(t)`` is evaluated
+    once per distinct time: the quadrature's nodes on ``[0, inf)`` do not
+    depend on the rate, so successive bisection steps revisit most of them.
     """
     censor_fraction = float(censor_fraction)
     if not (0.0 <= censor_fraction < 1.0):
         raise ValueError("censor fraction must lie in [0, 1)")
     if censor_fraction == 0.0:
         return 0.0
-    cache = getattr(sampler, "_rate_cache", None)
-    if cache is not None and censor_fraction in cache:
-        return cache[censor_fraction]
     survival_at: dict[float, float] = {}
 
     def survival(t: float) -> float:
@@ -303,47 +250,53 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
             value = survival_at[t] = 1.0 - float(sampler.cdf(t))
         return value
 
+    def censored_share(lam: float) -> float:
+        # P(C < T) with C ~ Exp(lam).
+        value, _ = integrate.quad(
+            lambda t: lam * math.exp(-lam * t) * survival(t), 0.0, np.inf, limit=200
+        )
+        return value
+
     hi = 1.0 / max(sampler.time_scale(), 1e-300)
-    while _censored_probability(sampler, survival, hi) < censor_fraction:
+    while censored_share(hi) < censor_fraction:
         hi *= 2.0
         if hi > 1e300:
-            raise RuntimeError("failed to bracket the censoring rate")
+            raise ValueError(f"no censoring rate reaches a censored share of {censor_fraction:g}")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _censored_probability(sampler, survival, mid) < censor_fraction:
+        if censored_share(mid) < censor_fraction:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-13 * hi:
             break
-    rate = 0.5 * (lo + hi)
-    if cache is not None:
-        cache[censor_fraction] = rate
-    return rate
+    return 0.5 * (lo + hi)
 
 
 def simulate_lifetimes(
     samplers: Mapping[str, object],
     n_per_node: int,
-    censor_fraction: float,
+    censor_rates: Mapping[str, float],
     seed: int,
 ) -> list[Dataset]:
     """Draw right-censored lifetime datasets, one per node label.
 
     Lifetimes come from each node's sampler; censoring times are exponential
-    with a per-node rate calibrated so the expected censored share equals
-    ``censor_fraction``.  The observed time is the minimum of the two and
-    ties count as failures.  Draw streams are derived deterministically from
-    the seed per sorted node label, so identical seeds give byte-identical
-    datasets regardless of mapping order.
+    with the node's rate from ``censor_rates`` (see ``censoring_rate``), and a
+    rate of 0 leaves the node uncensored.  The observed time is the minimum
+    of the two and ties count as failures.  Draw streams are derived
+    deterministically from the seed per sorted node label, so identical
+    seeds give byte-identical datasets regardless of mapping order.
     """
     n_per_node = int(n_per_node)
     if n_per_node <= 0:
         raise ValueError("n_per_node must be positive")
-    censor_fraction = float(censor_fraction)
-    if not (0.0 <= censor_fraction < 1.0):
-        raise ValueError("censor fraction must lie in [0, 1)")
+    for label in samplers:
+        if label not in censor_rates:
+            raise ValueError(f"no censoring rate for {label!r}")
+        if not (0.0 <= censor_rates[label] < math.inf):
+            raise ValueError(f"censoring rate for {label!r} must be finite and nonnegative")
     seed = _check_seed(seed)
     root_seq = np.random.SeedSequence(seed)
     order = sorted(samplers)
@@ -352,8 +305,8 @@ def simulate_lifetimes(
     for label, sampler in samplers.items():
         rng = np.random.default_rng(streams[label])
         lifetimes = np.maximum(np.asarray(sampler.sample(rng, n_per_node), dtype=np.float64), 1e-12)
-        if censor_fraction > 0.0:
-            rate = censoring_rate(sampler, censor_fraction)
+        rate = censor_rates[label]
+        if rate > 0.0:
             censors = rng.exponential(1.0 / rate, size=n_per_node)
             observed = np.minimum(lifetimes, censors)
             events = (lifetimes <= censors).astype(int)

@@ -268,18 +268,28 @@ def rbd_from_json(data) -> RbdNode:
     return _node_from_json(data, 0)
 
 
+def _json_name(data: dict, key: str, what: str) -> str:
+    """``data[key]`` checked against the identifier rule of the text grammar."""
+    name = data.get(key)
+    if not isinstance(name, str):
+        raise RbdError(f"{what} must be a string, not {type(name).__name__}")
+    if (
+        not name
+        or not _is_ident_start(name[0])
+        or not all(map(_is_ident_char, name[1:]))
+        or name in _KEYWORDS
+    ):
+        raise RbdError(f"{what} {name!r} is not a valid name")
+    return name
+
+
 def _node_from_json(data, depth: int) -> RbdNode:
     if not isinstance(data, dict):
         raise RbdError("JSON diagram nodes must be objects")
     kind = data.get("type")
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise RbdError(f"node label must be a string, not {type(label).__name__}")
+    label = _json_name(data, "label", "node label") if data.get("label") is not None else None
     if kind == "component":
-        node_id = data.get("id")
-        if not isinstance(node_id, str):
-            raise RbdError(f"component id must be a string, not {type(node_id).__name__}")
-        node = RbdNode("component", id=node_id, label=label)
+        node = RbdNode("component", id=_json_name(data, "id", "component id"), label=label)
     elif kind in _KEYWORDS:
         children = data.get("children")
         if not isinstance(children, list):

@@ -132,13 +132,8 @@ def check_second_moment_mc(seed: int, n_procs: int = 5, n_paths: int = 100000) -
     )
 
 
-def check_fusion_mc(seed: int, n_cases: int = 10, n_draws: int = 50000, combiner=None) -> CheckResult:
-    """Fused moments sit within 4 standard errors of pointwise Monte Carlo.
-
-    ``combiner`` swaps in a different series rule; the degenerate-pair test
-    hook passes a deliberately wrong one to confirm this check catches it.
-    """
-    series_rule = combiner if combiner is not None else combine_series
+def check_fusion_mc(seed: int, n_cases: int = 10, n_draws: int = 50000) -> CheckResult:
+    """Fused moments sit within 4 standard errors of pointwise Monte Carlo."""
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     for _ in range(n_cases):
@@ -158,7 +153,7 @@ def check_fusion_mc(seed: int, n_cases: int = 10, n_draws: int = 50000, combiner
             for ab in shapes
         ]
         for kind in ("series", "parallel"):
-            fuse = series_rule if kind == "series" else combine_parallel
+            fuse = combine_series if kind == "series" else combine_parallel
             fused = fuse(curves[0], curves[1])
             fa = np.column_stack([rng.beta(a, b, n_draws) for a, b in shapes[0]])
             fb = np.column_stack([rng.beta(a, b, n_draws) for a, b in shapes[1]])
@@ -179,17 +174,16 @@ def check_fusion_mc(seed: int, n_cases: int = 10, n_draws: int = 50000, combiner
     )
 
 
-def check_series_degenerate(combiner=None) -> CheckResult:
+def check_series_degenerate() -> CheckResult:
     """A pair of all-zero curves must fuse to second moment exactly 0.
 
     Expanding the series second moment through the means instead of the
     survival moments gives 2 here; this guards that mistake.
     """
-    rule = combiner if combiner is not None else combine_series
     grid = np.array([1.0, 2.0])
     zero = MomentCurve(grid, np.zeros(2), np.zeros(2))
     try:
-        fused = rule(zero, zero)
+        fused = combine_series(zero, zero)
         err = float(np.max(np.abs(fused.second)))
     except ValueError as exc:
         return CheckResult("degenerate series pair has zero second moment", False, str(exc))

@@ -89,3 +89,40 @@ def nested_series_json(depth):
         + leaf.format("a")
         + "".join(f", {leaf.format(f'b{k}')}]}}" for k in range(depth))
     )
+
+
+# Fuzzing strategies for the input loaders and the command line.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["series", "parallel", "component", "a", "b", ""])
+    | st.text(max_size=6)
+)
+_KEYS = st.sampled_from(["type", "id", "label", "children"]) | st.text(max_size=4)
+json_values = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=25,
+)
+# Diagram-shaped objects whose fields may hold any JSON value.
+_NAMES = st.text(max_size=3) | json_values
+diagram_nodes = st.recursive(
+    st.fixed_dictionaries({"type": st.just("component")}, optional={"id": _NAMES, "label": _NAMES}),
+    lambda inner: st.fixed_dictionaries(
+        {"type": st.sampled_from(["series", "parallel"]), "children": st.lists(inner | json_values, max_size=4)},
+        optional={"label": _NAMES, "id": _NAMES},
+    ),
+    max_leaves=10,
+)
+
+_CELLS = st.sampled_from(
+    ["a", "b", "1", "0", "0.5", "1.0", "-5", "nan", "inf", "1e400", "", '"', " "]
+) | st.text(max_size=5)
+_ROWS = st.lists(st.lists(_CELLS, max_size=5).map(",".join), max_size=6)
+
+
+def csv_texts(header):
+    """Arbitrary text, or a header line followed by rows of likely and unlikely cells."""
+    return st.text() | _ROWS.map(lambda rows: "\n".join([header, *rows]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relfuse.bsp import (
     BetaStacyProcess,
@@ -20,8 +21,9 @@ from relfuse.fusion import (
     moments_of,
     recover_precision,
 )
+from relfuse.oracle import StructuralLifetime, WeibullLifetime
 
-from conftest import bsp_processes, moment_curves
+from conftest import bsp_processes, moment_curves, rbd_trees
 
 
 def ecdf_posterior(times=(1.0, 2.0, 3.0)):
@@ -147,6 +149,41 @@ class TestCombiners:
             assert np.all(c.second >= c.first * c.first - 1e-9)
             assert np.all(c.second <= c.first + 1e-9)
             assert np.all(np.diff(c.first) >= -1e-12)
+
+
+class TestRandomTrees:
+    GRID = np.linspace(5.0, 400.0, 12)
+
+    @given(rbd_trees(max_depth=4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_fusion_matches_structural_oracle(self, tree, seed):
+        # Known leaf CDFs have zero variance, so folding them through the
+        # diagram must reproduce the exact structural CDF and stay degenerate.
+        rng = np.random.default_rng(seed)
+        leaves = {
+            c.id: WeibullLifetime(rng.uniform(0.8, 3.0), rng.uniform(50.0, 150.0))
+            for c in tree.iter_components()
+        }
+
+        def fold(node):
+            if node.kind == "component":
+                first = leaves[node.id].cdf(self.GRID)
+                return MomentCurve(self.GRID, first, first**2)
+            combine = combine_series if node.kind == "series" else combine_parallel
+            fused = fold(node.children[0])
+            for child in node.children[1:]:
+                fused = combine(*align_grids(fused, fold(child)))
+            return fused
+
+        fused = fold(tree)
+        oracle = StructuralLifetime(tree, leaves)
+        exact = oracle.cdf(self.GRID)
+        np.testing.assert_allclose(fused.first, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(fused.second, fused.first**2, rtol=0.0, atol=1e-12)
+        draws = np.sort(oracle.sample(np.random.default_rng(0), 20000))
+        empirical = np.searchsorted(draws, self.GRID, side="right") / draws.size
+        se = np.sqrt(exact * (1.0 - exact) / draws.size)
+        assert np.all(np.abs(empirical - exact) <= 4.0 * se)
 
 
 class TestRecoverPrecision:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from relfuse import demo
 from relfuse.bsp import (
     BetaStacyProcess,
     DiscreteCdf,
@@ -12,7 +13,6 @@ from relfuse.bsp import (
 )
 from relfuse.demo import demo_config
 from relfuse.oracle import (
-    DiscreteCdfSampler,
     StructuralLifetime,
     WeibullLifetime,
     censoring_rate,
@@ -124,12 +124,13 @@ class TestSamplers:
         draws = w.sample(np.random.default_rng(1), 200000)
         assert draws.mean() == pytest.approx(100.0 * np.sqrt(np.pi) / 2, rel=0.01)
 
-    def test_discrete_sampler_hits_atoms(self):
-        cdf = DiscreteCdf(np.array([1.0, 2.0, 5.0]), np.array([0.3, 0.8, 1.0]))
-        sampler = DiscreteCdfSampler(cdf)
-        draws = sampler.sample(np.random.default_rng(2), 100000)
-        assert set(np.unique(draws)) == {1.0, 2.0, 5.0}
-        assert np.mean(draws == 1.0) == pytest.approx(0.3, abs=0.01)
+    @pytest.mark.parametrize(
+        "shape, scale",
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1e400, 1.0), (1.0, 1e400), (np.nan, 1.0), (1.0, np.nan)],
+    )
+    def test_weibull_rejects_nonfinite_or_nonpositive(self, shape, scale):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WeibullLifetime(shape, scale)
 
     def test_structural_sampling_matches_exact_cdf(self):
         tree = series(component("a"), parallel(component("b"), component("c")))
@@ -151,11 +152,12 @@ class TestSamplers:
 
 
 class TestCensoringCalibration:
-    def test_discrete_rate_solves_exact_equation(self):
-        cdf = DiscreteCdf(np.array([1.0, 3.0, 7.0]), np.array([0.25, 0.7, 1.0]))
-        sampler = DiscreteCdfSampler(cdf)
-        lam = censoring_rate(sampler, 0.2)
-        assert sampler.censored_probability(lam) == pytest.approx(0.2, abs=1e-9)
+    @pytest.mark.parametrize("scale", [0.5, 100.0])
+    @pytest.mark.parametrize("fraction", [0.05, 0.15, 0.6])
+    def test_exponential_rate_has_closed_form(self, fraction, scale):
+        # With T ~ Exp(1/s) and C ~ Exp(lam), P(C < T) = lam s / (1 + lam s).
+        lam = censoring_rate(WeibullLifetime(1.0, scale), fraction)
+        assert lam == pytest.approx(fraction / ((1.0 - fraction) * scale), rel=1e-9, abs=0.0)
 
     def test_weibull_rate_calibrates_share(self):
         w = WeibullLifetime(2.2, 1400.0)
@@ -164,10 +166,6 @@ class TestCensoringCalibration:
         t = w.sample(rng, 400000)
         c = rng.exponential(1.0 / lam, size=400000)
         assert np.mean(c < t) == pytest.approx(0.15, abs=0.005)
-
-    def test_rate_is_cached(self):
-        w = WeibullLifetime(2.0, 100.0)
-        assert censoring_rate(w, 0.15) is censoring_rate(w, 0.15)
 
     def test_demo_rates_are_pinned(self):
         # Bit-exact rates: seeded simulations, and the benchmark's recorded
@@ -213,23 +211,29 @@ class TestSimulateLifetimes:
     def test_deterministic_and_order_independent(self):
         samplers = {"a": WeibullLifetime(2.0, 100.0), "b": WeibullLifetime(1.5, 50.0)}
         flipped = {"b": samplers["b"], "a": samplers["a"]}
-        one = simulate_lifetimes(samplers, 20, 0.15, seed=4)
-        two = simulate_lifetimes(flipped, 20, 0.15, seed=4)
+        rates = {label: censoring_rate(s, 0.15) for label, s in samplers.items()}
+        one = simulate_lifetimes(samplers, 20, rates, seed=4)
+        two = simulate_lifetimes(flipped, 20, rates, seed=4)
         assert {d.label: d for d in one} == {d.label: d for d in two}
-        three = simulate_lifetimes(samplers, 20, 0.15, seed=5)
+        three = simulate_lifetimes(samplers, 20, rates, seed=5)
         assert {d.label: d for d in one} != {d.label: d for d in three}
 
     def test_shapes_and_positivity(self):
-        datasets = simulate_lifetimes({"a": WeibullLifetime(2.0, 100.0)}, 30, 0.15, seed=1)
+        datasets = simulate_lifetimes({"a": WeibullLifetime(2.0, 100.0)}, 30, {"a": 0.01}, seed=1)
         assert len(datasets) == 1
         assert len(datasets[0]) == 30
         assert all(s.time > 0 for s in datasets[0].samples)
 
+    def test_zero_rate_is_uncensored(self):
+        (ds,) = simulate_lifetimes({"a": WeibullLifetime(2.0, 100.0)}, 50, {"a": 0.0}, seed=1)
+        assert all(s.event == 1 for s in ds.samples)
+
     def test_mean_censored_share(self):
         sampler = {"a": WeibullLifetime(2.2, 1400.0)}
+        rates = {"a": censoring_rate(sampler["a"], 0.15)}
         total, censored = 0, 0
         for seed in range(10000):
-            (ds,) = simulate_lifetimes(sampler, 30, 0.15, seed=seed)
+            (ds,) = simulate_lifetimes(sampler, 30, rates, seed=seed)
             total += len(ds)
             censored += sum(1 - s.event for s in ds.samples)
         assert censored / total == pytest.approx(0.15, abs=0.01)
@@ -237,8 +241,34 @@ class TestSimulateLifetimes:
     def test_rejects_bad_arguments(self):
         sampler = {"a": WeibullLifetime(2.0, 1.0)}
         with pytest.raises(ValueError):
-            simulate_lifetimes(sampler, 0, 0.15, seed=1)
+            simulate_lifetimes(sampler, 0, {"a": 0.1}, seed=1)
         with pytest.raises(ValueError):
-            simulate_lifetimes(sampler, 5, 1.5, seed=1)
-        with pytest.raises(ValueError):
-            simulate_lifetimes(sampler, 5, 0.15, seed=-1)
+            simulate_lifetimes(sampler, 5, {"a": 0.1}, seed=-1)
+        for rates in ({}, {"b": 0.1}, {"a": -0.1}, {"a": np.inf}, {"a": np.nan}):
+            with pytest.raises(ValueError, match="censoring rate"):
+                simulate_lifetimes(sampler, 5, rates, seed=1)
+
+
+class TestDemoCalibration:
+    def test_second_simulate_reuses_rates(self, monkeypatch):
+        cfg = demo_config()
+        first = cfg.simulate(3)
+        calls = []
+        calibrate = demo.censoring_rate
+
+        def counting_rate(sampler, fraction):
+            calls.append(fraction)
+            return calibrate(sampler, fraction)
+
+        monkeypatch.setattr(demo, "censoring_rate", counting_rate)
+        assert cfg.simulate(3) == first
+        assert calls == []
+        assert demo_config().simulate(3) == first
+        assert len(calls) == len(cfg.samplers())
+
+    def test_rates_follow_the_configured_fraction(self):
+        base = demo_config()
+        cfg = demo.DemoConfig(base.rbd_source, base.components, n_per_node=20, censor_fraction=0.3)
+        samplers = cfg.samplers()
+        rates = {label: censoring_rate(sampler, 0.3) for label, sampler in samplers.items()}
+        assert cfg.simulate(5) == simulate_lifetimes(samplers, 20, rates, seed=5)

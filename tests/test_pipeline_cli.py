@@ -415,6 +415,46 @@ class TestCliHostileInputs:
         assert main(args) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "shape, scale, n",
+        [(2.0, "1e400", 5), ("1e400", 100.0, 5), ("NaN", 100.0, 5), (2.0, 100.0, "1e400")],
+        ids=["scale_1e400", "shape_1e400", "shape_nan", "n_per_node_1e400"],
+    )
+    def test_nonfinite_config_value(self, tmp_path, capsys, shape, scale, n):
+        # Written as raw JSON text: json reads 1e400 as inf and NaN as nan.
+        (tmp_path / "sim.json").write_text(
+            f'{{"rbd": "sys@series(a, b)", "n_per_node": {n}, "components": '
+            f'{{"a": {{"shape": {shape}, "scale": {scale}}}, "b": {{"shape": 1.5, "scale": 80.0}}}}}}'
+        )
+        args = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sim.json" in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["t,cdf\n", "t,cdf\n1,0.5,2\n", "t,cdf\n1,nan\n", "t,cdf\n1,x\n"],
+        ids=["header_only", "three_columns", "nan", "not_a_number"],
+    )
+    def test_malformed_overlay(self, tmp_path, capsys, text):
+        (tmp_path / "sys.rbd").write_text("sys")
+        (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,2,1\n")
+        (tmp_path / "true_system_cdf.csv").write_text(text)
+        args = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv")]
+        assert main([*args, "--svg", "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "true_system_cdf.csv" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_row_overlay_is_drawn(self, tmp_path):
+        (tmp_path / "sys.rbd").write_text("sys")
+        (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,2,1\n")
+        (tmp_path / "true_system_cdf.csv").write_text("t,cdf\n1.5,0.5\n")
+        args = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv")]
+        assert main([*args, "--svg", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "true CDF" in (tmp_path / "out" / "system_cdf.svg").read_text()
+
     @pytest.mark.parametrize("which", ["rbd", "data"])
     def test_directory_path(self, tmp_path, capsys, which):
         (tmp_path / "sys.rbd").write_text("sys")

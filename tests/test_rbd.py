@@ -175,6 +175,33 @@ class TestJson:
         with pytest.raises(RbdError, match="must be a string"):
             rbd_from_json(node)
 
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"type": "series", "children": [
+                {"type": "component", "id": "a, b"},
+                {"type": "component", "id": "c"},
+            ]},
+            {"type": "component", "id": ""},
+            {"type": "component", "id": "series"},
+            {"type": "component", "id": "1a"},
+            {"type": "component", "id": "a", "label": "parallel"},
+            {"type": "component", "id": "a", "label": "sub system"},
+            {"type": "series", "label": "", "children": [
+                {"type": "component", "id": "a"},
+                {"type": "component", "id": "b"},
+            ]},
+        ],
+        ids=["comma", "empty_id", "keyword_id", "digit_start", "keyword_label", "space_label", "empty_label"],
+    )
+    def test_names_follow_the_text_identifier_rule(self, node):
+        with pytest.raises(RbdError, match="not a valid name"):
+            rbd_from_json(node)
+
+    def test_identifier_characters_accepted(self):
+        node = rbd_from_json({"type": "component", "id": "_m1.x-2", "label": "Sub_3"})
+        assert node == parse_rbd("Sub_3@_m1.x-2").root
+
     def test_nesting_limit(self):
         assert rbd_from_json(json.loads(nested_series_json(MAX_DEPTH))).kind == "series"
         with pytest.raises(RbdError, match="levels deep"):

@@ -56,11 +56,37 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_float_1d(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return arr
+def _check_steps(grid, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A step curve's jump times and values as float arrays, checked.
+
+    Both must be 1-d and of equal length; times finite, positive and strictly
+    increasing; values finite and nondecreasing within [0, 1].  ``name``
+    names the values in error messages.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if grid.ndim != 1 or grid.shape != values.shape:
+        raise ValueError(f"grid and {name} must be 1-d arrays of equal length")
+    # Differences taken from time 0 and between the value bounds 0 and 1 also
+    # fail on NaN and on infinite values.
+    if not (np.all(np.diff(grid, prepend=0.0) > 0.0) and np.isfinite(grid[-1:]).all()):
+        raise ValueError("grid times must be finite, positive and strictly increasing")
+    if not np.all(np.diff(values, prepend=0.0, append=1.0) >= 0.0):
+        raise ValueError(f"{name} must be finite and nondecreasing within [0, 1]")
+    return grid, values
+
+
+def _carry(grid: np.ndarray, values: np.ndarray, t, before):
+    """Right-continuous step lookup at ``t``: ``values[i]`` from ``grid[i]`` on.
+
+    Ahead of the first grid time, and everywhere on an empty grid, the result
+    is ``before``.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if grid.size == 0:
+        return np.full(t.shape, before, dtype=np.float64)
+    idx = np.searchsorted(grid, t, side="right") - 1
+    return np.where(idx >= 0, values[np.maximum(idx, 0)], before)
 
 
 @dataclass(frozen=True)
@@ -77,21 +103,7 @@ class DiscreteCdf:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = _as_float_1d(self.grid, "grid")
-        values = _as_float_1d(self.values, "values")
-        if grid.shape != values.shape:
-            raise ValueError("grid and values must have equal length")
-        if grid.size:
-            if not np.isfinite(grid).all():
-                raise ValueError("grid times must be finite")
-            if not np.isfinite(values).all():
-                raise ValueError("values must be finite")
-            if grid[0] <= 0.0:
-                raise ValueError("grid times must be strictly positive")
-            if np.any(np.diff(grid) <= 0.0):
-                raise ValueError("grid times must be strictly increasing")
-            if values[0] < 0.0 or values[-1] > 1.0 or np.any(np.diff(values) < 0.0):
-                raise ValueError("values must be nondecreasing within [0, 1]")
+        grid, values = _check_steps(self.grid, self.values, "values")
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "values", _freeze(values))
 
@@ -100,13 +112,8 @@ class DiscreteCdf:
 
     def at(self, t):
         """CDF value at ``t`` (scalar or array), right-continuous."""
-        t_arr = np.asarray(t, dtype=np.float64)
-        if self.grid.size == 0:
-            out = np.zeros_like(t_arr)
-        else:
-            idx = np.searchsorted(self.grid, t_arr, side="right") - 1
-            out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        out = _carry(self.grid, self.values, t, 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -124,10 +131,9 @@ class BetaStacyProcess:
     estimable: np.ndarray | None = None
 
     def __post_init__(self):
-        prec = _as_float_1d(self.precision, "precision")
+        prec = np.array(self.precision, dtype=np.float64)
         if prec.shape != self.base.grid.shape:
             raise ValueError("precision must align with the base grid")
-        prec = prec.copy()
         terminal = self.base.values >= 1.0
         prec[terminal] = np.nan
         defined = ~np.isnan(prec)
@@ -238,10 +244,8 @@ def _extend_precision(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray
     defined = process.precision_defined
     if process.grid.size == 0 or not defined.any():
         return np.zeros(grid.size)
-    src_grid = process.grid[defined]
     src_prec = process.precision[defined]
-    idx = np.searchsorted(src_grid, grid, side="right") - 1
-    return src_prec[np.clip(idx, 0, src_prec.size - 1)]
+    return _carry(process.grid[defined], src_prec, grid, src_prec[0])
 
 
 def posterior_update(prior: BetaStacyProcess, samples: Iterable[LifetimeSample]) -> BetaStacyProcess:

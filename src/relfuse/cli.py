@@ -40,10 +40,13 @@ EXIT_DEGENERATE = 2
 def _read_overlay(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The ``t,cdf`` columns that ``simulate`` writes, drawn under the fit."""
     try:
-        with warnings.catch_warnings():
-            # An empty file is reported as an error below, not as a warning.
-            warnings.simplefilter("ignore", UserWarning)
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            if [c.strip() for c in fh.readline().split(",")] != ["t", "cdf"]:
+                raise DataFormatError(f"{path}: header must be t,cdf")
+            with warnings.catch_warnings():
+                # An empty file is reported as an error below, not as a warning.
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     if raw.shape[1] != 2 or not np.isfinite(raw).all():

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample
+from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample, _check_steps, _freeze
 from .errors import DataFormatError
 
 __all__ = [
@@ -75,34 +75,23 @@ class CurveExport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        cols = {}
-        for name in ("t", "mean", "second_moment", "lower", "upper", "precision"):
+        t, mean = _check_steps(self.t, self.mean, "mean column")
+        cols = {"t": t, "mean": mean}
+        for name in ("second_moment", "lower", "upper", "precision"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} column must be one-dimensional")
+            if arr.shape != t.shape:
+                raise ValueError(f"{name} column must be 1-d and as long as t")
             cols[name] = arr
-        n = cols["t"].size
-        if any(c.size != n for c in cols.values()):
-            raise ValueError("export columns must have equal length")
-        flags = tuple(self.flags) if self.flags else ("",) * n
-        if len(flags) != n:
+        flags = tuple(self.flags) if self.flags else ("",) * t.size
+        if len(flags) != t.size:
             raise ValueError("flags column must match the grid length")
         if any(f not in _FLAGS for f in flags):
             raise ValueError(f"flags must be one of {_FLAGS}")
-        if n:
-            if np.any(np.diff(cols["t"]) <= 0.0):
-                raise ValueError("times must be strictly increasing")
-            if np.any(np.diff(cols["mean"]) < 0.0):
-                raise ValueError("mean column must be nondecreasing")
-            slack = 1e-9
-            if np.any(cols["lower"] > cols["mean"] + slack) or np.any(
-                cols["upper"] < cols["mean"] - slack
-            ):
-                raise ValueError("band must contain the mean at every row")
+        slack = 1e-9
+        if np.any(cols["lower"] > mean + slack) or np.any(cols["upper"] < mean - slack):
+            raise ValueError("band must contain the mean at every row")
         for name, arr in cols.items():
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
         object.__setattr__(self, "flags", flags)
 
     def __len__(self) -> int:

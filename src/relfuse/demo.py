@@ -21,6 +21,9 @@ from .rbd import SystemSpec, parse_rbd
 
 __all__ = ["DemoConfig", "demo_config", "load_sim_config"]
 
+# 100 times the largest benchmarked size; a config cannot ask for more.
+MAX_N_PER_NODE = 100_000
+
 DEMO_RBD_SOURCE = """\
 # hybrid-electric propulsion demo
 system@series(
@@ -63,8 +66,8 @@ class DemoConfig:
         missing = have - self.components.keys()
         if missing:
             raise ValueError(f"no Weibull parameters for: {', '.join(sorted(missing))}")
-        if self.n_per_node <= 0:
-            raise ValueError("n_per_node must be positive")
+        if not (0 < self.n_per_node <= MAX_N_PER_NODE):
+            raise ValueError(f"n_per_node must lie in [1, {MAX_N_PER_NODE:,}]")
         if not (0.0 <= self.censor_fraction < 1.0):
             raise ValueError("censor_fraction must lie in [0, 1)")
         self._samplers: dict[str, object] | None = None
@@ -110,7 +113,8 @@ def load_sim_config(path) -> DemoConfig:
 
     Expected keys: ``rbd`` (diagram source text), ``components`` (map of
     component id to ``{"shape": ..., "scale": ...}``, both finite and
-    positive), and optional ``n_per_node`` and ``censor_fraction``.
+    positive), and optional ``n_per_node`` (at most ``MAX_N_PER_NODE``) and
+    ``censor_fraction``.
     """
     path = Path(path)
     try:

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, _extend_precision, second_moment
+from .bsp import (
+    BetaStacyProcess,
+    DiscreteCdf,
+    _carry,
+    _check_steps,
+    _extend_precision,
+    _freeze,
+    second_moment,
+)
 from .errors import PrecisionRecoveryWarning
 
 __all__ = [
@@ -57,24 +65,16 @@ class MomentCurve:
     second: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        first = np.asarray(self.first, dtype=np.float64)
+        grid, first = _check_steps(self.grid, self.first, "first moment")
         second = np.asarray(self.second, dtype=np.float64)
-        if grid.ndim != 1 or grid.shape != first.shape or grid.shape != second.shape:
-            raise ValueError("grid, first, and second must be 1-d arrays of equal length")
-        if grid.size:
-            if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
-                raise ValueError("grid times must be positive and strictly increasing")
-            if first[0] < 0.0 or first[-1] > 1.0 or np.any(np.diff(first) < 0.0):
-                raise ValueError("first moment must be nondecreasing within [0, 1]")
-            if np.any(second < first * first - _ENVELOPE_SLACK) or np.any(
-                second > first + _ENVELOPE_SLACK
-            ):
-                raise ValueError("moment envelope violated: need first^2 <= second <= first")
-        for name, arr in (("grid", grid), ("first", first), ("second", second)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        if second.shape != grid.shape:
+            raise ValueError("second moment must align with the grid")
+        inside = (second >= first * first - _ENVELOPE_SLACK) & (second <= first + _ENVELOPE_SLACK)
+        if not inside.all():  # a NaN second moment is outside too
+            raise ValueError("moment envelope violated: need first^2 <= second <= first")
+        object.__setattr__(self, "grid", _freeze(grid))
+        object.__setattr__(self, "first", _freeze(first))
+        object.__setattr__(self, "second", _freeze(second))
 
     def __len__(self) -> int:
         return self.grid.size
@@ -99,15 +99,9 @@ def moments_of(process: BetaStacyProcess) -> MomentCurve:
 
 
 def _extend_curve(curve: MomentCurve, grid: np.ndarray) -> MomentCurve:
-    if curve.grid.size == 0:
-        zeros = np.zeros(grid.size)
-        return MomentCurve(grid, zeros, zeros.copy())
-    idx = np.searchsorted(curve.grid, grid, side="right") - 1
-    inside = idx >= 0
-    idx_c = np.maximum(idx, 0)
-    first = np.where(inside, curve.first[idx_c], 0.0)
-    second = np.where(inside, curve.second[idx_c], 0.0)
-    return MomentCurve(grid, first, second)
+    return MomentCurve(
+        grid, _carry(curve.grid, curve.first, grid, 0.0), _carry(curve.grid, curve.second, grid, 0.0)
+    )
 
 
 def align_grids(a: MomentCurve, b: MomentCurve) -> tuple[MomentCurve, MomentCurve]:
@@ -214,12 +208,6 @@ def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
     return BetaStacyProcess(DiscreteCdf(curve.grid, g), alpha)
 
 
-def _extend_precision_weights(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray:
-    weights = _extend_precision(process, grid)
-    terminal_from = process.base.at(grid) >= 1.0
-    return np.where(terminal_from, PRECISION_CAP, weights)
-
-
 def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> BetaStacyProcess:
     """Blend two priors for the same node into one.
 
@@ -236,8 +224,8 @@ def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> BetaStacyProcess:
         raise ValueError("cannot merge two empty priors")
     ca = _extend_curve(moments_of(a), union)
     cb = _extend_curve(moments_of(b), union)
-    wa = _extend_precision_weights(a, union)
-    wb = _extend_precision_weights(b, union)
+    wa = np.where(ca.terminal, PRECISION_CAP, _extend_precision(a, union))
+    wb = np.where(cb.terminal, PRECISION_CAP, _extend_precision(b, union))
     total = wa + wb
     flat = total == 0.0
     wa = np.where(flat, 0.5, wa)

@@ -156,9 +156,9 @@ def exact_three_beta_product_pdf(y) -> np.ndarray:
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
-def three_beta_product_cdf_grid(n: int = 4001) -> tuple[np.ndarray, np.ndarray]:
-    """Exact CDF of the three-beta product on a uniform grid, by quadrature."""
-    ys = np.linspace(0.0, 1.0, int(n))
+def three_beta_product_cdf_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Exact CDF of the three-beta product on 4001 uniform points, by quadrature."""
+    ys = np.linspace(0.0, 1.0, 4001)
     cdf = integrate.cumulative_trapezoid(exact_three_beta_product_pdf(ys), ys, initial=0.0)
     return ys, cdf
 
@@ -236,6 +236,9 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
     rate.  Within one solve the survival ``1 - sampler.cdf(t)`` is evaluated
     once per distinct time: the quadrature's nodes on ``[0, inf)`` do not
     depend on the rate, so successive bisection steps revisit most of them.
+    The share is then integrated again in the censoring's own time scale; a
+    rate whose share misses the target by more than 1e-6 raises
+    ``ValueError``.
     """
     censor_fraction = float(censor_fraction)
     if not (0.0 <= censor_fraction < 1.0):
@@ -271,7 +274,18 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
             hi = mid
         if hi - lo <= 1e-13 * hi:
             break
-    return 0.5 * (lo + hi)
+    rate = 0.5 * (lo + hi)
+    # The same share in the time scale of the censoring, x = rate * t: a
+    # rate far from the lifetime's scale can fool the quadrature above.
+    reached, _ = integrate.quad(
+        lambda x: math.exp(-x) * survival(x / rate), 0.0, np.inf, limit=200
+    )
+    if abs(reached - censor_fraction) > 1e-6:
+        raise ValueError(
+            f"censoring rate {rate:g} reaches a censored share of {reached:g}, "
+            f"not {censor_fraction:g}"
+        )
+    return rate
 
 
 def simulate_lifetimes(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, credible_interval, posterior_update
+from .bsp import BetaStacyProcess, _carry, credible_interval, posterior_update
 from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
@@ -134,14 +134,9 @@ def curve_export(process: BetaStacyProcess, level: float = 0.95) -> CurveExport:
     bands = [credible_interval(process, float(t), level) for t in moments.grid]
     lower = np.array([b[0] for b in bands]) if bands else np.empty(0)
     upper = np.array([b[1] for b in bands]) if bands else np.empty(0)
+    grid = moments.grid
     precision = process.precision[process.estimable]
-    flags = []
-    last_defined = np.nan
-    for i in range(precision.size):
-        if np.isnan(precision[i]):
-            precision[i] = last_defined
-            flags.append("terminal")
-        else:
-            last_defined = precision[i]
-            flags.append("")
-    return CurveExport(moments.grid, moments.first, moments.second, lower, upper, precision, tuple(flags))
+    defined = ~np.isnan(precision)
+    precision = _carry(grid[defined], precision[defined], grid, np.nan)
+    flags = tuple("" if d else "terminal" for d in defined)
+    return CurveExport(grid, moments.first, moments.second, lower, upper, precision, flags)

@@ -35,6 +35,15 @@ from .oracle import (
 
 __all__ = ["CheckResult", "run_checks", "format_report"]
 
+_EXACT_TOL = 1e-12
+_ROUNDTRIP_TOL = 1e-9
+_KM_SETS = 200
+_MAX_SAMPLES = 50
+_MC_PROCESSES = 5
+_MC_PATHS = 100_000
+_FUSION_DRAWS = 50_000
+_ROUNDTRIP_CURVES = 50
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -56,8 +65,8 @@ def _random_bsp(rng: np.random.Generator, max_points: int = 10) -> BetaStacyProc
     return BetaStacyProcess(DiscreteCdf(grid, vals), prec)
 
 
-def _random_censored_samples(rng: np.random.Generator, n_max: int = 50) -> list[LifetimeSample]:
-    n = int(rng.integers(2, n_max + 1))
+def _random_censored_samples(rng: np.random.Generator) -> list[LifetimeSample]:
+    n = int(rng.integers(2, _MAX_SAMPLES + 1))
     times = np.round(rng.exponential(10.0, n), 2) + 0.01
     events = (rng.random(n) > 0.3).astype(int)
     if events.sum() == 0:
@@ -65,7 +74,7 @@ def _random_censored_samples(rng: np.random.Generator, n_max: int = 50) -> list[
     return [LifetimeSample(float(t), int(e)) for t, e in zip(times, events)]
 
 
-def check_prior_only(tol: float = 1e-12) -> CheckResult:
+def check_prior_only() -> CheckResult:
     """No data: posterior base and precision must equal the prior."""
     prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 5.0)
     post = posterior_update(prior, [])
@@ -73,42 +82,44 @@ def check_prior_only(tol: float = 1e-12) -> CheckResult:
     defined = prior.precision_defined
     err = max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
     same_marker = bool(np.array_equal(post.precision_defined, defined))
-    ok = err <= tol and same_marker and np.array_equal(post.grid, prior.grid)
+    ok = err <= _EXACT_TOL and same_marker and np.array_equal(post.grid, prior.grid)
     return CheckResult("prior-only update is the identity", ok, f"max error {err:.3e}")
 
 
-def check_data_only(tol: float = 1e-12) -> CheckResult:
+def check_data_only() -> CheckResult:
     """Zero-precision prior: posterior is the empirical CDF with precision n."""
     samples = [LifetimeSample(float(t), 1) for t in (1.0, 2.0, 3.0)]
     post = posterior_update(BetaStacyProcess.noninformative(), samples)
     err = float(np.max(np.abs(post.base.values - np.array([1 / 3, 2 / 3, 1.0]))))
     err = max(err, float(np.max(np.abs(post.precision[:2] - 3.0))))
-    ok = err <= tol and np.isnan(post.precision[2])
+    ok = err <= _EXACT_TOL and np.isnan(post.precision[2])
     return CheckResult("zero-precision posterior is the empirical CDF", ok, f"max error {err:.3e}")
 
 
-def check_kaplan_meier(seed: int, n_sets: int = 200, tol: float = 1e-12) -> CheckResult:
+def check_kaplan_meier(seed: int) -> CheckResult:
     """Zero-precision posterior base equals the product-limit estimate."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_sets):
+    for _ in range(_KM_SETS):
         samples = _random_censored_samples(rng)
         km = kaplan_meier(samples)
         post = posterior_update(BetaStacyProcess.noninformative(), samples)
         est = np.array([mean(post, float(t)) for t in km.grid])
         worst = max(worst, float(np.max(np.abs(est - km.values))))
     return CheckResult(
-        f"matches Kaplan-Meier on {n_sets} censored datasets", worst <= tol, f"worst error {worst:.3e}"
+        f"matches Kaplan-Meier on {_KM_SETS} censored datasets",
+        worst <= _EXACT_TOL,
+        f"worst error {worst:.3e}",
     )
 
 
-def check_second_moment_mc(seed: int, n_procs: int = 5, n_paths: int = 100000) -> CheckResult:
+def check_second_moment_mc(seed: int) -> CheckResult:
     """Closed-form moments sit within 4 standard errors of simulated paths."""
     rng = np.random.default_rng(seed)
     worst_z = 0.0
-    for k in range(n_procs):
+    for _ in range(_MC_PROCESSES):
         proc = _random_bsp(rng)
-        ps = simulate_bsp_paths(proc, n_paths, int(rng.integers(0, 2**63)))
+        ps = simulate_bsp_paths(proc, _MC_PATHS, int(rng.integers(0, 2**63)))
         for i, t in enumerate(proc.grid):
             closed_m = mean(proc, float(t))
             closed_s = second_moment(proc, float(t))
@@ -126,13 +137,13 @@ def check_second_moment_mc(seed: int, n_procs: int = 5, n_paths: int = 100000) -
                 else:
                     worst_z = max(worst_z, abs(emp - closed) / se)
     return CheckResult(
-        f"closed-form moments match simulated paths ({n_procs} processes)",
+        f"closed-form moments match simulated paths ({_MC_PROCESSES} processes)",
         worst_z <= 4.0,
         f"worst |z| {worst_z:.2f}",
     )
 
 
-def check_fusion_mc(seed: int, n_cases: int = 10, n_draws: int = 50000) -> CheckResult:
+def check_fusion_mc(seed: int, n_cases: int = 10) -> CheckResult:
     """Fused moments sit within 4 standard errors of pointwise Monte Carlo."""
     rng = np.random.default_rng(seed)
     worst_z = 0.0
@@ -155,13 +166,13 @@ def check_fusion_mc(seed: int, n_cases: int = 10, n_draws: int = 50000) -> Check
         for kind in ("series", "parallel"):
             fuse = combine_series if kind == "series" else combine_parallel
             fused = fuse(curves[0], curves[1])
-            fa = np.column_stack([rng.beta(a, b, n_draws) for a, b in shapes[0]])
-            fb = np.column_stack([rng.beta(a, b, n_draws) for a, b in shapes[1]])
+            fa = np.column_stack([rng.beta(a, b, _FUSION_DRAWS) for a, b in shapes[0]])
+            fb = np.column_stack([rng.beta(a, b, _FUSION_DRAWS) for a, b in shapes[1]])
             fs = 1.0 - (1.0 - fa) * (1.0 - fb) if kind == "series" else fa * fb
             emp_first = fs.mean(axis=0)
             emp_second = (fs * fs).mean(axis=0)
-            se1 = fs.std(axis=0) / np.sqrt(n_draws)
-            se2 = (fs * fs).std(axis=0) / np.sqrt(n_draws)
+            se1 = fs.std(axis=0) / np.sqrt(_FUSION_DRAWS)
+            se2 = (fs * fs).std(axis=0) / np.sqrt(_FUSION_DRAWS)
             worst_z = max(
                 worst_z,
                 float(np.max(np.abs(emp_first - fused.first) / se1)),
@@ -192,13 +203,13 @@ def check_series_degenerate() -> CheckResult:
     )
 
 
-def check_roundtrip(seed: int, n_curves: int = 50, tol: float = 1e-9) -> CheckResult:
+def check_roundtrip(seed: int) -> CheckResult:
     """Moment curves survive recovery to a process and back."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(n_curves):
+        for _ in range(_ROUNDTRIP_CURVES):
             curve = moments_of(_random_bsp(rng))
             back = moments_of(recover_precision(curve))
             worst = max(
@@ -207,8 +218,8 @@ def check_roundtrip(seed: int, n_curves: int = 50, tol: float = 1e-9) -> CheckRe
                 float(np.max(np.abs(back.second - curve.second))),
             )
     return CheckResult(
-        f"moment curves round-trip through recovery ({n_curves} curves)",
-        worst <= tol,
+        f"moment curves round-trip through recovery ({_ROUNDTRIP_CURVES} curves)",
+        worst <= _ROUNDTRIP_TOL,
         f"worst error {worst:.3e}",
     )
 

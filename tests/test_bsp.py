@@ -10,6 +10,7 @@ from relfuse.bsp import (
     DiscreteCdf,
     LifetimeSample,
     NotEstimableError,
+    _carry,
     beta_match,
     credible_interval,
     dp_prior,
@@ -45,6 +46,20 @@ class TestDiscreteCdf:
         assert cdf.at(123.0) == 0.0
 
     @pytest.mark.parametrize(
+        "grid, values, t, expected",
+        [
+            ([], [], [0.5, 7.0], [-1.0, -1.0]),
+            ([1.0, 2.0], [0.3, 0.6], [0.0, 0.999], [-1.0, -1.0]),
+            ([1.0, 2.0], [0.3, 0.6], [1.0, 1.5, 2.0, 1e9], [0.3, 0.3, 0.6, 0.6]),
+        ],
+        ids=["empty_grid", "before_grid", "on_and_after_grid"],
+    )
+    def test_carry(self, grid, values, t, expected):
+        got = _carry(np.array(grid), np.array(values), np.array(t), -1.0)
+        np.testing.assert_array_equal(got, expected)
+        assert _carry(np.array(grid), np.array(values), t[0], -1.0).shape == ()
+
+    @pytest.mark.parametrize(
         "grid, values",
         [
             ([1.0, 1.0], [0.1, 0.2]),
@@ -55,6 +70,7 @@ class TestDiscreteCdf:
             ([1.0, 2.0], [-0.1, 0.4]),
             ([1.0], [0.1, 0.2]),
             ([1.0, 2.0], [0.5, np.nan]),
+            ([1.0, np.inf], [0.1, 0.2]),
         ],
     )
     def test_rejects_malformed(self, grid, values):

@@ -157,6 +157,20 @@ class TestCurveExport:
                 second_moment=np.array([0.3, 0.1, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("t", [1.0, 2.0, np.inf]),
+            ("t", [1.0, 2.0, np.nan]),
+            ("t", [0.0, 2.0, 3.0]),
+            ("mean", [np.nan, 0.5, 1.0]),
+            ("mean", [0.2, 0.5, np.inf]),
+        ],
+    )
+    def test_rejects_nonfinite_steps(self, column, values):
+        with pytest.raises(ValueError):
+            small_export(**{column: np.array(values)})
+
     def test_columns_frozen(self):
         exp = small_export()
         with pytest.raises(ValueError):

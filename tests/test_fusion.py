@@ -44,6 +44,20 @@ class TestMomentCurve:
         with pytest.raises(ValueError):
             curve([1.0, 2.0], [0.5, 0.4], [0.3, 0.2])
 
+    @pytest.mark.parametrize(
+        "grid, first, second",
+        [
+            ([1.0], [np.nan], [np.nan]),
+            ([1.0], [0.5], [np.nan]),
+            ([1.0], [np.inf], [np.inf]),
+            ([np.inf], [0.5], [0.3]),
+            ([1.0, np.nan], [0.2, 0.5], [0.1, 0.3]),
+        ],
+    )
+    def test_rejects_nonfinite(self, grid, first, second):
+        with pytest.raises(ValueError):
+            curve(grid, first, second)
+
     def test_terminal_and_survival_second(self):
         c = curve([1.0, 2.0], [0.4, 1.0], [0.2, 1.0])
         np.testing.assert_array_equal(c.terminal, [False, True])

@@ -167,6 +167,14 @@ class TestCensoringCalibration:
         c = rng.exponential(1.0 / lam, size=400000)
         assert np.mean(c < t) == pytest.approx(0.15, abs=0.005)
 
+    @pytest.mark.parametrize(
+        "shape, scale", [(1.0, 1e300), (1e-5, 1.0)], ids=["scale_1e300", "shape_1e-5"]
+    )
+    def test_rate_missing_the_share_raises(self, shape, scale):
+        # The bisection lands on a rate whose share is 1.0 and 0.37 here.
+        with pytest.raises(ValueError, match="reaches a censored share of"):
+            censoring_rate(WeibullLifetime(shape, scale), 0.15)
+
     def test_demo_rates_are_pinned(self):
         # Bit-exact rates: seeded simulations, and the benchmark's recorded
         # outputs, depend on every digit of them.

@@ -12,7 +12,7 @@ import relfuse
 from relfuse.bsp import BetaStacyProcess, LifetimeSample, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
-from relfuse.demo import DemoConfig, demo_config, load_sim_config
+from relfuse.demo import MAX_N_PER_NODE, DemoConfig, demo_config, load_sim_config
 from relfuse.errors import BindingError
 from relfuse.fusion import (
     align_grids,
@@ -222,6 +222,14 @@ class TestDemoConfig:
         datasets = cfg.simulate(1)
         assert {d.label for d in datasets} == {"a", "b", "sys"}
 
+    def test_n_per_node_ceiling_is_accepted(self, tmp_path):
+        # Nothing is simulated at this size.
+        cfg_path = tmp_path / "sim.json"
+        components = {"a": {"shape": 2.0, "scale": 100.0}}
+        config = {"rbd": "a", "components": components, "n_per_node": MAX_N_PER_NODE}
+        cfg_path.write_text(json.dumps(config))
+        assert load_sim_config(cfg_path).n_per_node == MAX_N_PER_NODE
+
 
 class TestCliRoundTrip:
     def test_simulate_fit_validate(self, tmp_path, capsys):
@@ -417,8 +425,14 @@ class TestCliHostileInputs:
 
     @pytest.mark.parametrize(
         "shape, scale, n",
-        [(2.0, "1e400", 5), ("1e400", 100.0, 5), ("NaN", 100.0, 5), (2.0, 100.0, "1e400")],
-        ids=["scale_1e400", "shape_1e400", "shape_nan", "n_per_node_1e400"],
+        [
+            (2.0, "1e400", 5),
+            ("1e400", 100.0, 5),
+            ("NaN", 100.0, 5),
+            (2.0, 100.0, "1e400"),
+            (2.0, 100.0, MAX_N_PER_NODE + 1),
+        ],
+        ids=["scale_1e400", "shape_1e400", "shape_nan", "n_per_node_1e400", "n_per_node_past_max"],
     )
     def test_nonfinite_config_value(self, tmp_path, capsys, shape, scale, n):
         # Written as raw JSON text: json reads 1e400 as inf and NaN as nan.
@@ -433,9 +447,31 @@ class TestCliHostileInputs:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
+        "shape, scale", [(1.0, 1e300), (1e-5, 1.0)], ids=["scale_1e300", "shape_1e-5"]
+    )
+    def test_censoring_share_missed(self, tmp_path, capsys, shape, scale):
+        config = {
+            "rbd": "a",
+            "components": {"a": {"shape": shape, "scale": scale}},
+            "n_per_node": 5,
+        }
+        (tmp_path / "sim.json").write_text(json.dumps(config))
+        args = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        assert "reaches a censored share of" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
         "text",
-        ["t,cdf\n", "t,cdf\n1,0.5,2\n", "t,cdf\n1,nan\n", "t,cdf\n1,x\n"],
-        ids=["header_only", "three_columns", "nan", "not_a_number"],
+        [
+            "t,cdf\n",
+            "t,cdf\n1,0.5,2\n",
+            "t,cdf\n1,nan\n",
+            "t,cdf\n1,x\n",
+            "1.0,0.2\n1.5,0.5\n",
+            "",
+        ],
+        ids=["header_only", "three_columns", "nan", "not_a_number", "no_header", "empty"],
     )
     def test_malformed_overlay(self, tmp_path, capsys, text):
         (tmp_path / "sys.rbd").write_text("sys")

@@ -91,7 +91,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = demo_config() if args.config == "demo" else load_sim_config(args.config)
-    datasets = cfg.simulate(args.seed)
+    try:
+        datasets = cfg.simulate(args.seed)
+    except ValueError as exc:  # a censoring calibration that fails on this config
+        raise DataFormatError(f"{args.config}: {exc}") from None
     args.out.mkdir(parents=True, exist_ok=True)
     rbd_path = args.out / "system.rbd"
     rbd_path.write_text(cfg.rbd_source, encoding="utf-8")

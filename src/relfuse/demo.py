@@ -96,10 +96,13 @@ class DemoConfig:
         """Simulated datasets for ``seed``; censoring is calibrated on the first call."""
         samplers = self.samplers()
         if self._censor_rates is None:
-            self._censor_rates = {
-                label: censoring_rate(sampler, self.censor_fraction)
-                for label, sampler in samplers.items()
-            }
+            rates = {}
+            for label, sampler in samplers.items():
+                try:
+                    rates[label] = censoring_rate(sampler, self.censor_fraction)
+                except ValueError as exc:
+                    raise ValueError(f"node {label!r}: {exc}") from None
+            self._censor_rates = rates
         return simulate_lifetimes(samplers, self.n_per_node, self._censor_rates, seed)
 
 

@@ -10,12 +10,14 @@ between these routes and the estimation code is what the test suite and the
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample
 from .dataio import Dataset
@@ -34,6 +36,29 @@ __all__ = [
 ]
 
 MAX_SEED = 2**64 - 1
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed at its first attribute access.
+
+    A module that is already imported is returned as it is.  Binding the
+    name does not import it: ``from scipy import integrate`` or ``import
+    scipy.integrate`` would.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# scipy.integrate pulls in scipy.optimize, sparse, linalg and fft, about a
+# third of the CLI's import time and memory, which ``relfuse fit`` never
+# uses.  Only the censoring calibration and the quadrature checks load it.
+integrate = _lazy_module("scipy.integrate")
 
 
 def _check_seed(seed: int) -> int:
@@ -238,7 +263,8 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
     depend on the rate, so successive bisection steps revisit most of them.
     The share is then integrated again in the censoring's own time scale; a
     rate whose share misses the target by more than 1e-6 raises
-    ``ValueError``.
+    ``ValueError``.  That check decides, so the search's ``quad`` calls run
+    with ``IntegrationWarning`` silenced.
     """
     censor_fraction = float(censor_fraction)
     if not (0.0 <= censor_fraction < 1.0):
@@ -260,20 +286,22 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
         )
         return value
 
-    hi = 1.0 / max(sampler.time_scale(), 1e-300)
-    while censored_share(hi) < censor_fraction:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError(f"no censoring rate reaches a censored share of {censor_fraction:g}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if censored_share(mid) < censor_fraction:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        hi = 1.0 / max(sampler.time_scale(), 1e-300)
+        while censored_share(hi) < censor_fraction:
+            hi *= 2.0
+            if hi > 1e300:
+                raise ValueError(f"no censoring rate reaches a censored share of {censor_fraction:g}")
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if censored_share(mid) < censor_fraction:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-13 * hi:
+                break
     rate = 0.5 * (lo + hi)
     # The same share in the time scale of the censoring, x = rate * t: a
     # rate far from the lifetime's scale can fool the quadrature above.

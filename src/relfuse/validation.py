@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .bsp import (
     BetaStacyProcess,
@@ -28,6 +28,7 @@ from .bsp import (
 from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
 from .oracle import (
     exact_three_beta_product_pdf,
+    integrate,
     kaplan_meier,
     simulate_bsp_paths,
     three_beta_product_cdf_grid,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -457,8 +458,14 @@ class TestCliHostileInputs:
         }
         (tmp_path / "sim.json").write_text(json.dumps(config))
         args = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")]
-        assert main(args) == EXIT_INPUT
-        assert "reaches a censored share of" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == EXIT_INPUT
+        assert caught == []
+        # One line naming the config file and the node whose calibration failed.
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'sim.json'}: node 'a': ")
+        assert "reaches a censored share of" in line
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
@@ -507,3 +514,57 @@ def test_cli_import_skips_scipy_stats():
     code = "import sys, relfuse.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# scipy.integrate is bound lazily: until something integrates, sys.modules
+# holds only its unexecuted stub, and none of its submodules is imported.
+INTEGRATE_LOADED = "any(m.startswith('scipy.integrate.') for m in sys.modules)"
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports relfuse from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relfuse.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
+def test_import_leaves_scipy_integrate_unloaded(module):
+    assert run_fresh(f"import sys, {module}; print({INTEGRATE_LOADED})") == "False"
+
+
+def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
+    sim_dir, fit_dir = tmp_path / "sim", tmp_path / "fit"
+    assert main(["simulate", "--seed", "0", "--out", str(sim_dir)]) == EXIT_OK
+    times = np.linspace(200.0, 2000.0, 10)
+    cdf = -np.expm1(-((times / 800.0) ** 2))
+    cdf[-1] = 1.0
+    rows = ["node,time,cdf,precision"] + [f"system,{t:g},{c:.12g},40" for t, c in zip(times, cdf)]
+    (tmp_path / "priors.csv").write_text("\n".join(rows) + "\n")
+    args = [
+        "fit",
+        "--rbd", str(sim_dir / "system.rbd"),
+        "--data", str(sim_dir / "lifetimes.csv"),
+        "--priors", str(tmp_path / "priors.csv"),
+        "--out", str(fit_dir),
+        "--svg",
+    ]
+    code = (
+        "import sys, warnings, relfuse.cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"code = relfuse.cli.main({[str(a) for a in args]!r})\n"
+        f"print(code, {INTEGRATE_LOADED})"
+    )
+    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} False"
+    assert (fit_dir / "system_cdf.svg").exists()
+
+
+def test_simulate_loads_the_bound_module(tmp_path):
+    code = (
+        "import sys, relfuse.cli, relfuse.oracle\n"
+        f"code = relfuse.cli.main(['simulate', '--seed', '0', '--out', {str(tmp_path)!r}])\n"
+        "import scipy.integrate\n"
+        "bound = relfuse.oracle.integrate\n"
+        "print(code, bound is sys.modules['scipy.integrate'], bound.quad is scipy.integrate.quad)"
+    )
+    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True"

@@ -8,11 +8,14 @@ the same length.  ``--traced`` adds one traced seed-0 run per side.
 
 Per workload and end-to-end metric (named in ``BENCHMARK.json``), the output
 holds each side's raw values, median and quartiles, the pairs the change won,
-lost and tied, and whether a gain may be claimed: at least nine tenths of the
-pairs won, and a median gap larger than the parent's quartile spread.
+lost and tied, and whether a gain may be claimed: at least ten pairs, at
+least nine tenths of them won, a median gap larger than the parent's quartile
+spread, and no more failed runs on the change's side than on the parent's.
+A pair in which either side has no value for the metric counts as run and
+not won.  Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 
 Usage:
-    python3 scripts/bench_pairs.py --parent HEAD --pr 8 \\
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pr 8 \\
         --run cli-priors-n300=10 --run study-n30=3 --run fit-n1000=3 \\
         --seeds 1 2 3 --traced cli-priors-n300
 
@@ -40,11 +43,12 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 STDERR_TAIL = 2000
+MIN_PAIRS = 10
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pr", required=True, help="suffix of the output file BENCH_<pr>.json")
     parser.add_argument(
         "--run", action="append", default=[], metavar="WORKLOAD=PAIRS",
@@ -53,7 +57,6 @@ def parse_args(argv):
     parser.add_argument("--seeds", type=int, nargs="+", default=[1], help="seeds the pairs cycle through")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
                         help="also run WORKLOAD traced at seed 0 on each side (repeatable)")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     plan = []
     for item in args.run:
@@ -99,7 +102,7 @@ def kept(run: dict) -> dict:
     """What the output keeps of a run: the stderr tail only when it failed."""
     out = {"exit_code": run["exit_code"], "result": run["result"],
            "figures": (run.get("record") or {}).get("figures")}
-    if not (run["result"] or {}).get("correct", False):
+    if failed(run):
         out["stderr_tail"] = run["stderr_tail"]
     return out
 
@@ -118,29 +121,50 @@ def side_summary(values: list[float]) -> dict:
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
+def failed(run: dict) -> bool:
+    """A run that crashed, gave no result, was incorrect or had a failed operation."""
+    result = run["result"] or {}
+    return not result.get("correct", False) or result.get("failed", 0) > 0
+
+
 def compare(pairs: list[dict], name: str, unit: str, better: str) -> dict:
     """The pair rule for one metric: wins, medians, and whether a gain may be claimed."""
     got = [(metric_value(p["parent"], name), metric_value(p["change"], name)) for p in pairs]
-    got = [(a, b) for a, b in got if a is not None and b is not None]
-    out: dict = {"unit": unit, "better": better, "pairs": len(got)}
-    if not got:
-        return out
+    complete = [(a, b) for a, b in got if a is not None and b is not None]
     sign = 1.0 if better == "lower" else -1.0
-    wins = sum(1 for a, b in got if sign * (a - b) > 0)
-    losses = sum(1 for a, b in got if sign * (b - a) > 0)
-    parent = side_summary([a for a, _ in got])
-    change = side_summary([b for _, b in got])
+    wins = sum(1 for a, b in complete if sign * (a - b) > 0)
+    losses = sum(1 for a, b in complete if sign * (b - a) > 0)
+    failures = {side: sum(1 for p in pairs if failed(p[side])) for side in SIDES}
+    out: dict = {
+        "unit": unit,
+        "better": better,
+        "pairs": len(pairs),
+        "wins": wins,
+        "losses": losses,
+        "ties": len(complete) - wins - losses,
+        "incomplete": len(pairs) - len(complete),
+        "failed_runs": failures,
+        "gain_claimable": False,
+    }
+    parent_values = [a for a, _ in got if a is not None]
+    change_values = [b for _, b in got if b is not None]
+    if not parent_values or not change_values:
+        return out
+    parent = side_summary(parent_values)
+    change = side_summary(change_values)
     gap = sign * (parent["median"] - change["median"])
     spread = parent["q3"] - parent["q1"]
     out.update(
         parent=parent,
         change=change,
-        wins=wins,
-        losses=losses,
-        ties=len(got) - wins - losses,
         median_gain=gap,
         parent_quartile_spread=spread,
-        gain_claimable=wins >= 0.9 * len(got) and gap > spread,
+        gain_claimable=(
+            len(pairs) >= MIN_PAIRS
+            and wins >= 0.9 * len(pairs)
+            and gap > spread
+            and failures["change"] <= failures["parent"]
+        ),
     )
     return out
 
@@ -149,7 +173,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads(BENCH.read_text(encoding="utf-8"))
     command = bench["command"]
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     known = {w["name"] for w in bench["workloads"]}
     unknown = [name for name, _ in args.plan if name not in known] + [
         name for name in args.traced if name not in known
@@ -164,6 +188,10 @@ def main(argv=None) -> int:
         trees = {"parent": tmp, "change": ROOT}
         head = git("rev-parse", "HEAD", text=True).stdout.strip()
         dirty = bool(git("status", "--porcelain", "--untracked-files=no", text=True).stdout.strip())
+        if parent_commit == head and not dirty:
+            print(f"error: --parent {args.parent} is the committed working tree; "
+                  "nothing would differ", file=sys.stderr)
+            return 2
         report: dict = {
             "parent": parent_commit,
             "change": f"working tree at {head}" + (" with uncommitted changes" if dirty else ""),
@@ -176,8 +204,10 @@ def main(argv=None) -> int:
                 "cpus": os.cpu_count(),
             },
             "started": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "rule": "gain claimable when the change wins at least 9/10 of the pairs "
-            "(ties count for neither) and the median gain exceeds the parent's quartile spread",
+            "rule": f"gain claimable when at least {MIN_PAIRS} pairs ran, the change wins at least "
+            "9/10 of them (a tie or a pair missing the metric is not a win), the median gain "
+            "exceeds the parent's quartile spread, and the change has no more failed runs "
+            "than the parent",
             "workloads": {},
             "traced": {},
         }
@@ -196,10 +226,7 @@ def main(argv=None) -> int:
                     m["name"]: compare(pairs, m["name"], m["unit"], m["better"])
                     for m in bench["end_to_end"]
                 },
-                "failed_runs": sum(
-                    1 for p in pairs for s in SIDES
-                    if not (p[s]["result"] or {}).get("correct", False)
-                ),
+                "failed_runs": sum(1 for p in pairs for s in SIDES if failed(p[s])),
                 "runs": [
                     {"seed": p["seed"], "first": p["first"], **{s: kept(p[s]) for s in SIDES}}
                     for p in pairs

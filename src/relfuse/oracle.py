@@ -281,27 +281,27 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
 
     def censored_share(lam: float) -> float:
         # P(C < T) with C ~ Exp(lam).
-        value, _ = integrate.quad(
-            lambda t: lam * math.exp(-lam * t) * survival(t), 0.0, np.inf, limit=200
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            value, _ = integrate.quad(
+                lambda t: lam * math.exp(-lam * t) * survival(t), 0.0, np.inf, limit=200
+            )
         return value
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        hi = 1.0 / max(sampler.time_scale(), 1e-300)
-        while censored_share(hi) < censor_fraction:
-            hi *= 2.0
-            if hi > 1e300:
-                raise ValueError(f"no censoring rate reaches a censored share of {censor_fraction:g}")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if censored_share(mid) < censor_fraction:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * hi:
-                break
+    hi = 1.0 / max(sampler.time_scale(), 1e-300)
+    while censored_share(hi) < censor_fraction:
+        hi *= 2.0
+        if hi > 1e300:
+            raise ValueError(f"no censoring rate reaches a censored share of {censor_fraction:g}")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if censored_share(mid) < censor_fraction:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
     rate = 0.5 * (lo + hi)
     # The same share in the time scale of the censoring, x = rate * t: a
     # rate far from the lifetime's scale can fool the quadrature above.

@@ -12,7 +12,10 @@ lost and tied, and whether a gain may be claimed: at least ten pairs, at
 least nine tenths of them won, a median gap larger than the parent's quartile
 spread, and no more failed runs on the change's side than on the parent's.
 A pair in which either side has no value for the metric counts as run and
-not won.  Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
+not won.  The metric has regressed when the change's median is worse than
+the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``,
+taken relative to the parent's median.  Every run lasts
+``BENCHMARK.json``'s ``run_seconds``.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr 8 \\
@@ -127,8 +130,12 @@ def failed(run: dict) -> bool:
     return not result.get("correct", False) or result.get("failed", 0) > 0
 
 
-def compare(pairs: list[dict], name: str, unit: str, better: str) -> dict:
-    """The pair rule for one metric: wins, medians, and whether a gain may be claimed."""
+def compare(pairs: list[dict], name: str, unit: str, better: str, bound: float) -> dict:
+    """The pair rule for one metric: wins, medians, and whether a gain may be claimed.
+
+    ``regressed`` is set when the change's median is worse than the parent's
+    by more than ``bound`` times the parent's median.
+    """
     got = [(metric_value(p["parent"], name), metric_value(p["change"], name)) for p in pairs]
     complete = [(a, b) for a, b in got if a is not None and b is not None]
     sign = 1.0 if better == "lower" else -1.0
@@ -145,6 +152,7 @@ def compare(pairs: list[dict], name: str, unit: str, better: str) -> dict:
         "incomplete": len(pairs) - len(complete),
         "failed_runs": failures,
         "gain_claimable": False,
+        "regressed": False,
     }
     parent_values = [a for a, _ in got if a is not None]
     change_values = [b for _, b in got if b is not None]
@@ -165,6 +173,7 @@ def compare(pairs: list[dict], name: str, unit: str, better: str) -> dict:
             and gap > spread
             and failures["change"] <= failures["parent"]
         ),
+        regressed=-gap > bound * abs(parent["median"]),
     )
     return out
 
@@ -207,7 +216,8 @@ def main(argv=None) -> int:
             "rule": f"gain claimable when at least {MIN_PAIRS} pairs ran, the change wins at least "
             "9/10 of them (a tie or a pair missing the metric is not a win), the median gain "
             "exceeds the parent's quartile spread, and the change has no more failed runs "
-            "than the parent",
+            "than the parent; a metric regressed when the change's median is worse than the "
+            "parent's by more than its bound times the parent's median",
             "workloads": {},
             "traced": {},
         }
@@ -223,7 +233,7 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             report["workloads"][name] = {
                 "metrics": {
-                    m["name"]: compare(pairs, m["name"], m["unit"], m["better"])
+                    m["name"]: compare(pairs, m["name"], m["unit"], m["better"], m["bound"])
                     for m in bench["end_to_end"]
                 },
                 "failed_runs": sum(1 for p in pairs for s in SIDES if failed(p[s])),
@@ -249,7 +259,8 @@ def main(argv=None) -> int:
                         f"{name:16s} {metric:12s} parent {c['parent']['median']:.4g} "
                         f"[{c['parent']['q1']:.4g}, {c['parent']['q3']:.4g}]  change "
                         f"{c['change']['median']:.4g} [{c['change']['q1']:.4g}, {c['change']['q3']:.4g}]  "
-                        f"wins {c['wins']}/{c['pairs']}  claimable {c['gain_claimable']}"
+                        f"wins {c['wins']}/{c['pairs']}  claimable {c['gain_claimable']}  "
+                        f"regressed {c['regressed']}"
                     )
         return 0
     finally:

@@ -26,6 +26,7 @@ import numpy as np
 from .dataio import export_curves, load_lifetimes, load_prior_spec, save_lifetimes
 from .demo import demo_config, load_sim_config
 from .errors import DataFormatError, NotEstimableError, RelfuseError
+from .oracle import MAX_SEED
 from .pipeline import curve_export, fit_system, fit_system_only
 from .rbd import load_system_source, validate_bindings
 from .validation import format_report, run_checks
@@ -89,7 +90,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"--seed must lie in [0, {MAX_SEED}], got {seed}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     cfg = demo_config() if args.config == "demo" else load_sim_config(args.config)
     try:
         datasets = cfg.simulate(args.seed)
@@ -116,6 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     results = run_checks(args.seed)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_INPUT

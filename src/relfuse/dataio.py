@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,7 +98,12 @@ class CurveExport:
         return self.t.size
 
 
-def _rows_from(source) -> tuple[list[list[str]], str]:
+def _records(source, header: list[str]) -> Iterator[tuple[str, str, list[str]]]:
+    """``(where, node, row)`` for each data row of a CSV with ``header``.
+
+    Blank rows are dropped before rows are counted; ``where`` names the file
+    and row for error messages, and ``node`` is the stripped first column.
+    """
     if hasattr(source, "read"):
         text = source.read()
         name = getattr(source, "name", "<stream>")
@@ -107,9 +112,21 @@ def _rows_from(source) -> tuple[list[list[str]], str]:
         text = path.read_text(encoding="utf-8")
         name = str(path)
     try:
-        return list(csv.reader(io.StringIO(text))), name
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
     except csv.Error as exc:
         raise DataFormatError(f"{name}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{name}: empty file")
+    if [c.strip() for c in rows[0]] != header:
+        raise DataFormatError(f"{name}: header must be {','.join(header)}")
+    for i, row in enumerate(rows[1:], start=2):
+        where = f"{name} row {i}"
+        if len(row) != len(header):
+            raise DataFormatError(f"{where}: expected {len(header)} columns, found {len(row)}")
+        node = row[0].strip()
+        if not node:
+            raise DataFormatError(f"{where}: empty node label")
+        yield where, node, row
 
 
 def _parse_float(raw: str, what: str, where: str) -> float:
@@ -125,21 +142,8 @@ def load_lifetimes(source) -> list[Dataset]:
     Groups appear in order of first appearance; rows within a group keep
     file order.  Raises ``DataFormatError`` with the offending row number.
     """
-    rows, name = _rows_from(source)
-    rows = [r for r in rows if r]
-    if not rows:
-        raise DataFormatError(f"{name}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != ["node", "time", "event"]:
-        raise DataFormatError(f"{name}: header must be node,time,event")
     grouped: dict[str, list[LifetimeSample]] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        where = f"{name} row {i}"
-        if len(row) != 3:
-            raise DataFormatError(f"{where}: expected 3 columns, found {len(row)}")
-        node = row[0].strip()
-        if not node:
-            raise DataFormatError(f"{where}: empty node label")
+    for where, node, row in _records(source, ["node", "time", "event"]):
         time = _parse_float(row[1], "time", where)
         event_raw = row[2].strip()
         if event_raw not in ("0", "1"):
@@ -178,21 +182,8 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
     Per-point precisions are kept as given, except where the cdf reaches 1:
     there the precision is undefined and stored as NaN.
     """
-    rows, name = _rows_from(source)
-    rows = [r for r in rows if r]
-    if not rows:
-        raise DataFormatError(f"{name}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != ["node", "time", "cdf", "precision"]:
-        raise DataFormatError(f"{name}: header must be node,time,cdf,precision")
     grouped: dict[str, list[tuple[float, float, float, str]]] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        where = f"{name} row {i}"
-        if len(row) != 4:
-            raise DataFormatError(f"{where}: expected 4 columns, found {len(row)}")
-        node = row[0].strip()
-        if not node:
-            raise DataFormatError(f"{where}: empty node label")
+    for where, node, row in _records(source, ["node", "time", "cdf", "precision"]):
         time = _parse_float(row[1], "time", where)
         cdf = _parse_float(row[2], "cdf", where)
         prec = _parse_float(row[3], "precision", where)

@@ -146,22 +146,16 @@ def combine_series(a: MomentCurve, b: MomentCurve) -> MomentCurve:
     return MomentCurve(a.grid, first, second)
 
 
-def _clamp_precision(num: float, den: float) -> tuple[float, str | None]:
-    """``num / den`` clamped to ``[0, PRECISION_CAP]``, plus the clamp's message.
-
-    The message is a template for the grid time, or None when no clamp
-    applied.
-    """
-    if den <= 0.0:
-        return PRECISION_CAP, "zero-variance increment at t={:g}: precision capped"
-    value = num / den
-    if not np.isfinite(value):
-        return PRECISION_CAP, "non-finite precision at t={:g}: capped"
-    if value < 0.0:
-        return 0.0, "negative precision at t={:g}: clamped to 0"
-    if value > PRECISION_CAP:
-        return PRECISION_CAP, "precision above cap at t={:g}: capped"
-    return value, None
+# Each clamp kind, in the order they are tried: the clamped precision and
+# the warning, a template for the grid time.  No valid curve reaches the
+# non-finite kind (|num| <= 2 and a positive den is far above 2 / max float);
+# it stays as a guard.
+_CLAMPS = (
+    (PRECISION_CAP, "zero-variance increment at t={:g}: precision capped"),
+    (PRECISION_CAP, "non-finite precision at t={:g}: capped"),
+    (0.0, "negative precision at t={:g}: clamped to 0"),
+    (PRECISION_CAP, "precision above cap at t={:g}: capped"),
+)
 
 
 def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
@@ -181,30 +175,25 @@ def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
     is capped at ``PRECISION_CAP`` and negative or non-finite results are
     clamped, each with a warning.
     """
-    n = len(curve)
     g = curve.first
     u = curve.survival_second
     r = 1.0 - g
-    alpha = np.full(n, np.nan)
-    prev_u = 1.0
-    prev_r = 1.0
-    prev_alpha = 0.0
-    for i in range(n):
-        if g[i] >= 1.0:
-            break
-        if r[i] == prev_r:
-            alpha[i] = 0.0 if g[i] == 0.0 else prev_alpha
-            prev_u = u[i]
-            continue
-        num = prev_u * r[i] - u[i] * prev_r
-        den = u[i] * prev_r * prev_r - prev_u * r[i] * r[i]
-        value, note = _clamp_precision(num, den)
-        if note is not None:
-            warnings.warn(note.format(curve.grid[i]), PrecisionRecoveryWarning, stacklevel=2)
-        alpha[i] = value
-        prev_alpha = value
-        prev_u = u[i]
-        prev_r = r[i]
+    # A flat step leaves r unchanged, so the previous point stands in for the last jump.
+    prev_u = np.concatenate(([1.0], u))[:-1]
+    prev_r = np.concatenate(([1.0], r))[:-1]
+    num = prev_u * r - u * prev_r
+    den = u * prev_r * prev_r - prev_u * r * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = num / den
+    kinds = [den <= 0.0, ~np.isfinite(value), value < 0.0, value > PRECISION_CAP]
+    value = np.select(kinds, [cap for cap, _ in _CLAMPS], value)
+    kind = np.select(kinds, range(len(_CLAMPS)), -1)
+    jump = (r != prev_r) & ~curve.terminal
+    for i in np.flatnonzero(jump & (kind >= 0)):
+        warnings.warn(_CLAMPS[kind[i]][1].format(curve.grid[i]), PrecisionRecoveryWarning, stacklevel=2)
+    # A flat point takes the last jump's precision, 0 before the first jump.
+    last = np.maximum.accumulate(np.where(jump, np.arange(len(curve)), -1))
+    alpha = np.where(last >= 0, value[last], 0.0)
     return BetaStacyProcess(DiscreteCdf(curve.grid, g), alpha)
 
 

@@ -27,8 +27,8 @@ PARENT = [88.5, 88.6, 88.4, 88.7, 88.5, 88.6, 88.5, 88.4, 88.6, 88.5]
 CHANGE = [82.0] * 10
 
 
-def claim(ps, better="lower"):
-    return bench_pairs.compare(ps, "rss", "MB", better)
+def claim(ps, better="lower", bound=0.05):
+    return bench_pairs.compare(ps, "rss", "MB", better, bound)
 
 
 def test_clear_gain_over_ten_pairs_is_claimable():
@@ -94,3 +94,14 @@ def test_higher_is_better_flips_the_sign():
 def test_parent_revision_is_required():
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["--pr", "x", "--run", "study-n30=1"])
+
+
+@pytest.mark.parametrize(
+    "factor, better, regressed",
+    [(1.06, "lower", True), (1.04, "lower", False), (0.94, "higher", True), (1.06, "higher", False)],
+    ids=["lower_up_6pct", "lower_up_4pct", "higher_down_6pct", "higher_up_6pct"],
+)
+def test_regression_past_the_bound_is_flagged(factor, better, regressed):
+    parent = [run(v) for v in PARENT[:3]]
+    change = [run(v * factor) for v in PARENT[:3]]
+    assert claim(pairs(parent, change), better)["regressed"] is regressed

@@ -245,6 +245,26 @@ class TestRecoverPrecision:
             back = recover_precision(c)
         assert back.precision[1] == PRECISION_CAP
 
+    def test_every_rule_on_one_curve(self):
+        # Dyadic moments keep every product exact, so the precisions are exact.
+        c = curve(
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+            [0.0, 0.25, 0.5, 0.5, 0.75, 0.875, 1.0, 1.0],
+            [0.0, 0.125, 0.25, 0.25, 0.75, 0.8125 + 2.0**-42, 1.0, 1.0],
+        )
+        with pytest.warns(PrecisionRecoveryWarning) as record:
+            back = recover_precision(c)
+        # t=1 no mass yet; t=2 a jump of precision 2; t=3 the degenerate
+        # jump (second == first^2); t=4 flat after it; t=5 a second moment
+        # too large; t=6 a precision of 2^40 - 4; t=7 terminal, then t=8.
+        cap = PRECISION_CAP
+        np.testing.assert_array_equal(back.precision, [0.0, 2.0, cap, cap, 0.0, cap, np.nan, np.nan])
+        assert [str(w.message) for w in record] == [
+            "zero-variance increment at t=3: precision capped",
+            "negative precision at t=5: clamped to 0",
+            "precision above cap at t=6: capped",
+        ]
+
     @given(bsp_processes(min_precision=0.05))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_on_process_curves(self, proc):

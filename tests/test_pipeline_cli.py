@@ -23,6 +23,7 @@ from relfuse.fusion import (
     moments_of,
     recover_precision,
 )
+from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
@@ -323,6 +324,23 @@ class TestCliErrors:
             ]
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_seed_out_of_range(self, tmp_path, capsys, monkeypatch, command, seed):
+        # The flag is checked before any work: no censoring calibration, no checks.
+        def work(*args):
+            raise AssertionError("ran before checking --seed")
+
+        monkeypatch.setattr(relfuse.demo, "censoring_rate", work)
+        monkeypatch.setattr(relfuse.cli, "run_checks", work)
+        args = [command, "--seed", str(seed)]
+        if command == "simulate":
+            args += ["--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: --seed ") and str(seed) in line
+        assert not (tmp_path / "sim").exists()
 
     def test_degenerate_inputs_exit_two(self, tmp_path, capsys):
         (tmp_path / "sys.rbd").write_text("sys")

@@ -1,0 +1,151 @@
+"""Check that the working tree fits and exports exactly what a parent revision does.
+
+Each side runs a fixed matrix of 52 cases in its own child interpreter:
+demo seeds 0-9 at 30 observations per node and 0-2 at 300, each with and
+without Dirichlet-process priors (precision 5 on 40 times of the exact
+``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
+``fit_system_only``.  Per case the child keeps every ``curve_export``
+column and flag of every node posterior (the system posterior is one of
+them) and the ordered ``PrecisionRecoveryWarning`` messages.  Two arrays
+match when their dtype, shape, values and float sign bits agree, NaN
+matching NaN.
+
+The parent revision is exported with ``git archive`` into a temporary
+directory, as ``bench_pairs.py`` does.
+
+Usage:
+    python3 scripts/identity_check.py --parent HEAD~1
+
+Prints one summary line; exits 0 only when no array differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+from bench_pairs import ROOT, export_revision  # noqa: E402
+
+SEEDS = {30: range(10), 300: range(3)}
+PRIOR_NODES = ("system", "electric")
+PRIOR_PRECISION = 5.0
+PRIOR_POINTS = 40
+
+
+def _dp_priors(cfg) -> dict:
+    """DP priors on ``PRIOR_POINTS`` times of the exact CDFs of ``PRIOR_NODES``."""
+    from relfuse.bsp import dp_prior
+
+    priors = {}
+    for label in PRIOR_NODES:
+        sampler = cfg.samplers()[label]
+        t_hi = sampler.time_scale()
+        while sampler.cdf(t_hi) < 0.999:
+            t_hi *= 2.0
+        times = np.linspace(t_hi / PRIOR_POINTS, t_hi, PRIOR_POINTS)
+        cdf = np.asarray(sampler.cdf(times), dtype=np.float64)
+        cdf[-1] = 1.0
+        priors[label] = dp_prior(times, cdf, PRIOR_PRECISION)
+    return priors
+
+
+def record(src: str, out: str) -> None:
+    """Run the case matrix with the ``relfuse`` under ``src`` and save its arrays to ``out``."""
+    # Imported here, not at the top, so each child binds the relfuse of its own side.
+    import relfuse
+    from relfuse.demo import DemoConfig, demo_config
+    from relfuse.errors import PrecisionRecoveryWarning
+    from relfuse.pipeline import curve_export, fit_system, fit_system_only
+
+    if not Path(relfuse.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError(f"imported {relfuse.__file__}, not the relfuse under {src}")
+    demo = demo_config()
+    arrays = {}
+    for n, seeds in SEEDS.items():
+        cfg = DemoConfig(demo.rbd_source, demo.components, n_per_node=n)
+        dp = _dp_priors(cfg)
+        for seed in seeds:
+            datasets = cfg.simulate(seed)
+            for priors in (None, dp):
+                for fit in (fit_system, fit_system_only):
+                    case = f"n{n}-seed{seed}-{'dp' if priors else 'nodp'}-{fit.__name__}"
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        result = fit(cfg.spec, datasets, priors)
+                        exports = {k: curve_export(p) for k, p in result.node_posteriors.items()}
+                    for label, curve in exports.items():
+                        for column in ("t", "mean", "second_moment", "lower", "upper", "precision"):
+                            arrays[f"{case}/{label}/{column}"] = getattr(curve, column)
+                        arrays[f"{case}/{label}/flags"] = np.array(curve.flags, dtype=str)
+                    arrays[f"{case}/warnings"] = np.array(
+                        [str(w.message) for w in caught if issubclass(w.category, PrecisionRecoveryWarning)],
+                        dtype=str,
+                    )
+    np.savez(out, **arrays)
+
+
+def mismatches(parent: dict, change: dict) -> list[str]:
+    """Sorted names of the arrays that differ between two sides.
+
+    An array differs when one side lacks it or the two differ in dtype,
+    shape, value or, for floats, sign bit; NaN equals NaN.
+    """
+    out = []
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(name), change.get(name)
+        if a is None or b is None or a.dtype != b.dtype or a.shape != b.shape:
+            out.append(name)
+            continue
+        floating = a.dtype.kind == "f"
+        if not np.array_equal(a, b, equal_nan=floating) or (
+            floating and not np.array_equal(np.signbit(a), np.signbit(b))
+        ):
+            out.append(name)
+    return out
+
+
+def run_side(tree: Path, out: Path) -> dict:
+    """The arrays ``record`` saves for the source tree ``tree``, run in a child interpreter."""
+    src = tree / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(HERE)!r}); import identity_check; "
+        f"identity_check.record({str(src)!r}, {str(out)!r})"
+    )
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    with np.load(out, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    tmp = Path(tempfile.mkdtemp(prefix="identity_check_"))
+    try:
+        commit = export_revision(args.parent, tmp / "parent")
+        parent = run_side(tmp / "parent", tmp / "parent.npz")
+        change = run_side(ROOT, tmp / "change.npz")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    bad = mismatches(parent, change)
+    cases = {name.split("/")[0] for name in change}
+    n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
+    print(
+        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {len(change)} arrays, "
+        f"{n_warnings} warnings, {len(bad)} mismatches" + (f" ({', '.join(bad[:5])})" if bad else "")
+    )
+    return 0 if not bad else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

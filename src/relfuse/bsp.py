@@ -15,12 +15,13 @@ Conventions:
 * Wherever the base measure equals 1 the random CDF is 1 almost surely; the
   precision carries no information there and is stored as NaN ("undefined").
   Second moments are fixed at 1 on that segment.
-* A posterior grid point becomes *not estimable* when neither prior mass nor
-  at-risk units remain beyond it (a zero-denominator hazard).  Estimation
-  stops there instead of extrapolating, and queries at or past that point
-  raise ``NotEstimableError``.
-* Queries beyond the last grid point return the last grid value (callers
-  exporting curves mark such values explicitly rather than erroring).
+* A posterior update stops at its *horizon*: the first time where neither
+  prior mass nor at-risk units remain (a zero-denominator hazard).  The
+  posterior's grid ends before the horizon instead of extrapolating, and
+  queries at or past it raise ``NotEstimableError``.
+* Queries beyond the last grid point but before the horizon return the last
+  grid value (callers exporting curves mark such values explicitly rather
+  than erroring).
 
 All container types are immutable after construction, so values can be
 shared freely across threads.
@@ -28,6 +29,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -121,14 +123,14 @@ class BetaStacyProcess:
     """Beta-Stacy prior or posterior: a base measure plus a precision function.
 
     ``precision[i]`` is the precision at ``base.grid[i]``; it is NaN exactly
-    where ``base.values[i] == 1`` (undefined by convention).  ``estimable``
-    is a prefix mask: once False, estimation has terminated and later grid
-    points carry only placeholder values.
+    where ``base.values[i] == 1`` (undefined by convention).  ``horizon`` is
+    the time where estimation stops, after the last grid time; it is
+    infinite unless a posterior update ran out of information.
     """
 
     base: DiscreteCdf
     precision: np.ndarray
-    estimable: np.ndarray | None = None
+    horizon: float = math.inf
 
     def __post_init__(self):
         prec = np.array(self.precision, dtype=np.float64)
@@ -139,19 +141,11 @@ class BetaStacyProcess:
         defined = ~np.isnan(prec)
         if np.any(prec[defined] < 0.0) or not np.isfinite(prec[defined]).all():
             raise ValueError("precision values must be finite and nonnegative")
-        est = self.estimable
-        if est is None:
-            est = np.ones(self.base.grid.size, dtype=bool)
-        else:
-            est = np.asarray(est, dtype=bool)
-            if est.shape != self.base.grid.shape:
-                raise ValueError("estimable mask must align with the base grid")
-            if est.size and not est.all():
-                first_false = int(np.argmin(est))
-                if est[first_false:].any():
-                    raise ValueError("estimable mask must be a prefix of the grid")
+        horizon = float(self.horizon)
+        if not horizon > (self.base.grid[-1] if self.base.grid.size else 0.0):  # NaN fails too
+            raise ValueError("horizon must lie after the last grid time")
         object.__setattr__(self, "precision", _freeze(prec))
-        object.__setattr__(self, "estimable", _freeze(est))
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def grid(self) -> np.ndarray:
@@ -256,9 +250,10 @@ def posterior_update(prior: BetaStacyProcess, samples: Iterable[LifetimeSample])
     unchanged there but still discount the precision).  Base-measure
     survival products are accumulated as running sums of ``log1p(-hazard)``.
 
-    With no samples the prior is returned unchanged.  A grid point whose
-    hazard denominator is zero (no prior mass and no at-risk units) ends the
-    estimable range; later points are flagged rather than extrapolated.
+    With no samples the prior is returned unchanged.  The first union time
+    whose hazard denominator is zero (no prior mass and no at-risk units)
+    becomes the posterior's horizon: the grid ends before it rather than
+    extrapolating.
     """
     samples = tuple(samples)
     for s in samples:
@@ -296,25 +291,14 @@ def posterior_update(prior: BetaStacyProcess, samples: Iterable[LifetimeSample])
         prec_star = (alpha * (1.0 - g) + m_at - j_at) / (1.0 - g_star)
     prec_star = np.where(g_star >= 1.0, np.nan, prec_star)
 
-    estimable = np.ones(union.size, dtype=bool)
-    if cut < union.size:
-        carry = g_star[cut - 1] if cut > 0 else 0.0
-        g_star = g_star.copy()
-        g_star[cut:] = carry
-        prec_star = prec_star.copy()
-        prec_star[cut:] = np.nan
-        estimable[cut:] = False
-
-    return BetaStacyProcess(DiscreteCdf(union, g_star), prec_star, estimable)
+    horizon = union[cut] if cut < union.size else math.inf
+    return BetaStacyProcess(DiscreteCdf(union[:cut], g_star[:cut]), prec_star[:cut], horizon)
 
 
 def _check_estimable(process: BetaStacyProcess, t: float) -> None:
-    if process.estimable.all():
-        return
-    cut_time = process.grid[int(np.argmin(process.estimable))]
-    if t >= cut_time:
+    if t >= process.horizon:
         raise NotEstimableError(
-            f"query at t={t:g} is beyond the estimable range (ends before t={cut_time:g})"
+            f"query at t={t:g} is beyond the estimable range (ends before t={process.horizon:g})"
         )
 
 
@@ -322,8 +306,8 @@ def mean(process: BetaStacyProcess, t: float) -> float:
     """Pointwise mean of the random CDF at ``t``: the base-measure value.
 
     Beyond the last grid point the last value is returned (callers decide
-    how to mark such carried values).  Queries at or past a not-estimable
-    point raise ``NotEstimableError``.
+    how to mark such carried values).  Queries at or past the process's
+    horizon raise ``NotEstimableError``.
     """
     t = float(t)
     _check_estimable(process, t)

@@ -72,7 +72,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     overlay = _read_overlay(true_path) if args.svg and true_path.exists() else None
     fitter = fit_system_only if args.system_only else fit_system
     result = fitter(spec, datasets, priors)
-    if not result.posterior.estimable.any():
+    if not result.posterior.grid.size:
         raise NotEstimableError("no grid point is estimable from the given inputs")
     curve = curve_export(result.posterior, args.level)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -101,8 +101,8 @@ class CurveExport:
 def _records(source, header: list[str]) -> Iterator[tuple[str, str, list[str]]]:
     """``(where, node, row)`` for each data row of a CSV with ``header``.
 
-    Blank rows are dropped before rows are counted; ``where`` names the file
-    and row for error messages, and ``node`` is the stripped first column.
+    Blank rows are dropped; ``where`` names the file and the line the row
+    ends on for error messages, and ``node`` is the stripped first column.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -111,16 +111,17 @@ def _records(source, header: list[str]) -> Iterator[tuple[str, str, list[str]]]:
         path = Path(source)
         text = path.read_text(encoding="utf-8")
         name = str(path)
+    reader = csv.reader(io.StringIO(text))
     try:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        rows = [(reader.line_num, r) for r in reader if r]
     except csv.Error as exc:
         raise DataFormatError(f"{name}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{name}: empty file")
-    if [c.strip() for c in rows[0]] != header:
+    if [c.strip() for c in rows[0][1]] != header:
         raise DataFormatError(f"{name}: header must be {','.join(header)}")
-    for i, row in enumerate(rows[1:], start=2):
-        where = f"{name} row {i}"
+    for line, row in rows[1:]:
+        where = f"{name} row {line}"
         if len(row) != len(header):
             raise DataFormatError(f"{where}: expected {len(header)} columns, found {len(row)}")
         node = row[0].strip()

@@ -116,8 +116,8 @@ def load_sim_config(path) -> DemoConfig:
 
     Expected keys: ``rbd`` (diagram source text), ``components`` (map of
     component id to ``{"shape": ..., "scale": ...}``, both finite and
-    positive), and optional ``n_per_node`` (at most ``MAX_N_PER_NODE``) and
-    ``censor_fraction``.
+    positive), and optional ``n_per_node`` (an integer, at most
+    ``MAX_N_PER_NODE``) and ``censor_fraction``.
     """
     path = Path(path)
     try:
@@ -135,6 +135,9 @@ def load_sim_config(path) -> DemoConfig:
         raise DataFormatError(f"{path}: missing required key {exc}") from None
     if not isinstance(raw_components, dict):
         raise DataFormatError(f"{path}: components must be an object")
+    n_per_node = data.get("n_per_node", 30)
+    if type(n_per_node) is not int:  # a JSON integer; bool is a subclass of int
+        raise DataFormatError(f"{path}: n_per_node must be an integer, got {json.dumps(n_per_node)}")
     try:
         components = {
             name: WeibullLifetime(float(p["shape"]), float(p["scale"]))
@@ -143,7 +146,7 @@ def load_sim_config(path) -> DemoConfig:
         return DemoConfig(
             rbd_source,
             components,
-            n_per_node=int(data.get("n_per_node", 30)),
+            n_per_node=n_per_node,
             censor_fraction=float(data.get("censor_fraction", 0.15)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

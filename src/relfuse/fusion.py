@@ -90,12 +90,9 @@ class MomentCurve:
 
 
 def moments_of(process: BetaStacyProcess) -> MomentCurve:
-    """Moment curve of a process on its own grid (estimable points only)."""
-    keep = process.estimable
-    grid = process.grid[keep]
-    first = process.base.values[keep]
-    second = np.array([second_moment(process, float(t)) for t in grid])
-    return MomentCurve(grid, first, second)
+    """Moment curve of a process on its own grid, which ends before its horizon."""
+    second = np.array([second_moment(process, float(t)) for t in process.grid])
+    return MomentCurve(process.grid, process.base.values, second)
 
 
 def _extend_curve(curve: MomentCurve, grid: np.ndarray) -> MomentCurve:

@@ -97,8 +97,6 @@ def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> Pa
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     seed = _check_seed(seed)
-    if not process.estimable.all():
-        raise ValueError("cannot simulate paths beyond the estimable range")
     grid = process.grid
     if grid.size == 0:
         raise ValueError("process grid is empty")

@@ -125,18 +125,17 @@ def fit_system_only(
 def curve_export(process: BetaStacyProcess, level: float = 0.95) -> CurveExport:
     """Columns for export: estimate, second moment, band, precision, flags.
 
-    Rows cover the estimable grid points.  Terminal rows (base measure 1)
-    are flagged and report the precision carried from the last non-terminal
-    point, matching the left-limit convention for a precision that is
-    undefined exactly at the terminal time.
+    Rows cover the process's grid, which ends before its horizon.  Terminal
+    rows (base measure 1) are flagged and report the precision carried from
+    the last non-terminal point, matching the left-limit convention for a
+    precision that is undefined exactly at the terminal time.
     """
     moments = moments_of(process)
     bands = [credible_interval(process, float(t), level) for t in moments.grid]
     lower = np.array([b[0] for b in bands]) if bands else np.empty(0)
     upper = np.array([b[1] for b in bands]) if bands else np.empty(0)
     grid = moments.grid
-    precision = process.precision[process.estimable]
-    defined = ~np.isnan(precision)
-    precision = _carry(grid[defined], precision[defined], grid, np.nan)
+    defined = process.precision_defined
+    precision = _carry(grid[defined], process.precision[defined], grid, np.nan)
     flags = tuple("" if d else "terminal" for d in defined)
     return CurveExport(grid, moments.first, moments.second, lower, upper, precision, flags)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,38 @@ class TestDiscreteCdf:
             DiscreteCdf(np.asarray(grid, dtype=float), np.asarray(values, dtype=float))
 
 
+class TestHorizon:
+    @pytest.mark.parametrize(
+        "grid, horizon",
+        [([1.0, 2.0], 2.0), ([1.0, 2.0], 1.5), ([1.0, 2.0], math.nan), ([], 0.0)],
+        ids=["at_last_time", "below_last_time", "nan", "zero_on_empty_grid"],
+    )
+    def test_rejects_horizon_not_after_grid(self, grid, horizon):
+        grid = np.asarray(grid, dtype=float)
+        base = DiscreteCdf(grid, np.linspace(0.2, 0.4, grid.size))
+        with pytest.raises(ValueError, match="horizon"):
+            BetaStacyProcess(base, np.zeros(grid.size), horizon)
+
+    @given(bsp_processes(), censored_samples(max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_posterior_grid_ends_before_horizon(self, proc, data):
+        # Zero prior precision leaves prior points past every sample time uninformed.
+        prior = BetaStacyProcess(proc.base, np.zeros(proc.grid.size))
+        post = posterior_update(prior, data)
+        union = np.union1d(prior.grid, [s.time for s in data])
+        n = post.grid.size
+        np.testing.assert_array_equal(post.grid, union[:n])
+        assert post.horizon == (union[n] if n < union.size else math.inf)
+        for t in post.grid:
+            mean(post, t)
+            second_moment(post, t)
+        if post.horizon < math.inf:
+            with pytest.raises(NotEstimableError):
+                mean(post, post.horizon)
+            with pytest.raises(NotEstimableError):
+                second_moment(post, post.horizon)
+
+
 class TestLifetimeSample:
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
@@ -106,7 +140,7 @@ class TestPosteriorCounts:
         )
         np.testing.assert_allclose(hazard, [1 / 3, 1 / 2, 1.0], atol=1e-12)
         np.testing.assert_allclose(post.precision[:2], [3.0, 3.0], atol=1e-12)
-        np.testing.assert_array_equal(post.estimable, [True, True, True])
+        assert post.horizon == math.inf
 
     def test_censored_tie_is_at_risk(self):
         data = [
@@ -135,13 +169,13 @@ class TestPosteriorCounts:
             DiscreteCdf(np.array([0.5, 1.5, 99.0]), np.array([0.1, 0.2, 0.3])), np.zeros(3)
         )
         post = posterior_update(prior, [LifetimeSample(1.0, 1), LifetimeSample(3.0, 1)])
-        np.testing.assert_array_equal(post.grid, [0.5, 1.0, 1.5, 3.0, 99.0])
+        np.testing.assert_array_equal(post.grid, [0.5, 1.0, 1.5, 3.0])
         # at 0.5: 2 at risk, no failure; at 1.5 (between data times): 1 at
         # risk, no failure; at 99, past every sample: none at risk, so the
         # zero-precision prior leaves nothing to estimate from.
-        np.testing.assert_allclose(post.base.values[:4], [0.0, 0.5, 0.5, 1.0], atol=1e-12)
+        np.testing.assert_allclose(post.base.values, [0.0, 0.5, 0.5, 1.0], atol=1e-12)
         np.testing.assert_allclose(post.precision[:3], [2.0, 2.0, 2.0], atol=1e-12)
-        np.testing.assert_array_equal(post.estimable, [True, True, True, True, False])
+        assert post.horizon == 99.0
 
 
 class TestDpPrior:
@@ -199,7 +233,8 @@ class TestPosteriorUpdate:
     def test_estimable_range_ends_at_zero_information(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 0.0)
         post = posterior_update(prior, [LifetimeSample(1.0, 0)])
-        np.testing.assert_array_equal(post.estimable, [True, False, False])
+        np.testing.assert_array_equal(post.grid, [1.0])
+        assert post.horizon == 2.0
         assert mean(post, 1.5) == 0.0
         with pytest.raises(NotEstimableError):
             mean(post, 2.0)
@@ -271,7 +306,7 @@ class TestMoments:
     @settings(max_examples=80, deadline=None)
     def test_envelope_property(self, proc):
         post = posterior_update(proc, [])
-        for t in post.base.grid[post.estimable]:
+        for t in post.base.grid:
             m = mean(post, t)
             s = second_moment(post, t)
             assert m * m - 1e-12 <= s <= m + 1e-12
@@ -359,7 +394,7 @@ class TestCredibleInterval:
     @settings(max_examples=60, deadline=None)
     def test_contains_mean_property(self, proc):
         post = posterior_update(proc, [])
-        for t in post.base.grid[post.estimable]:
+        for t in post.base.grid:
             lo, hi = credible_interval(post, t, 0.9)
             m = mean(post, t)
             assert lo - 1e-12 <= m <= hi + 1e-12

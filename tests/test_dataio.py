@@ -67,6 +67,7 @@ class TestLoadLifetimes:
             ("node,time,event\nmotor,-1,1", "row 2"),
             ("node,time,event\n,1,1", "row 2: empty node"),
             ("node,time,event\nmotor,1,1\nmotor,0,1", "row 3"),
+            ("node,time,event\n\n\nsys,1,1\nsys,x,1", "row 5: time"),
         ],
     )
     def test_errors_carry_row_numbers(self, body, fragment):
@@ -131,6 +132,7 @@ class TestLoadPriorSpec:
             ("node,time,cdf,precision\nx,1,oops,1", "row 2"),
             ("node,time,cdf,precision\nx,1,0.5,nan\nx,2,1.0,1", "row 2"),
             ("node,time,cdf,precision\nx,1,nan,1\nx,2,1.0,1", "node 'x'"),
+            ("node,time,cdf,precision\n\nx,1,0.5,1\n\nx,2,1.0,-5", r"row 5 \(node 'x'\)"),
         ],
     )
     def test_malformed_priors(self, body, fragment):

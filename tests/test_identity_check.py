@@ -1,0 +1,52 @@
+"""The comparison rule of scripts/identity_check.py: which arrays count as different."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity_check.py"
+_spec = importlib.util.spec_from_file_location("identity_check", _SCRIPT)
+identity_check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity_check)
+
+BASE = {
+    "case/t": np.array([1.0, 2.0, 3.0]),
+    "case/precision": np.array([0.0, 2.5, np.nan]),
+    "case/flags": np.array(["", "", "terminal"], dtype=str),
+    "case/warnings": np.array(["negative precision at t=2: clamped to 0", "precision capped"], dtype=str),
+}
+
+
+def changed(name, value):
+    return {**BASE, name: value}
+
+
+def test_identical_sides_match_with_nan():
+    copy = {name: arr.copy() for name, arr in BASE.items()}
+    assert identity_check.mismatches(BASE, copy) == []
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("case/t", np.array([1.0, 2.0, 3.0], dtype=np.float32)),
+        ("case/t", np.array([1.0, np.nextafter(2.0, 3.0), 3.0])),
+        ("case/t", np.array([1.0, 2.0])),
+        ("case/precision", np.array([0.0, 2.5, 0.0])),
+        ("case/precision", np.array([-0.0, 2.5, np.nan])),
+        ("case/flags", np.array(["", "terminal", "terminal"], dtype=str)),
+        ("case/warnings", BASE["case/warnings"][::-1]),
+    ],
+    ids=["dtype", "one_ulp", "shape", "nan_to_number", "sign_of_zero", "flag", "warning_order"],
+)
+def test_each_difference_is_flagged(name, value):
+    assert identity_check.mismatches(BASE, changed(name, value)) == [name]
+
+
+def test_array_missing_on_one_side_is_flagged():
+    change = dict(BASE)
+    del change["case/flags"]
+    assert identity_check.mismatches(BASE, change) == ["case/flags"]
+    assert identity_check.mismatches(change, BASE) == ["case/flags"]

@@ -466,6 +466,21 @@ class TestCliHostileInputs:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
+        "n, shown",
+        [("30.7", "30.7"), ("true", "true"), ('"300"', '"300"'), ("1e2", "100.0")],
+        ids=["fraction", "bool", "string", "exponent"],
+    )
+    def test_n_per_node_not_an_integer(self, tmp_path, capsys, n, shown):
+        (tmp_path / "sim.json").write_text(
+            f'{{"rbd": "a", "n_per_node": {n}, "components": {{"a": {{"shape": 2.0, "scale": 100.0}}}}}}'
+        )
+        args = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {tmp_path / 'sim.json'}: n_per_node must be an integer, got {shown}"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
         "shape, scale", [(1.0, 1e300), (1e-5, 1.0)], ids=["scale_1e300", "shape_1e-5"]
     )
     def test_censoring_share_missed(self, tmp_path, capsys, shape, scale):

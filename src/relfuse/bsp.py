@@ -34,7 +34,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import NotEstimableError
 
@@ -387,10 +386,15 @@ def credible_interval(process: BetaStacyProcess, t: float, level: float = 0.95) 
         return (m, m)
     if v >= m * (1.0 - m):
         return (0.0, 1.0)
+    # Imported here, not at module level: scipy.special would be two thirds
+    # of the package's import time, and only a band needs it.  The import
+    # statement holds the import lock, so concurrent first calls are safe.
+    from scipy.special import betaincinv
+
     shape = beta_match(m, s)
     tail = (1.0 - level) / 2.0
-    lo = float(special.betaincinv(shape.a, shape.b, tail))
-    hi = float(special.betaincinv(shape.a, shape.b, 1.0 - tail))
+    lo = float(betaincinv(shape.a, shape.b, tail))
+    hi = float(betaincinv(shape.a, shape.b, 1.0 - tail))
     # Extreme skew can push both quantiles past the mean; widen minimally so
     # the band always brackets the point estimate.
     return (min(lo, m), max(hi, m))

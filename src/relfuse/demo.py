@@ -116,8 +116,8 @@ def load_sim_config(path) -> DemoConfig:
 
     Expected keys: ``rbd`` (diagram source text), ``components`` (map of
     component id to ``{"shape": ..., "scale": ...}``, both finite and
-    positive), and optional ``n_per_node`` (an integer, at most
-    ``MAX_N_PER_NODE``) and ``censor_fraction``.
+    positive numbers), and optional ``n_per_node`` (an integer, at most
+    ``MAX_N_PER_NODE``) and ``censor_fraction`` (a number in [0, 1)).
     """
     path = Path(path)
     try:
@@ -138,16 +138,25 @@ def load_sim_config(path) -> DemoConfig:
     n_per_node = data.get("n_per_node", 30)
     if type(n_per_node) is not int:  # a JSON integer; bool is a subclass of int
         raise DataFormatError(f"{path}: n_per_node must be an integer, got {json.dumps(n_per_node)}")
+
+    def number(field: str, value) -> float:
+        if type(value) not in (int, float):  # a JSON number, not a bool or a string
+            raise DataFormatError(f"{path}: {field} must be a number, got {json.dumps(value)}")
+        return float(value)
+
     try:
         components = {
-            name: WeibullLifetime(float(p["shape"]), float(p["scale"]))
+            name: WeibullLifetime(
+                number(f"components.{name}.shape", p["shape"]),
+                number(f"components.{name}.scale", p["scale"]),
+            )
             for name, p in raw_components.items()
         }
         return DemoConfig(
             rbd_source,
             components,
             n_per_node=n_per_node,
-            censor_fraction=float(data.get("censor_fraction", 0.15)),
+            censor_fraction=number("censor_fraction", data.get("censor_fraction", 0.15)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -55,9 +55,10 @@ def _lazy_module(name: str):
     return module
 
 
-# scipy.integrate pulls in scipy.optimize, sparse, linalg and fft, about a
-# third of the CLI's import time and memory, which ``relfuse fit`` never
-# uses.  Only the censoring calibration and the quadrature checks load it.
+# scipy.integrate pulls in scipy.optimize, sparse, linalg and fft, which
+# ``relfuse fit`` never uses: imported up front it would cost more than the
+# rest of the CLI's import time.  Only the censoring calibration and the
+# quadrature checks load it.
 integrate = _lazy_module("scipy.integrate")
 
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bsp import (
     BetaStacyProcess,
@@ -232,13 +231,15 @@ def check_three_beta_product() -> CheckResult:
     beta CDF must stay within Kolmogorov-Smirnov distance 0.05 of the exact
     CDF computed by quadrature.
     """
+    from scipy.special import betainc
+
     total, _ = integrate.quad(exact_three_beta_product_pdf, 0.0, 1.0, limit=200)
     mean_val, _ = integrate.quad(lambda y: y * exact_three_beta_product_pdf(y), 0.0, 1.0, limit=200)
     m = (9 / 12) * (8 / 11) * (4 / 6)
     s = (9 * 10 / (12 * 13)) * (8 * 9 / (11 * 12)) * (4 * 5 / (6 * 7))
     shape = beta_match(m, s)
     ys, cdf = three_beta_product_cdf_grid()
-    ks = float(np.max(np.abs(special.betainc(shape.a, shape.b, ys) - cdf)))
+    ks = float(np.max(np.abs(betainc(shape.a, shape.b, ys) - cdf)))
     ok = abs(total - 1.0) <= 1e-6 and abs(mean_val - 4 / 11) <= 1e-6 and ks <= 0.05
     return CheckResult(
         "matched beta approximates the three-beta product",

@@ -481,6 +481,26 @@ class TestCliHostileInputs:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
+        "component, extra, field, shown",
+        [
+            ({"shape": "2", "scale": 100.0}, {}, "components.a.shape", '"2"'),
+            ({"shape": 2.0, "scale": True}, {}, "components.a.scale", "true"),
+            ({"shape": 2.0, "scale": None}, {}, "components.a.scale", "null"),
+            ({"shape": 2.0, "scale": 100.0}, {"censor_fraction": False}, "censor_fraction", "false"),
+            ({"shape": 2.0, "scale": 100.0}, {"censor_fraction": "0.15"}, "censor_fraction", '"0.15"'),
+        ],
+        ids=["shape_string", "scale_bool", "scale_null", "censor_fraction_bool", "censor_fraction_string"],
+    )
+    def test_config_value_not_a_number(self, tmp_path, capsys, component, extra, field, shown):
+        config = {"rbd": "a", "components": {"a": component}, "n_per_node": 5, **extra}
+        (tmp_path / "sim.json").write_text(json.dumps(config))
+        args = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {tmp_path / 'sim.json'}: {field} must be a number, got {shown}"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
         "shape, scale", [(1.0, 1e300), (1e-5, 1.0)], ids=["scale_1e300", "shape_1e-5"]
     )
     def test_censoring_share_missed(self, tmp_path, capsys, shape, scale):
@@ -541,14 +561,6 @@ class TestCliHostileInputs:
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats would be the bulk of every CLI start's import time.
-    env = dict(os.environ, PYTHONPATH=str(Path(relfuse.__file__).parent.parent))
-    code = "import sys, relfuse.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 # scipy.integrate is bound lazily: until something integrates, sys.modules
 # holds only its unexecuted stub, and none of its submodules is imported.
 INTEGRATE_LOADED = "any(m.startswith('scipy.integrate.') for m in sys.modules)"
@@ -561,12 +573,43 @@ def run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats would be the bulk of every CLI start's import time.
+    assert run_fresh("import sys, relfuse.cli; print('scipy.stats' in sys.modules)") == "False"
+
+
+# scipy.special is imported inside the functions that draw a band or check
+# the matched beta, so neither the import nor a rejected input loads it.
+SPECIAL_LOADED = "any(m.startswith('scipy.special') for m in sys.modules)"
+
+
+@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
+def test_import_leaves_scipy_special_unloaded(module):
+    assert run_fresh(f"import sys, {module}; print({SPECIAL_LOADED})") == "False"
+
+
+def test_input_errors_leave_scipy_special_unloaded(tmp_path):
+    (tmp_path / "sys.rbd").write_text("sys")
+    (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,x,1\n")
+    simulate = ["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")]
+    fit = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"),
+           "--out", str(tmp_path / "fit")]
+    code = (
+        "import sys, relfuse.cli\n"
+        f"codes = [relfuse.cli.main(args) for args in ({simulate!r}, {fit!r})]\n"
+        f"print(*codes, {SPECIAL_LOADED})"
+    )
+    assert run_fresh(code).splitlines()[-1] == f"{EXIT_INPUT} {EXIT_INPUT} False"
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "fit").exists()
+
+
 @pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
 def test_import_leaves_scipy_integrate_unloaded(module):
     assert run_fresh(f"import sys, {module}; print({INTEGRATE_LOADED})") == "False"
 
 
-def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
+def priors_fit_args(tmp_path) -> list[str]:
+    """``relfuse fit --priors --svg`` arguments on simulated demo data with a DP prior on ``system``."""
     sim_dir, fit_dir = tmp_path / "sim", tmp_path / "fit"
     assert main(["simulate", "--seed", "0", "--out", str(sim_dir)]) == EXIT_OK
     times = np.linspace(200.0, 2000.0, 10)
@@ -574,7 +617,7 @@ def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
     cdf[-1] = 1.0
     rows = ["node,time,cdf,precision"] + [f"system,{t:g},{c:.12g},40" for t, c in zip(times, cdf)]
     (tmp_path / "priors.csv").write_text("\n".join(rows) + "\n")
-    args = [
+    return [
         "fit",
         "--rbd", str(sim_dir / "system.rbd"),
         "--data", str(sim_dir / "lifetimes.csv"),
@@ -582,6 +625,10 @@ def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
         "--out", str(fit_dir),
         "--svg",
     ]
+
+
+def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
+    args = priors_fit_args(tmp_path)
     code = (
         "import sys, warnings, relfuse.cli\n"
         "warnings.simplefilter('ignore')\n"
@@ -589,7 +636,34 @@ def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
         f"print(code, {INTEGRATE_LOADED})"
     )
     assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} False"
-    assert (fit_dir / "system_cdf.svg").exists()
+    assert (tmp_path / "fit" / "system_cdf.svg").exists()
+
+
+def test_bands_are_scipy_special_quantiles(tmp_path):
+    args = priors_fit_args(tmp_path)
+    rbd, data = tmp_path / "sim" / "system.rbd", tmp_path / "sim" / "lifetimes.csv"
+    code = (
+        "import sys, warnings, relfuse.cli\n"
+        "import numpy as np\n"
+        "from relfuse.bsp import beta_match\n"
+        "from relfuse.dataio import load_lifetimes\n"
+        "from relfuse.pipeline import curve_export, fit_system\n"
+        "from relfuse.rbd import load_system_source\n"
+        "warnings.simplefilter('ignore')\n"
+        f"code = relfuse.cli.main({args!r})\n"
+        f"loaded = {SPECIAL_LOADED}\n"
+        "import scipy.special\n"
+        f"spec = load_system_source(open({str(rbd)!r}).read())\n"
+        f"ex = curve_export(fit_system(spec, load_lifetimes({str(data)!r})).posterior)\n"
+        # The first row whose band the mean did not widen: both ends are quantiles.
+        "i = np.flatnonzero((0 < ex.lower) & (ex.lower < ex.mean) & (ex.mean < ex.upper) & (ex.upper < 1))[0]\n"
+        "shape = beta_match(float(ex.mean[i]), float(ex.second_moment[i]))\n"
+        "tail = (1.0 - 0.95) / 2.0\n"
+        "lo = float(scipy.special.betaincinv(shape.a, shape.b, tail))\n"
+        "hi = float(scipy.special.betaincinv(shape.a, shape.b, 1.0 - tail))\n"
+        "print(code, loaded, ex.lower[i] == lo, ex.upper[i] == hi)"
+    )
+    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True True"
 
 
 def test_simulate_loads_the_bound_module(tmp_path):

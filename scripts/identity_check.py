@@ -6,9 +6,13 @@ without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
 ``fit_system_only``.  Per case the child keeps every ``curve_export``
 column and flag of every node posterior (the system posterior is one of
-them) and the ordered ``PrecisionRecoveryWarning`` messages.  Two arrays
-match when their dtype, shape, values and float sign bits agree, NaN
-matching NaN.
+them) and the ordered ``PrecisionRecoveryWarning`` messages.  It also
+calls ``censoring_rate`` directly, on every demo node at censored shares
+0.15 and 0.3 and on a grid of Weibull shapes, scales (1e-250 to 1e250) and
+shares, and keeps each rate's hex or the ``ValueError`` text, followed by
+the warnings raised; so a calibration change shows up as such, not only
+through the datasets it draws.  Two arrays match when their dtype, shape,
+values and float sign bits agree, NaN matching NaN.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -22,6 +26,7 @@ Prints one summary line; exits 0 only when no array differs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shutil
 import subprocess
@@ -40,6 +45,10 @@ SEEDS = {30: range(10), 300: range(3)}
 PRIOR_NODES = ("system", "electric")
 PRIOR_PRECISION = 5.0
 PRIOR_POINTS = 40
+CALIBRATION_DEMO_FRACTIONS = (0.15, 0.3)
+CALIBRATION_SHAPES = (0.5, 1.0, 2.2, 5.0)
+CALIBRATION_SCALES = (1e-250, 1e-4, 1e-2, 0.5, 100.0, 1e5, 1e6, 1e250)
+CALIBRATION_FRACTIONS = (0.05, 0.15, 0.6)
 
 
 def _dp_priors(cfg) -> dict:
@@ -57,6 +66,42 @@ def _dp_priors(cfg) -> dict:
         cdf[-1] = 1.0
         priors[label] = dp_prior(times, cdf, PRIOR_PRECISION)
     return priors
+
+
+def calibration_probes(demo) -> dict:
+    """Named ``(sampler, censor_fraction)`` pairs: the demo's nodes and the Weibull grid."""
+    from relfuse.oracle import WeibullLifetime
+
+    probes = {
+        f"calibration/demo-{label}-{fraction:g}": (sampler, fraction)
+        for label, sampler in demo.samplers().items()
+        for fraction in CALIBRATION_DEMO_FRACTIONS
+    }
+    for shape, scale, fraction in itertools.product(
+        CALIBRATION_SHAPES, CALIBRATION_SCALES, CALIBRATION_FRACTIONS
+    ):
+        probes[f"calibration/weibull-{shape:g}-{scale:g}-{fraction:g}"] = (
+            WeibullLifetime(shape, scale),
+            fraction,
+        )
+    return probes
+
+
+def calibrate(probes: dict) -> dict:
+    """Per probe, the rate's hex or the ``ValueError`` text, then each warning raised."""
+    from relfuse.oracle import censoring_rate
+
+    out = {}
+    for name, (sampler, fraction) in probes.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = censoring_rate(sampler, fraction).hex()
+            except ValueError as exc:
+                result = f"ValueError: {exc}"
+        lines = [result, *(f"{w.category.__name__}: {w.message}" for w in caught)]
+        out[name] = np.array(lines, dtype=str)
+    return out
 
 
 def record(src: str, out: str) -> None:
@@ -91,6 +136,7 @@ def record(src: str, out: str) -> None:
                         [str(w.message) for w in caught if issubclass(w.category, PrecisionRecoveryWarning)],
                         dtype=str,
                     )
+    arrays.update(calibrate(calibration_probes(demo)))
     np.savez(out, **arrays)
 
 
@@ -138,11 +184,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change}
+    cases = {name.split("/")[0] for name in change} - {"calibration"}
+    n_calibrations = sum(name.startswith("calibration/") for name in change)
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     print(
-        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {len(change)} arrays, "
-        f"{n_warnings} warnings, {len(bad)} mismatches" + (f" ({', '.join(bad[:5])})" if bad else "")
+        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_calibrations} calibrations, "
+        f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
+        + (f" ({', '.join(bad[:5])})" if bad else "")
     )
     return 0 if not bad else 1
 

@@ -133,6 +133,8 @@ def load_sim_config(path) -> DemoConfig:
         raw_components = data["components"]
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing required key {exc}") from None
+    if not isinstance(rbd_source, str):
+        raise DataFormatError(f"{path}: rbd must be diagram source text, got {json.dumps(rbd_source)}")
     if not isinstance(raw_components, dict):
         raise DataFormatError(f"{path}: components must be an object")
     n_per_node = data.get("n_per_node", 30)
@@ -144,14 +146,21 @@ def load_sim_config(path) -> DemoConfig:
             raise DataFormatError(f"{path}: {field} must be a number, got {json.dumps(value)}")
         return float(value)
 
-    try:
-        components = {
-            name: WeibullLifetime(
-                number(f"components.{name}.shape", p["shape"]),
-                number(f"components.{name}.scale", p["scale"]),
+    def weibull(name: str, params) -> WeibullLifetime:
+        field = f"components.{name}"
+        if not isinstance(params, dict):
+            raise DataFormatError(
+                f"{path}: {field} must be an object with shape and scale, got {json.dumps(params)}"
             )
-            for name, p in raw_components.items()
-        }
+        for key in ("shape", "scale"):
+            if key not in params:
+                raise DataFormatError(f"{path}: {field} is missing required key {key!r}")
+        return WeibullLifetime(
+            number(f"{field}.shape", params["shape"]), number(f"{field}.scale", params["scale"])
+        )
+
+    try:
+        components = {name: weibull(name, params) for name, params in raw_components.items()}
         return DemoConfig(
             rbd_source,
             components,

@@ -10,10 +10,12 @@ between these routes and the estimation code is what the test suite and the
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
-import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -55,11 +57,49 @@ def _lazy_module(name: str):
     return module
 
 
-# scipy.integrate pulls in scipy.optimize, sparse, linalg and fft, which
-# ``relfuse fit`` never uses: imported up front it would cost more than the
-# rest of the CLI's import time.  Only the censoring calibration and the
-# quadrature checks load it.
+# scipy.integrate pulls in scipy.optimize, sparse, linalg and special, which
+# ``relfuse`` never uses: imported up front it would cost more than the rest
+# of the CLI's import time.  Only the quadrature checks of ``validate`` and
+# their tests load it; the censoring calibration calls QUADPACK through
+# ``_quadpack`` instead, so ``relfuse simulate`` does not load it either.
 integrate = _lazy_module("scipy.integrate")
+
+_QUADPACK = "scipy.integrate._quadpack"
+
+
+def _quadpack():
+    """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``.
+
+    The extension is found in scipy's ``integrate`` directory and executed
+    alone, so the package ``__init__`` does not run.  It is registered under
+    its own name, which a later ``import scipy.integrate`` then reuses.
+    """
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        import scipy
+
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.__path__[0], "integrate"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(_QUADPACK)
+        if spec is None:
+            return importlib.import_module(_QUADPACK)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_QUADPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _quad_to_inf(func) -> tuple[float, int]:
+    """The integral of ``func`` over ``[0, inf)`` and QUADPACK's ``ier``.
+
+    These are the arguments ``integrate.quad(func, 0.0, np.inf, limit=200)``
+    passes to QAGI, so the value is the same to the last bit; only its
+    warning for a non-zero ``ier`` is left to the caller.
+    """
+    value, _, ier = _quadpack()._qagie(func, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 200)
+    return value, ier
 
 
 def _check_seed(seed: int) -> int:
@@ -262,8 +302,11 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
     depend on the rate, so successive bisection steps revisit most of them.
     The share is then integrated again in the censoring's own time scale; a
     rate whose share misses the target by more than 1e-6 raises
-    ``ValueError``.  That check decides, so the search's ``quad`` calls run
-    with ``IntegrationWarning`` silenced.
+    ``ValueError``.  That check decides, so the search ignores QUADPACK's
+    error flag.  Both run the QUADPACK routine ``integrate.quad`` runs on
+    ``[0, inf)``, called directly (see ``_quad_to_inf``), so the package
+    ``scipy.integrate`` is loaded only when the check's flag is raised, to
+    warn with ``quad``'s ``IntegrationWarning``.
     """
     censor_fraction = float(censor_fraction)
     if not (0.0 <= censor_fraction < 1.0):
@@ -280,12 +323,7 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
 
     def censored_share(lam: float) -> float:
         # P(C < T) with C ~ Exp(lam).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, _ = integrate.quad(
-                lambda t: lam * math.exp(-lam * t) * survival(t), 0.0, np.inf, limit=200
-            )
-        return value
+        return _quad_to_inf(lambda t: lam * math.exp(-lam * t) * survival(t))[0]
 
     hi = 1.0 / max(sampler.time_scale(), 1e-300)
     while censored_share(hi) < censor_fraction:
@@ -302,11 +340,16 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
         if hi - lo <= 1e-13 * hi:
             break
     rate = 0.5 * (lo + hi)
+
     # The same share in the time scale of the censoring, x = rate * t: a
     # rate far from the lifetime's scale can fool the quadrature above.
-    reached, _ = integrate.quad(
-        lambda x: math.exp(-x) * survival(x / rate), 0.0, np.inf, limit=200
-    )
+    def share_in_censoring_time(x: float) -> float:
+        return math.exp(-x) * survival(x / rate)
+
+    reached, ier = _quad_to_inf(share_in_censoring_time)
+    if ier:
+        # Rare: repeat it through quad, whose IntegrationWarning says what QUADPACK met.
+        reached, _ = integrate.quad(share_in_censoring_time, 0.0, np.inf, limit=200)
     if abs(reached - censor_fraction) > 1e-6:
         raise ValueError(
             f"censoring rate {rate:g} reaches a censored share of {reached:g}, "

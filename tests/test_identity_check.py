@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relfuse.demo import demo_config
+from relfuse.oracle import WeibullLifetime, censoring_rate
+
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity_check.py"
 _spec = importlib.util.spec_from_file_location("identity_check", _SCRIPT)
 identity_check = importlib.util.module_from_spec(_spec)
@@ -50,3 +53,20 @@ def test_array_missing_on_one_side_is_flagged():
     del change["case/flags"]
     assert identity_check.mismatches(BASE, change) == ["case/flags"]
     assert identity_check.mismatches(change, BASE) == ["case/flags"]
+
+
+def test_calibration_keeps_the_rate_bits_or_the_error():
+    exp = WeibullLifetime(1.0, 0.5)
+    got = identity_check.calibrate(
+        {"calibration/ok": (exp, 0.15), "calibration/missed": (WeibullLifetime(1.0, 1e300), 0.15)}
+    )
+    assert got["calibration/ok"].tolist() == [censoring_rate(exp, 0.15).hex()]
+    [text] = got["calibration/missed"].tolist()
+    assert text.startswith("ValueError: censoring rate ") and "reaches a censored share of 1" in text
+
+
+def test_calibration_probes_cover_demo_and_grid():
+    probes = identity_check.calibration_probes(demo_config())
+    assert len(probes) == 13 * 2 + 4 * 8 * 3
+    sampler, fraction = probes["calibration/weibull-2.2-100000-0.15"]
+    assert (sampler.shape, sampler.scale, fraction) == (2.2, 1e5, 0.15)

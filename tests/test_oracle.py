@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from relfuse import demo
+from relfuse import demo, oracle
 from relfuse.bsp import (
     BetaStacyProcess,
     DiscreteCdf,
@@ -202,6 +203,43 @@ class TestCensoringCalibration:
         assert samplers.keys() == expected.keys()
         for label, sampler in samplers.items():
             assert censoring_rate(sampler, 0.15) == float.fromhex(expected[label]), label
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.2, 5.0])
+    @pytest.mark.parametrize("scale", [0.5, 100.0, 1e5])
+    def test_direct_quadpack_call_is_quad(self, shape, scale):
+        # The calibration calls QUADPACK's QAGI itself; it must return what
+        # integrate.quad does, to the last bit, and flag exactly when quad warns.
+        w = WeibullLifetime(shape, scale)
+        for lam in (1e-3 / scale, 0.1 / scale, 0.3 / scale, 1.0 / scale, 7.0 / scale, 1e3 / scale):
+            for f in (
+                lambda t: lam * math.exp(-lam * t) * (1.0 - w.cdf(t)),
+                lambda x: math.exp(-x) * (1.0 - w.cdf(x / lam)),
+            ):
+                value, ier = oracle._quad_to_inf(f)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    expected, _ = integrate.quad(f, 0.0, np.inf, limit=200)
+                assert type(value) is float and value == expected, lam
+                assert bool(ier) == bool(caught), lam
+
+    def test_share_check_warns_as_quad_does(self):
+        # A lifetime uniform on 1000 equal steps: the share check reaches the
+        # target, but QUADPACK runs out of subdivisions on the steps.
+        class StepLifetime:
+            def cdf(self, t):
+                return min(1.0, math.floor(1000.0 * t) / 1000.0)
+
+            def time_scale(self):
+                return 1.0
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rate = censoring_rate(StepLifetime(), 0.15)
+        assert rate == float.fromhex("0x1.5601b31e57500p-2")
+        [warning] = caught
+        assert warning.category is integrate.IntegrationWarning
+        assert str(warning.message).startswith("The maximum number of subdivisions (200)")
+        assert warning.filename == oracle.__file__
 
     @pytest.mark.parametrize("label", ["electric", "batteries"])
     def test_survival_evaluated_once_per_time(self, label):

@@ -501,6 +501,24 @@ class TestCliHostileInputs:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
+        "rbd, component, message",
+        [
+            ("a", [2, 1], "components.a must be an object with shape and scale, got [2, 1]"),
+            (5, {"shape": 2.0, "scale": 100.0}, "rbd must be diagram source text, got 5"),
+            ("a", {"shape": 2.0}, "components.a is missing required key 'scale'"),
+        ],
+        ids=["component_list", "rbd_number", "scale_missing"],
+    )
+    def test_malformed_config_names_the_field(self, tmp_path, capsys, rbd, component, message):
+        config = {"rbd": rbd, "components": {"a": component}, "n_per_node": 5}
+        (tmp_path / "sim.json").write_text(json.dumps(config))
+        args = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "sim")]
+        assert main(args) == EXIT_INPUT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {tmp_path / 'sim.json'}: {message}"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
         "shape, scale", [(1.0, 1e300), (1e-5, 1.0)], ids=["scale_1e300", "shape_1e-5"]
     )
     def test_censoring_share_missed(self, tmp_path, capsys, shape, scale):
@@ -664,6 +682,24 @@ def test_bands_are_scipy_special_quantiles(tmp_path):
         "print(code, loaded, ex.lower[i] == lo, ex.upper[i] == hi)"
     )
     assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True True"
+
+
+def test_simulate_skips_the_scipy_integrate_package(tmp_path):
+    # The calibration loads QUADPACK's extension alone: the package __init__
+    # and the subpackages it imports stay unloaded.  A later import of the
+    # package reuses the extension module.
+    skipped = [
+        "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg", "scipy.integrate._quadpack_py"
+    ]
+    code = (
+        "import sys, relfuse.cli\n"
+        f"code = relfuse.cli.main(['simulate', '--seed', '0', '--out', {str(tmp_path)!r}])\n"
+        "ext = sys.modules.get('scipy.integrate._quadpack')\n"
+        f"print(code, ext is not None, [m for m in {skipped!r} if m in sys.modules])\n"
+        "import scipy.integrate\n"
+        "print(scipy.integrate._quadpack_py._quadpack is ext)"
+    )
+    assert run_fresh(code).splitlines()[-2:] == [f"{EXIT_OK} True []", "True"]
 
 
 def test_simulate_loads_the_bound_module(tmp_path):

@@ -6,7 +6,9 @@ without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
 ``fit_system_only``.  Per case the child keeps every ``curve_export``
 column and flag of every node posterior (the system posterior is one of
-them) and the ordered ``PrecisionRecoveryWarning`` messages.  It also
+them) and the ordered ``PrecisionRecoveryWarning`` messages.  Per
+simulated set it keeps the lines ``save_lifetimes`` writes, so a change in
+the drawn data shows up before the fits it feeds.  It also
 calls ``censoring_rate`` directly, on every demo node at censored shares
 0.15 and 0.3 and on a grid of Weibull shapes, scales (1e-250 to 1e250) and
 shares, and keeps each rate's hex or the ``ValueError`` text, followed by
@@ -26,6 +28,7 @@ Prints one summary line; exits 0 only when no array differs.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import os
 import shutil
@@ -108,6 +111,7 @@ def record(src: str, out: str) -> None:
     """Run the case matrix with the ``relfuse`` under ``src`` and save its arrays to ``out``."""
     # Imported here, not at the top, so each child binds the relfuse of its own side.
     import relfuse
+    from relfuse.dataio import save_lifetimes
     from relfuse.demo import DemoConfig, demo_config
     from relfuse.errors import PrecisionRecoveryWarning
     from relfuse.pipeline import curve_export, fit_system, fit_system_only
@@ -121,6 +125,9 @@ def record(src: str, out: str) -> None:
         dp = _dp_priors(cfg)
         for seed in seeds:
             datasets = cfg.simulate(seed)
+            text = io.StringIO()
+            save_lifetimes(datasets, text)
+            arrays[f"datasets/n{n}-seed{seed}"] = np.array(text.getvalue().splitlines(keepends=True), dtype=str)
             for priors in (None, dp):
                 for fit in (fit_system, fit_system_only):
                     case = f"n{n}-seed{seed}-{'dp' if priors else 'nodp'}-{fit.__name__}"
@@ -184,11 +191,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change} - {"calibration"}
+    cases = {name.split("/")[0] for name in change} - {"calibration", "datasets"}
     n_calibrations = sum(name.startswith("calibration/") for name in change)
+    n_datasets = sum(name.startswith("datasets/") for name in change)
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     print(
-        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_calibrations} calibrations, "
+        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
+        f"{n_calibrations} calibrations, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

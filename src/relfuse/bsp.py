@@ -30,7 +30,6 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ from .errors import NotEstimableError
 __all__ = [
     "DiscreteCdf",
     "BetaStacyProcess",
-    "LifetimeSample",
     "BetaShape",
     "dp_prior",
     "posterior_update",
@@ -75,6 +73,23 @@ def _check_steps(grid, values, name: str) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.diff(values, prepend=0.0, append=1.0) >= 0.0):
         raise ValueError(f"{name} must be finite and nondecreasing within [0, 1]")
     return grid, values
+
+
+def _check_lifetimes(times, events) -> tuple[np.ndarray, np.ndarray]:
+    """Lifetime columns as new float and bool arrays, checked.
+
+    Both must be 1-d and of equal length, times finite and positive, and each
+    event exactly 0 or 1 (``False`` or ``True``).
+    """
+    times = np.array(times, dtype=np.float64)
+    events = np.asarray(events)
+    if times.ndim != 1 or times.shape != events.shape:
+        raise ValueError("times and events must be 1-d arrays of equal length")
+    if not (np.all(times > 0.0) and np.isfinite(times).all()):
+        raise ValueError("sample time must be a finite positive number")
+    if not np.isin(events, (0, 1)).all():
+        raise ValueError("event indicator must be 0 or 1")
+    return times, events.astype(bool)
 
 
 def _carry(grid: np.ndarray, values: np.ndarray, t, before):
@@ -162,28 +177,6 @@ class BetaStacyProcess:
 
 
 @dataclass(frozen=True)
-class LifetimeSample:
-    """One observation: a positive time and an event indicator.
-
-    ``event`` is 1 for an observed failure at ``time`` and 0 when the unit
-    was withdrawn still working (right censored) at ``time``.
-    """
-
-    time: float
-    event: int
-
-    def __post_init__(self):
-        time = float(self.time)
-        if not np.isfinite(time) or time <= 0.0:
-            raise ValueError("sample time must be a finite positive number")
-        event = int(self.event)
-        if event not in (0, 1):
-            raise ValueError("event indicator must be 0 or 1")
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "event", event)
-
-
-@dataclass(frozen=True)
 class BetaShape:
     """Shape pair (a, b) of a beta distribution, both strictly positive."""
 
@@ -241,28 +234,26 @@ def _extend_precision(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray
     return _carry(process.grid[defined], src_prec, grid, src_prec[0])
 
 
-def posterior_update(prior: BetaStacyProcess, samples: Iterable[LifetimeSample]) -> BetaStacyProcess:
+def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess:
     """Condition a beta-Stacy prior on right-censored lifetimes.
 
-    The posterior lives on the union of the prior grid and the distinct
-    sample times (censoring times included: they leave the base measure
-    unchanged there but still discount the precision).  Base-measure
-    survival products are accumulated as running sums of ``log1p(-hazard)``.
+    ``events`` marks each of ``times`` 1 (or ``True``) for a failure and 0 for
+    a right-censored withdrawal; the two columns may be empty.  The posterior
+    lives on the union of the prior grid and the distinct sample times
+    (censoring times included: they leave the base measure unchanged there
+    but still discount the precision).  Base-measure survival products are
+    accumulated as running sums of ``log1p(-hazard)``.
 
-    With no samples the prior is returned unchanged.  The first union time
-    whose hazard denominator is zero (no prior mass and no at-risk units)
-    becomes the posterior's horizon: the grid ends before it rather than
-    extrapolating.
+    With no samples the posterior is the prior up to rounding, cut at its
+    first point of zero precision.  The first union time whose hazard
+    denominator is zero (no prior mass and no at-risk units) becomes the
+    posterior's horizon: the grid ends before it rather than extrapolating.
     """
-    samples = tuple(samples)
-    for s in samples:
-        if not isinstance(s, LifetimeSample):
-            raise TypeError("samples must be LifetimeSample instances")
-    if not samples and prior.grid.size == 0:
+    times, events = _check_lifetimes(times, events)
+    if times.size == 0 and prior.grid.size == 0:
         return prior
 
-    times = np.array([s.time for s in samples], dtype=np.float64)
-    failed = np.array([s.time for s in samples if s.event], dtype=np.float64)
+    failed = times[events]
     union = np.union1d(prior.grid, times)
 
     g = prior.base.at(union)

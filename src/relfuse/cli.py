@@ -107,7 +107,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rbd_path.write_text(cfg.rbd_source, encoding="utf-8")
     data_path = args.out / "lifetimes.csv"
     save_lifetimes(datasets, data_path)
-    t_max = max(s.time for d in datasets for s in d.samples)
+    t_max = max(d.times.max() for d in datasets)
     ts = np.linspace(0.0, 1.1 * t_max, 400)
     truth = np.asarray(cfg.true_system_cdf(ts), dtype=float)
     true_path = args.out / "true_system_cdf.csv"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample, _check_steps, _freeze
+from .bsp import BetaStacyProcess, DiscreteCdf, _check_lifetimes, _check_steps, _freeze
 from .errors import DataFormatError
 
 __all__ = [
@@ -41,25 +42,36 @@ __all__ = [
 _FLAGS = ("", "terminal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """All lifetime observations for one node label, in file order."""
+    """All lifetime observations for one node label, in file order.
+
+    ``times`` and ``events`` (bool, ``True`` for a failure) are read-only copies
+    of the columns passed in, checked as ``posterior_update`` checks them.  A
+    dataset is never empty.
+    """
 
     label: str
-    samples: tuple[LifetimeSample, ...]
+    times: np.ndarray
+    events: np.ndarray
 
     def __post_init__(self):
         if not self.label:
             raise ValueError("dataset label must be nonempty")
-        samples = tuple(self.samples)
-        if not samples:
+        times, events = _check_lifetimes(self.times, self.events)
+        if not times.size:
             raise ValueError("dataset must contain at least one sample")
-        if not all(isinstance(s, LifetimeSample) for s in samples):
-            raise ValueError("dataset samples must be LifetimeSample instances")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "times", _freeze(times))
+        object.__setattr__(self, "events", _freeze(events))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.times.size
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        columns = zip((self.times, self.events), (other.times, other.events))
+        return self.label == other.label and all(np.array_equal(a, b) for a, b in columns)
 
 
 @dataclass(frozen=True)
@@ -143,18 +155,18 @@ def load_lifetimes(source) -> list[Dataset]:
     Groups appear in order of first appearance; rows within a group keep
     file order.  Raises ``DataFormatError`` with the offending row number.
     """
-    grouped: dict[str, list[LifetimeSample]] = {}
+    grouped: dict[str, tuple[list[float], list[bool]]] = {}
     for where, node, row in _records(source, ["node", "time", "event"]):
         time = _parse_float(row[1], "time", where)
         event_raw = row[2].strip()
         if event_raw not in ("0", "1"):
             raise DataFormatError(f"{where}: event must be 0 or 1, found {event_raw!r}")
-        try:
-            sample = LifetimeSample(time, int(event_raw))
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from None
-        grouped.setdefault(node, []).append(sample)
-    return [Dataset(label, tuple(samples)) for label, samples in grouped.items()]
+        if not 0.0 < time < math.inf:
+            raise DataFormatError(f"{where}: sample time must be a finite positive number")
+        times, events = grouped.setdefault(node, ([], []))
+        times.append(time)
+        events.append(event_raw == "1")
+    return [Dataset(label, times, events) for label, (times, events) in grouped.items()]
 
 
 @contextmanager
@@ -173,8 +185,8 @@ def save_lifetimes(datasets: Iterable[Dataset], destination) -> None:
         writer = csv.writer(fh)
         writer.writerow(["node", "time", "event"])
         for ds in datasets:
-            for s in ds.samples:
-                writer.writerow([ds.label, format(s.time, ".12g"), s.event])
+            codes = ds.events.astype(np.uint8).tolist()
+            writer.writerows([ds.label, format(t, ".12g"), e] for t, e in zip(ds.times.tolist(), codes))
 
 
 def load_prior_spec(source) -> dict[str, BetaStacyProcess]:

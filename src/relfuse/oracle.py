@@ -16,12 +16,12 @@ import importlib.util
 import math
 import os
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample
+from .bsp import BetaStacyProcess, DiscreteCdf, _check_lifetimes
 from .dataio import Dataset
 from .rbd import RbdNode
 
@@ -169,17 +169,16 @@ def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> Pa
     return PathStats(grid.copy(), mean, second, mean_se, second_se, n_paths)
 
 
-def kaplan_meier(samples: Iterable[LifetimeSample]) -> DiscreteCdf:
+def kaplan_meier(times, events) -> DiscreteCdf:
     """Product-limit estimate of the CDF from right-censored lifetimes.
 
+    ``events`` is 1 (or ``True``) for a failure and 0 for a censored unit.
     Jumps only at distinct observed failure times; censored units tied with
     failures count as still at risk there.  Raises if no failures occurred.
     """
-    samples = tuple(samples)
-    if not samples:
+    times, events = _check_lifetimes(times, events)
+    if not times.size:
         raise ValueError("Kaplan-Meier needs at least one sample")
-    times = np.array([s.time for s in samples], dtype=np.float64)
-    events = np.array([s.event for s in samples], dtype=np.int64)
     fail_times = np.unique(times[events == 1])
     if fail_times.size == 0:
         raise ValueError("Kaplan-Meier needs at least one observed failure")
@@ -393,11 +392,9 @@ def simulate_lifetimes(
         if rate > 0.0:
             censors = rng.exponential(1.0 / rate, size=n_per_node)
             observed = np.minimum(lifetimes, censors)
-            events = (lifetimes <= censors).astype(int)
+            events = lifetimes <= censors
         else:
             observed = lifetimes
-            events = np.ones(n_per_node, dtype=int)
-        datasets.append(
-            Dataset(label, tuple(LifetimeSample(float(t), int(e)) for t, e in zip(observed, events)))
-        )
+            events = np.ones(n_per_node, dtype=bool)
+        datasets.append(Dataset(label, observed, events))
     return datasets

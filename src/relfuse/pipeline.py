@@ -78,7 +78,8 @@ def fit_system(
             prior = recover_precision(fused)
             if elicited is not None:
                 prior = merge_priors(prior, elicited)
-        post = posterior_update(prior, ds.samples if ds else ())
+        times, events = (ds.times, ds.events) if ds else ((), ())
+        post = posterior_update(prior, times, events)
         posteriors[label if label is not None else "<root>"] = post
         return post
 
@@ -118,7 +119,7 @@ def fit_system_only(
     prior = prior_map.get(label)
     if prior is None:
         prior = BetaStacyProcess.noninformative()
-    post = posterior_update(prior, ds.samples)
+    post = posterior_update(prior, ds.times, ds.events)
     return FitResult(post, {label: post})
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .bsp import (
     BetaStacyProcess,
     DiscreteCdf,
-    LifetimeSample,
     beta_match,
     dp_prior,
     mean,
@@ -65,19 +64,19 @@ def _random_bsp(rng: np.random.Generator, max_points: int = 10) -> BetaStacyProc
     return BetaStacyProcess(DiscreteCdf(grid, vals), prec)
 
 
-def _random_censored_samples(rng: np.random.Generator) -> list[LifetimeSample]:
+def _random_censored_samples(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     n = int(rng.integers(2, _MAX_SAMPLES + 1))
     times = np.round(rng.exponential(10.0, n), 2) + 0.01
-    events = (rng.random(n) > 0.3).astype(int)
-    if events.sum() == 0:
-        events[int(rng.integers(0, n))] = 1
-    return [LifetimeSample(float(t), int(e)) for t, e in zip(times, events)]
+    events = rng.random(n) > 0.3
+    if not events.any():
+        events[int(rng.integers(0, n))] = True
+    return times, events
 
 
 def check_prior_only() -> CheckResult:
     """No data: posterior base and precision must equal the prior."""
     prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 5.0)
-    post = posterior_update(prior, [])
+    post = posterior_update(prior, [], [])
     err = float(np.max(np.abs(post.base.values - prior.base.values)))
     defined = prior.precision_defined
     err = max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
@@ -88,8 +87,7 @@ def check_prior_only() -> CheckResult:
 
 def check_data_only() -> CheckResult:
     """Zero-precision prior: posterior is the empirical CDF with precision n."""
-    samples = [LifetimeSample(float(t), 1) for t in (1.0, 2.0, 3.0)]
-    post = posterior_update(BetaStacyProcess.noninformative(), samples)
+    post = posterior_update(BetaStacyProcess.noninformative(), [1.0, 2.0, 3.0], [1, 1, 1])
     err = float(np.max(np.abs(post.base.values - np.array([1 / 3, 2 / 3, 1.0]))))
     err = max(err, float(np.max(np.abs(post.precision[:2] - 3.0))))
     ok = err <= _EXACT_TOL and np.isnan(post.precision[2])
@@ -101,9 +99,9 @@ def check_kaplan_meier(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(_KM_SETS):
-        samples = _random_censored_samples(rng)
-        km = kaplan_meier(samples)
-        post = posterior_update(BetaStacyProcess.noninformative(), samples)
+        times, events = _random_censored_samples(rng)
+        km = kaplan_meier(times, events)
+        post = posterior_update(BetaStacyProcess.noninformative(), times, events)
         est = np.array([mean(post, float(t)) for t in km.grid])
         worst = max(worst, float(np.max(np.abs(est - km.values))))
     return CheckResult(

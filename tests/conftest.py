@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from relfuse.bsp import BetaStacyProcess, DiscreteCdf, LifetimeSample
+from relfuse.bsp import BetaStacyProcess, DiscreteCdf
 from relfuse.fusion import moments_of
 from relfuse.rbd import RbdNode
 
@@ -45,12 +45,13 @@ def moment_curves(draw, **kwargs):
 
 @st.composite
 def censored_samples(draw, min_size=1, max_size=30, force_failure=True):
+    """A ``(times, events)`` pair of equal-length lists."""
     n = draw(st.integers(min_size, max_size))
     times = draw(st.lists(st.floats(0.01, 40.0), min_size=n, max_size=n))
     events = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     if force_failure and sum(events) == 0:
         events[0] = 1
-    return [LifetimeSample(round(t, 4), e) for t, e in zip(times, events)]
+    return [round(t, 4) for t in times], events
 
 
 _IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

@@ -13,7 +13,6 @@ from scipy import integrate, stats
 
 from relfuse.bsp import (
     BetaStacyProcess,
-    LifetimeSample,
     beta_match,
     dp_prior,
     mean,
@@ -50,21 +49,21 @@ def _best_time(fn, repeats=5):
 
 def test_01_prior_only_exactness():
     prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 3.0)
-    post = posterior_update(prior, [])
+    post = posterior_update(prior, [], [])
     err = float(np.max(np.abs(post.base.values - prior.base.values)))
     defined = ~np.isnan(prior.precision)
     err = max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
     assert np.array_equal(post.grid, prior.grid)
     assert np.array_equal(np.isnan(post.precision), ~defined)
     assert err <= 1e-12
-    elapsed = _best_time(lambda: posterior_update(prior, []))
+    elapsed = _best_time(lambda: posterior_update(prior, [], []))
     assert elapsed < 1e-3
     print(f"\ncriterion 1 PASS: prior-only identity, max error {err:.2e}, {elapsed*1e6:.0f} us")
 
 
 def test_02_data_only_exactness():
-    data = [LifetimeSample(float(t), 1) for t in (1.0, 2.0, 3.0)]
-    post = posterior_update(BetaStacyProcess.noninformative(), data)
+    times, events = [1.0, 2.0, 3.0], [1, 1, 1]
+    post = posterior_update(BetaStacyProcess.noninformative(), times, events)
     base_err = float(np.max(np.abs(post.base.values - np.array([1 / 3, 2 / 3, 1.0]))))
     prec_err = float(np.max(np.abs(post.precision[:2] - 3.0)))
     assert base_err <= 1e-12 and prec_err <= 1e-12
@@ -73,7 +72,7 @@ def test_02_data_only_exactness():
     # terminal point, so it reads as the constant sample size.
     exported = curve_export(post).precision
     assert np.max(np.abs(exported - 3.0)) <= 1e-12
-    elapsed = _best_time(lambda: posterior_update(BetaStacyProcess.noninformative(), data))
+    elapsed = _best_time(lambda: posterior_update(BetaStacyProcess.noninformative(), times, events))
     assert elapsed < 1e-3
     print(
         f"criterion 2 PASS: empirical CDF with precision 3, max error "
@@ -85,9 +84,9 @@ def test_03_kaplan_meier_equivalence():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(1000):
-        samples = _random_censored_samples(rng)
-        km = kaplan_meier(samples)
-        post = posterior_update(BetaStacyProcess.noninformative(), samples)
+        times, events = _random_censored_samples(rng)
+        km = kaplan_meier(times, events)
+        post = posterior_update(BetaStacyProcess.noninformative(), times, events)
         est = np.array([mean(post, float(t)) for t in km.grid])
         worst = max(worst, float(np.max(np.abs(est - km.values))))
         assert worst <= 1e-12
@@ -145,9 +144,9 @@ def test_06_moment_match_roundtrip():
         warnings.simplefilter("error")
         for _ in range(100):
             proc = _random_bsp(rng, max_points=12)
-            curve = moments_of(posterior_update(proc, []))
+            curve = moments_of(posterior_update(proc, [], []))
             back = recover_precision(curve)
-            again = moments_of(posterior_update(back, []))
+            again = moments_of(posterior_update(back, [], []))
             worst = max(
                 worst,
                 float(np.max(np.abs(again.first - curve.first))),

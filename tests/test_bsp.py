@@ -10,7 +10,6 @@ from relfuse.bsp import (
     BetaShape,
     BetaStacyProcess,
     DiscreteCdf,
-    LifetimeSample,
     NotEstimableError,
     _carry,
     beta_match,
@@ -20,14 +19,15 @@ from relfuse.bsp import (
     posterior_update,
     second_moment,
 )
+from relfuse.dataio import Dataset
+from relfuse.oracle import kaplan_meier
 
 from conftest import bsp_processes, censored_samples
 
 
 def ecdf_posterior():
     prior = BetaStacyProcess.noninformative()
-    data = [LifetimeSample(t, 1) for t in (1.0, 2.0, 3.0)]
-    return posterior_update(prior, data)
+    return posterior_update(prior, [1.0, 2.0, 3.0], [1, 1, 1])
 
 
 class TestDiscreteCdf:
@@ -97,8 +97,8 @@ class TestHorizon:
     def test_posterior_grid_ends_before_horizon(self, proc, data):
         # Zero prior precision leaves prior points past every sample time uninformed.
         prior = BetaStacyProcess(proc.base, np.zeros(proc.grid.size))
-        post = posterior_update(prior, data)
-        union = np.union1d(prior.grid, [s.time for s in data])
+        post = posterior_update(prior, *data)
+        union = np.union1d(prior.grid, data[0])
         n = post.grid.size
         np.testing.assert_array_equal(post.grid, union[:n])
         assert post.horizon == (union[n] if n < union.size else math.inf)
@@ -112,14 +112,37 @@ class TestHorizon:
                 second_moment(post, post.horizon)
 
 
-class TestLifetimeSample:
-    def test_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            LifetimeSample(0.0, 1)
-        with pytest.raises(ValueError):
-            LifetimeSample(-1.0, 1)
-        with pytest.raises(ValueError):
-            LifetimeSample(1.0, 2)
+# Everything that takes lifetime columns checks them the same way.
+LIFETIME_TAKERS = {
+    "posterior_update": lambda t, e: posterior_update(BetaStacyProcess.noninformative(), t, e),
+    "Dataset": lambda t, e: Dataset("x", t, e),
+    "kaplan_meier": kaplan_meier,
+}
+
+
+@pytest.mark.parametrize("take", LIFETIME_TAKERS.values(), ids=LIFETIME_TAKERS.keys())
+class TestLifetimeColumns:
+    @pytest.mark.parametrize(
+        "times, events, message",
+        [
+            ([0.0], [1], "sample time"),
+            ([-1.0], [1], "sample time"),
+            ([math.nan], [1], "sample time"),
+            ([math.inf], [1], "sample time"),
+            ([1.0], [2], "event indicator"),
+            ([1.0, 2.0], [1], "equal length"),
+            ([(1.0, 1)], [1], "1-d"),
+        ],
+        ids=["zero", "negative", "nan_time", "inf_time", "event_2", "lengths", "rows_as_pairs"],
+    )
+    def test_rejects_bad_rows(self, take, times, events, message):
+        with pytest.raises(ValueError, match=message):
+            take(times, events)
+
+    @pytest.mark.parametrize("event", [0.5, 1.9, 2, -1, math.nan])
+    def test_rejects_events_other_than_0_or_1(self, take, event):
+        with pytest.raises(ValueError, match="event indicator must be 0 or 1"):
+            take([1.0, 2.0], [1, event])
 
 
 class TestPosteriorCounts:
@@ -131,8 +154,7 @@ class TestPosteriorCounts:
     """
 
     def test_uncensored(self):
-        data = [LifetimeSample(t, 1) for t in (1.0, 2.0, 3.0)]
-        post = posterior_update(BetaStacyProcess.noninformative(), data)
+        post = posterior_update(BetaStacyProcess.noninformative(), [1.0, 2.0, 3.0], [1, 1, 1])
         # at risk 3, 2, 1; one failure each, so the last hazard is 1
         np.testing.assert_array_equal(post.grid, [1.0, 2.0, 3.0])
         hazard = np.diff(post.base.values, prepend=0.0) / (
@@ -143,13 +165,7 @@ class TestPosteriorCounts:
         assert post.horizon == math.inf
 
     def test_censored_tie_is_at_risk(self):
-        data = [
-            LifetimeSample(1.0, 1),
-            LifetimeSample(2.0, 0),
-            LifetimeSample(2.0, 1),
-            LifetimeSample(3.0, 1),
-        ]
-        post = posterior_update(BetaStacyProcess.noninformative(), data)
+        post = posterior_update(BetaStacyProcess.noninformative(), [1.0, 2.0, 2.0, 3.0], [1, 0, 1, 1])
         # at risk 4, 3, 1: the unit censored at 2 is still at risk there
         np.testing.assert_array_equal(post.grid, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(post.base.values, [1 / 4, 1 / 2, 1.0], atol=1e-12)
@@ -157,8 +173,7 @@ class TestPosteriorCounts:
 
     def test_failures_counted_at_exact_times(self):
         prior = BetaStacyProcess(DiscreteCdf(np.array([1.0, 1.5]), np.array([0.1, 0.2])), np.zeros(2))
-        times_events = [(1.0, 1), (1.0, 0), (1.0, 1), (2.0, 1), (4.0, 0)]
-        post = posterior_update(prior, [LifetimeSample(t, e) for t, e in times_events])
+        post = posterior_update(prior, [1.0, 1.0, 1.0, 2.0, 4.0], [1, 0, 1, 1, 0])
         np.testing.assert_array_equal(post.grid, [1.0, 1.5, 2.0, 4.0])
         # at risk 5, 2, 2, 1; failures 2, 0, 1, 0 (the prior point at 1.0 adds none)
         np.testing.assert_allclose(post.base.values, [0.4, 0.4, 0.7, 0.7], atol=1e-12)
@@ -168,7 +183,7 @@ class TestPosteriorCounts:
         prior = BetaStacyProcess(
             DiscreteCdf(np.array([0.5, 1.5, 99.0]), np.array([0.1, 0.2, 0.3])), np.zeros(3)
         )
-        post = posterior_update(prior, [LifetimeSample(1.0, 1), LifetimeSample(3.0, 1)])
+        post = posterior_update(prior, [1.0, 3.0], [1, 1])
         np.testing.assert_array_equal(post.grid, [0.5, 1.0, 1.5, 3.0])
         # at 0.5: 2 at risk, no failure; at 1.5 (between data times): 1 at
         # risk, no failure; at 99, past every sample: none at risk, so the
@@ -198,7 +213,7 @@ class TestPosteriorUpdate:
     def test_prior_only_is_identity(self):
         grid = np.array([1.0, 2.0, 4.0])
         prior = dp_prior(grid, np.array([0.25, 0.5, 1.0]), 5.0)
-        post = posterior_update(prior, [])
+        post = posterior_update(prior, [], [])
         np.testing.assert_allclose(post.base.values, prior.base.values, atol=1e-12)
         np.testing.assert_allclose(post.precision[:-1], prior.precision[:-1], atol=1e-12)
         assert np.isnan(post.precision[-1])
@@ -212,27 +227,25 @@ class TestPosteriorUpdate:
 
     def test_zero_precision_base_is_irrelevant(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.9, 1.0]), 0.0)
-        data = [LifetimeSample(t, 1) for t in (1.0, 2.0, 3.0)]
-        post = posterior_update(prior, data)
+        post = posterior_update(prior, [1.0, 2.0, 3.0], [1, 1, 1])
         np.testing.assert_allclose(post.base.values, [1 / 3, 2 / 3, 1.0], atol=1e-12)
         np.testing.assert_allclose(post.precision[:2], [3.0, 3.0], atol=1e-12)
 
     def test_censored_worked_example(self):
         prior = BetaStacyProcess.noninformative()
-        data = [LifetimeSample(1.0, 1), LifetimeSample(2.0, 0), LifetimeSample(3.0, 1)]
-        post = posterior_update(prior, data)
+        post = posterior_update(prior, [1.0, 2.0, 3.0], [1, 0, 1])
         np.testing.assert_allclose(post.base.values, [1 / 3, 1 / 3, 1.0], atol=1e-12)
         np.testing.assert_allclose(post.precision[:2], [3.0, 3.0], atol=1e-12)
         assert np.isnan(post.precision[2])
 
     def test_union_grid_keeps_prior_points(self):
         prior = dp_prior(np.array([1.5, 4.0]), np.array([0.5, 1.0]), 2.0)
-        post = posterior_update(prior, [LifetimeSample(2.0, 1)])
+        post = posterior_update(prior, [2.0], [1])
         np.testing.assert_array_equal(post.base.grid, [1.5, 2.0, 4.0])
 
     def test_estimable_range_ends_at_zero_information(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 0.0)
-        post = posterior_update(prior, [LifetimeSample(1.0, 0)])
+        post = posterior_update(prior, [1.0], [0])
         np.testing.assert_array_equal(post.grid, [1.0])
         assert post.horizon == 2.0
         assert mean(post, 1.5) == 0.0
@@ -246,13 +259,13 @@ class TestPosteriorUpdate:
         assert mean(post, 100.0) == 1.0
 
     def test_empty_prior_and_data(self):
-        post = posterior_update(BetaStacyProcess.noninformative(), [])
+        post = posterior_update(BetaStacyProcess.noninformative(), [], [])
         assert post.base.grid.size == 0
 
     @given(bsp_processes())
     @settings(max_examples=60, deadline=None)
     def test_empty_data_identity_property(self, prior):
-        post = posterior_update(prior, [])
+        post = posterior_update(prior, [], [])
         np.testing.assert_allclose(post.base.values, prior.base.values, atol=1e-12)
         both = ~(np.isnan(post.precision) | np.isnan(prior.precision))
         np.testing.assert_allclose(post.precision[both], prior.precision[both], atol=1e-12)
@@ -260,22 +273,19 @@ class TestPosteriorUpdate:
     @given(censored_samples(max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_uncensored_subset_drives_noninformative_fit(self, data):
-        data = [LifetimeSample(s.time, 1) for s in data]
-        post = posterior_update(BetaStacyProcess.noninformative(), data)
-        _, failures = np.unique([s.time for s in data], return_counts=True)
-        at_risk = len(data) - np.concatenate(([0], np.cumsum(failures)[:-1]))
+        times = data[0]
+        post = posterior_update(BetaStacyProcess.noninformative(), times, [1] * len(times))
+        _, failures = np.unique(times, return_counts=True)
+        at_risk = len(times) - np.concatenate(([0], np.cumsum(failures)[:-1]))
         ecdf = 1.0 - np.cumprod(1.0 - failures / at_risk)
         np.testing.assert_allclose(post.base.values, ecdf, atol=1e-12)
         inner = post.base.values < 1.0
-        np.testing.assert_allclose(post.precision[inner], float(len(data)), atol=1e-12)
+        np.testing.assert_allclose(post.precision[inner], float(len(times)), atol=1e-12)
 
 
 class TestMoments:
     def test_second_moment_single_point(self):
-        post = posterior_update(
-            BetaStacyProcess.noninformative(),
-            [LifetimeSample(1.0, 1), LifetimeSample(2.0, 1)],
-        )
+        post = posterior_update(BetaStacyProcess.noninformative(), [1.0, 2.0], [1, 1])
         # F(1) ~ Beta(1, 1) exactly, so E[F(1)^2] = 1*2/(2*3).
         assert second_moment(post, 1.0) == pytest.approx(1 / 3, abs=1e-12)
 
@@ -296,7 +306,7 @@ class TestMoments:
         values = np.array([0.1, 0.35, 0.7, 1.0])
         for alpha in (0.5, 3.0, 42.0):
             prior = dp_prior(grid, values, alpha)
-            post = posterior_update(prior, [])
+            post = posterior_update(prior, [], [])
             for t, g in zip(grid[:-1], values[:-1]):
                 a, b = alpha * g, alpha * (1.0 - g)
                 closed = stats.beta.moment(2, a, b)
@@ -305,7 +315,7 @@ class TestMoments:
     @given(bsp_processes())
     @settings(max_examples=80, deadline=None)
     def test_envelope_property(self, proc):
-        post = posterior_update(proc, [])
+        post = posterior_update(proc, [], [])
         for t in post.base.grid:
             m = mean(post, t)
             s = second_moment(post, t)
@@ -313,7 +323,7 @@ class TestMoments:
 
     def test_zero_precision_collapses_to_mean(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 0.0)
-        post = posterior_update(prior, [LifetimeSample(1.0, 0)])
+        post = posterior_update(prior, [1.0], [0])
         assert second_moment(post, 1.0) == pytest.approx(mean(post, 1.0), abs=1e-12)
 
 
@@ -369,7 +379,7 @@ class TestCredibleInterval:
     )
     def test_equals_scipy_stats_quantiles(self, a, b):
         # A one-jump DP prior has F(1) ~ Beta(c G, c (1 - G)) with c = a + b.
-        post = posterior_update(dp_prior([1.0, 2.0], [a / (a + b), 1.0], a + b), [])
+        post = posterior_update(dp_prior([1.0, 2.0], [a / (a + b), 1.0], a + b), [], [])
         m = mean(post, 1.0)
         shape = beta_match(m, second_moment(post, 1.0))
         for level in (0.5, 0.9, 0.95, 0.99):
@@ -385,7 +395,7 @@ class TestCredibleInterval:
 
     def test_huge_precision_pins_band(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 1e9)
-        post = posterior_update(prior, [])
+        post = posterior_update(prior, [], [])
         lo, hi = credible_interval(post, 1.0, 0.95)
         assert hi - lo < 1e-3
         assert lo <= 0.4 <= hi
@@ -393,7 +403,7 @@ class TestCredibleInterval:
     @given(bsp_processes())
     @settings(max_examples=60, deadline=None)
     def test_contains_mean_property(self, proc):
-        post = posterior_update(proc, [])
+        post = posterior_update(proc, [], [])
         for t in post.base.grid:
             lo, hi = credible_interval(post, t, 0.9)
             m = mean(post, t)

@@ -4,7 +4,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from relfuse.bsp import LifetimeSample
 from relfuse.dataio import (
     CurveExport,
     Dataset,
@@ -50,8 +49,8 @@ class TestLoadLifetimes:
         datasets = load_lifetimes(io.StringIO(LIFETIMES))
         assert [d.label for d in datasets] == ["motor", "battery"]
         motor = datasets[0]
-        assert [s.time for s in motor.samples] == [120.5, 340.0, 91.0]
-        assert [s.event for s in motor.samples] == [1, 0, 1]
+        assert motor.times.tolist() == [120.5, 340.0, 91.0]
+        assert motor.events.tolist() == [1, 0, 1]
 
     def test_empty_body_yields_no_datasets(self):
         assert load_lifetimes(io.StringIO("node,time,event\n")) == []
@@ -98,11 +97,27 @@ def test_oversized_field_names_the_file(tmp_path, loader, header):
 class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Dataset("", (LifetimeSample(1.0, 1),))
+            Dataset("", [1.0], [1])
         with pytest.raises(ValueError):
-            Dataset("x", ())
+            Dataset("x", [], [])
         with pytest.raises(ValueError):
-            Dataset("x", ((1.0, 1),))
+            Dataset("x", [(1.0, 1)], [1])
+
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["lists", "arrays"])
+    def test_owns_frozen_copies(self, wrap):
+        times, events = wrap([1.0, 2.0]), wrap([True, False])
+        ds = Dataset("x", times, events)
+        times[0], events[0] = 9.0, False
+        assert ds.times.tolist() == [1.0, 2.0] and ds.events.tolist() == [True, False]
+        for column in (ds.times, ds.events):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_equality_compares_columns(self):
+        ds = Dataset("x", [1.0, 2.0], [True, False])
+        assert ds == Dataset("x", np.array([1.0, 2.0]), [1, 0])
+        assert ds != Dataset("x", [1.0, 2.0], [1, 1])
+        assert ds != Dataset("y", [1.0, 2.0], [1, 0])
 
 
 class TestLoadPriorSpec:

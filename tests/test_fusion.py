@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from relfuse.bsp import (
     BetaStacyProcess,
-    LifetimeSample,
     dp_prior,
     mean,
     posterior_update,
@@ -27,8 +26,7 @@ from conftest import bsp_processes, moment_curves, rbd_trees
 
 
 def ecdf_posterior(times=(1.0, 2.0, 3.0)):
-    data = [LifetimeSample(t, 1) for t in times]
-    return posterior_update(BetaStacyProcess.noninformative(), data)
+    return posterior_update(BetaStacyProcess.noninformative(), times, [1] * len(times))
 
 
 def curve(grid, first, second):
@@ -70,7 +68,7 @@ class TestMomentCurve:
 
     def test_moments_of_drops_nonestimable_tail(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 0.0)
-        post = posterior_update(prior, [LifetimeSample(1.0, 0)])
+        post = posterior_update(prior, [1.0], [0])
         c = moments_of(post)
         np.testing.assert_array_equal(c.grid, [1.0])
 
@@ -203,7 +201,7 @@ class TestRandomTrees:
 class TestRecoverPrecision:
     def test_constant_precision_curve(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.5, 1.0]), 7.0)
-        post = posterior_update(prior, [])
+        post = posterior_update(prior, [], [])
         back = recover_precision(moments_of(post))
         np.testing.assert_allclose(back.base.values, [0.2, 0.5, 1.0], atol=1e-12)
         np.testing.assert_allclose(back.precision[:2], [7.0, 7.0], rtol=1e-9)
@@ -216,7 +214,7 @@ class TestRecoverPrecision:
 
     def test_flat_increment_carries_precision(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 5.0)
-        post = posterior_update(prior, [])
+        post = posterior_update(prior, [], [])
         c = moments_of(post)
         widened = MomentCurve(
             np.array([1.0, 1.5, 2.0]),
@@ -268,10 +266,10 @@ class TestRecoverPrecision:
     @given(bsp_processes(min_precision=0.05))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_on_process_curves(self, proc):
-        post = posterior_update(proc, [])
+        post = posterior_update(proc, [], [])
         c = moments_of(post)
         back = recover_precision(c)
-        again = moments_of(posterior_update(back, []))
+        again = moments_of(posterior_update(back, [], []))
         np.testing.assert_allclose(again.first, c.first, atol=1e-9)
         np.testing.assert_allclose(again.second, c.second, atol=1e-9)
 
@@ -286,7 +284,7 @@ class TestMergePriors:
         sharp = dp_prior(np.array([1.0, 2.0]), np.array([0.2, 1.0]), 100.0)
         vague = dp_prior(np.array([1.0, 2.0]), np.array([0.8, 1.0]), 1.0)
         merged = merge_priors(sharp, vague)
-        m = mean(posterior_update(merged, []), 1.0)
+        m = mean(posterior_update(merged, [], []), 1.0)
         assert abs(m - 0.2) < abs(m - 0.8)
         assert m == pytest.approx((100 * 0.2 + 1 * 0.8) / 101, abs=1e-9)
 
@@ -294,7 +292,7 @@ class TestMergePriors:
         a = dp_prior(np.array([1.0, 2.0]), np.array([0.2, 1.0]), 0.0)
         b = dp_prior(np.array([1.0, 2.0]), np.array([0.6, 1.0]), 0.0)
         merged = merge_priors(a, b)
-        assert mean(posterior_update(merged, []), 1.0) == pytest.approx(0.4, abs=1e-9)
+        assert mean(posterior_update(merged, [], []), 1.0) == pytest.approx(0.4, abs=1e-9)
 
     def test_empty_pair_rejected(self):
         nothing = BetaStacyProcess.noninformative()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import relfuse
-from relfuse.bsp import BetaStacyProcess, LifetimeSample, dp_prior, posterior_update
+from relfuse.bsp import BetaStacyProcess, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
 from relfuse.demo import MAX_N_PER_NODE, DemoConfig, demo_config, load_sim_config
@@ -32,7 +32,7 @@ from conftest import nested_series_dsl, nested_series_json
 
 def dataset(label, times, events=None):
     events = events if events is not None else [1] * len(times)
-    return Dataset(label, tuple(LifetimeSample(t, e) for t, e in zip(times, events)))
+    return Dataset(label, times, events)
 
 
 LEAF_DATA = {
@@ -45,7 +45,7 @@ SUB_DATA = dataset("sub", [1.8, 2.8])
 
 
 def leaf_curve(label):
-    return moments_of(posterior_update(BetaStacyProcess.noninformative(), LEAF_DATA[label].samples))
+    return moments_of(posterior_update(BetaStacyProcess.noninformative(), LEAF_DATA[label].times, LEAF_DATA[label].events))
 
 
 def assert_same_process(got, want):
@@ -108,7 +108,7 @@ class TestFitSystem:
         result = fit_system(spec, [*LEAF_DATA.values(), SYS_DATA])
         ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
         fused = combine_series(*align_grids(ab, leaf_curve("c")))
-        want = posterior_update(recover_precision(fused), SYS_DATA.samples)
+        want = posterior_update(recover_precision(fused), SYS_DATA.times, SYS_DATA.events)
         assert set(result.node_posteriors) == {"a", "b", "c", "sys"}
         assert_same_process(result.posterior, want)
 
@@ -116,25 +116,27 @@ class TestFitSystem:
         spec = parse_rbd("sys@series(sub@parallel(a, b), c)")
         result = fit_system(spec, [*LEAF_DATA.values(), SUB_DATA, SYS_DATA])
         ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
-        sub = posterior_update(recover_precision(ab), SUB_DATA.samples)
+        sub = posterior_update(recover_precision(ab), SUB_DATA.times, SUB_DATA.events)
         fused = combine_series(*align_grids(moments_of(sub), leaf_curve("c")))
-        want = posterior_update(recover_precision(fused), SYS_DATA.samples)
+        want = posterior_update(recover_precision(fused), SYS_DATA.times, SYS_DATA.events)
         assert set(result.node_posteriors) == {"a", "b", "c", "sub", "sys"}
         assert_same_process(result.node_posteriors["sub"], sub)
         assert_same_process(result.posterior, want)
 
-    @pytest.mark.parametrize("sub_data", [(), SUB_DATA.samples], ids=["prior_only", "with_data"])
+    @pytest.mark.parametrize("sub_data", [None, SUB_DATA], ids=["prior_only", "with_data"])
     def test_group_prior_is_merged(self, sub_data):
         spec = parse_rbd("sys@series(sub@parallel(a, b), c)")
         elicited = dp_prior(np.array([1.5, 3.0, 5.0]), np.array([0.1, 0.4, 1.0]), 2.0)
         datasets = [*LEAF_DATA.values(), SYS_DATA]
-        if sub_data:
-            datasets.append(Dataset("sub", sub_data))
+        times, events = (), ()
+        if sub_data is not None:
+            datasets.append(sub_data)
+            times, events = sub_data.times, sub_data.events
         result = fit_system(spec, datasets, {"sub": elicited})
         ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
-        sub = posterior_update(merge_priors(recover_precision(ab), elicited), sub_data)
+        sub = posterior_update(merge_priors(recover_precision(ab), elicited), times, events)
         fused = combine_series(*align_grids(moments_of(sub), leaf_curve("c")))
-        want = posterior_update(recover_precision(fused), SYS_DATA.samples)
+        want = posterior_update(recover_precision(fused), SYS_DATA.times, SYS_DATA.events)
         assert set(result.node_posteriors) == {"a", "b", "c", "sub", "sys"}
         assert_same_process(result.node_posteriors["sub"], sub)
         assert_same_process(result.posterior, want)

@@ -13,8 +13,12 @@ calls ``censoring_rate`` directly, on every demo node at censored shares
 0.15 and 0.3 and on a grid of Weibull shapes, scales (1e-250 to 1e250) and
 shares, and keeps each rate's hex or the ``ValueError`` text, followed by
 the warnings raised; so a calibration change shows up as such, not only
-through the datasets it draws.  Two arrays match when their dtype, shape,
-values and float sign bits agree, NaN matching NaN.
+through the datasets it draws.  It keeps the ``curve_export`` bands of five
+hand-built processes at levels 0.5, 0.9, 0.95 and 0.99, whose rows reach
+every branch of the band rule (zero mass, terminal, zero variance, the
+Bernoulli bound and a quantile widened to the mean), which the demo fits
+may never reach.  Two arrays match when their dtype, shape, values and
+float sign bits agree, NaN matching NaN.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -52,6 +56,7 @@ CALIBRATION_DEMO_FRACTIONS = (0.15, 0.3)
 CALIBRATION_SHAPES = (0.5, 1.0, 2.2, 5.0)
 CALIBRATION_SCALES = (1e-250, 1e-4, 1e-2, 0.5, 100.0, 1e5, 1e6, 1e250)
 CALIBRATION_FRACTIONS = (0.05, 0.15, 0.6)
+BAND_LEVELS = (0.5, 0.9, 0.95, 0.99)
 
 
 def _dp_priors(cfg) -> dict:
@@ -107,6 +112,39 @@ def calibrate(probes: dict) -> dict:
     return out
 
 
+def band_processes() -> dict:
+    """Processes named for the branch of the band rule their rows reach, built from public names."""
+    from relfuse.bsp import BetaStacyProcess, DiscreteCdf
+
+    def process(values, precision):
+        grid = np.arange(1.0, len(values) + 1.0)
+        return BetaStacyProcess(DiscreteCdf(grid, values), np.full(len(values), precision))
+
+    return {
+        "zero-mass": process([0.0, 0.5, 1.0], 2.0),
+        "terminal": process([0.25, 1.0, 1.0], 4.0),
+        # Near 0 and 1 the second moment rounds to the squared mean or below.
+        "zero-variance": process([1e-5, 0.5, 1.0 - 1e-5, 1.0], 1e12),
+        # Zero precision makes F a Bernoulli variable at every point.
+        "bernoulli": process([0.1, 0.3, 0.7, 1.0], 0.0),
+        # Beta(1e-4, 1 - 1e-4): every upper quantile falls below the mean.
+        "skew": process([1e-4, 1.0], 1.0),
+    }
+
+
+def band_probes() -> dict:
+    """The ``curve_export`` lower and upper columns of each band process at each level."""
+    from relfuse.pipeline import curve_export
+
+    out = {}
+    for name, process in band_processes().items():
+        for level in BAND_LEVELS:
+            export = curve_export(process, level)
+            out[f"bands/{name}-{level:g}/lower"] = export.lower
+            out[f"bands/{name}-{level:g}/upper"] = export.upper
+    return out
+
+
 def record(src: str, out: str) -> None:
     """Run the case matrix with the ``relfuse`` under ``src`` and save its arrays to ``out``."""
     # Imported here, not at the top, so each child binds the relfuse of its own side.
@@ -144,6 +182,7 @@ def record(src: str, out: str) -> None:
                         dtype=str,
                     )
     arrays.update(calibrate(calibration_probes(demo)))
+    arrays.update(band_probes())
     np.savez(out, **arrays)
 
 
@@ -191,13 +230,14 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change} - {"calibration", "datasets"}
+    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "datasets"}
     n_calibrations = sum(name.startswith("calibration/") for name in change)
+    n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
     n_datasets = sum(name.startswith("datasets/") for name in change)
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     print(
         f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
-        f"{n_calibrations} calibrations, "
+        f"{n_calibrations} calibrations, {n_bands} band probes, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

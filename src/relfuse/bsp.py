@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import special_ufuncs
 from .errors import NotEstimableError
 
 __all__ = [
@@ -354,6 +355,47 @@ def beta_match(mean_value: float, second_moment_value: float) -> BetaShape:
     return BetaShape(m * k, (1.0 - m) * k)
 
 
+def _check_level(level) -> float:
+    level = float(level)
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie strictly inside (0, 1)")
+    return level
+
+
+def _beta_bands(mean, second, level) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-tailed credible bands for arrays of first and second moments.
+
+    Row by row, the first of these rules that applies sets the band:
+    a mean of 0 or less gives (0, 0), a mean of 1 or more gives (1, 1), zero
+    or negative variance gives (mean, mean), and variance at or above the
+    Bernoulli bound ``m(1-m)``, where no beta exists, gives (0, 1).  Every
+    other row gets the quantiles at ``(1 - level)/2`` and ``(1 + level)/2``
+    of the beta that ``beta_match`` would give, from one array
+    ``betaincinv`` call per end.
+    """
+    level = _check_level(level)
+    m = np.asarray(mean, dtype=np.float64)
+    v = np.asarray(second, dtype=np.float64) - m * m
+    degenerate = [m <= 0.0, m >= 1.0, v <= 0.0, v >= m * (1.0 - m)]
+    lower = np.select(degenerate, [0.0, 1.0, m, 0.0])
+    upper = np.select(degenerate, [0.0, 1.0, m, 1.0])
+    fit = ~np.logical_or.reduce(degenerate)
+    m, v = m[fit], v[fit]
+    k = m * (1.0 - m) / v - 1.0
+    a, b = m * k, (1.0 - m) * k
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a > 0.0) & (b > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        BetaShape(a[i], b[i])  # raises its ValueError
+    betaincinv = special_ufuncs().betaincinv
+    tail = (1.0 - level) / 2.0
+    # Extreme skew can push both quantiles past the mean; widen minimally so
+    # the band always brackets the point estimate.
+    lower[fit] = np.minimum(betaincinv(a, b, tail), m)
+    upper[fit] = np.maximum(betaincinv(a, b, 1.0 - tail), m)
+    return lower, upper
+
+
 def credible_interval(process: BetaStacyProcess, t: float, level: float = 0.95) -> tuple[float, float]:
     """Equal-tailed pointwise credible interval for ``F(t)``.
 
@@ -361,31 +403,12 @@ def credible_interval(process: BetaStacyProcess, t: float, level: float = 0.95) 
     matching its first two moments; the interval is the pair of equal-tailed
     beta quantiles at the given level.  Degenerate cases return zero-width
     intervals at the mean (and the maximal interval (0, 1) when the variance
-    sits at the Bernoulli bound, where no beta exists).
+    sits at the Bernoulli bound, where no beta exists).  ``curve_export``
+    applies the same rule to a whole curve at once.
     """
-    level = float(level)
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie strictly inside (0, 1)")
+    level = _check_level(level)
     m = mean(process, t)
-    if m <= 0.0:
-        return (0.0, 0.0)
-    if m >= 1.0:
-        return (1.0, 1.0)
-    s = second_moment(process, t)
-    v = s - m * m
-    if v <= 0.0:
-        return (m, m)
-    if v >= m * (1.0 - m):
-        return (0.0, 1.0)
-    # Imported here, not at module level: scipy.special would be two thirds
-    # of the package's import time, and only a band needs it.  The import
-    # statement holds the import lock, so concurrent first calls are safe.
-    from scipy.special import betaincinv
-
-    shape = beta_match(m, s)
-    tail = (1.0 - level) / 2.0
-    lo = float(betaincinv(shape.a, shape.b, tail))
-    hi = float(betaincinv(shape.a, shape.b, 1.0 - tail))
-    # Extreme skew can push both quantiles past the mean; widen minimally so
-    # the band always brackets the point estimate.
-    return (min(lo, m), max(hi, m))
+    # A mean of 0 or 1 sets the band whatever the second moment.
+    s = second_moment(process, t) if 0.0 < m < 1.0 else m
+    lower, upper = _beta_bands([m], [s], level)
+    return (float(lower[0]), float(upper[0]))

@@ -10,17 +10,15 @@ between these routes and the estimation code is what the test suite and the
 
 from __future__ import annotations
 
-import importlib
-import importlib.machinery
 import importlib.util
 import math
-import os
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import quadpack
 from .bsp import BetaStacyProcess, DiscreteCdf, _check_lifetimes
 from .dataio import Dataset
 from .rbd import RbdNode
@@ -60,35 +58,10 @@ def _lazy_module(name: str):
 # scipy.integrate pulls in scipy.optimize, sparse, linalg and special, which
 # ``relfuse`` never uses: imported up front it would cost more than the rest
 # of the CLI's import time.  Only the quadrature checks of ``validate`` and
-# their tests load it; the censoring calibration calls QUADPACK through
-# ``_quadpack`` instead, so ``relfuse simulate`` does not load it either.
+# their tests load it; the censoring calibration calls QUADPACK's extension
+# directly (see ``_quad_to_inf``), so ``relfuse simulate`` does not load it
+# either.
 integrate = _lazy_module("scipy.integrate")
-
-_QUADPACK = "scipy.integrate._quadpack"
-
-
-def _quadpack():
-    """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``.
-
-    The extension is found in scipy's ``integrate`` directory and executed
-    alone, so the package ``__init__`` does not run.  It is registered under
-    its own name, which a later ``import scipy.integrate`` then reuses.
-    """
-    module = sys.modules.get(_QUADPACK)
-    if module is None:
-        import scipy
-
-        finder = importlib.machinery.FileFinder(
-            os.path.join(scipy.__path__[0], "integrate"),
-            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-        )
-        spec = finder.find_spec(_QUADPACK)
-        if spec is None:
-            return importlib.import_module(_QUADPACK)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_QUADPACK] = module
-        spec.loader.exec_module(module)
-    return module
 
 
 def _quad_to_inf(func) -> tuple[float, int]:
@@ -98,7 +71,7 @@ def _quad_to_inf(func) -> tuple[float, int]:
     passes to QAGI, so the value is the same to the last bit; only its
     warning for a non-zero ``ier`` is left to the caller.
     """
-    value, _, ier = _quadpack()._qagie(func, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 200)
+    value, _, ier = quadpack()._qagie(func, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 200)
     return value, ier
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, _carry, credible_interval, posterior_update
+from .bsp import BetaStacyProcess, _beta_bands, _carry, posterior_update
 from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
@@ -126,15 +126,14 @@ def fit_system_only(
 def curve_export(process: BetaStacyProcess, level: float = 0.95) -> CurveExport:
     """Columns for export: estimate, second moment, band, precision, flags.
 
-    Rows cover the process's grid, which ends before its horizon.  Terminal
-    rows (base measure 1) are flagged and report the precision carried from
-    the last non-terminal point, matching the left-limit convention for a
-    precision that is undefined exactly at the terminal time.
+    Rows cover the process's grid, which ends before its horizon, and each
+    row's band follows ``credible_interval``'s rule.  Terminal rows (base
+    measure 1) are flagged and report the precision carried from the last
+    non-terminal point, matching the left-limit convention for a precision
+    that is undefined exactly at the terminal time.
     """
     moments = moments_of(process)
-    bands = [credible_interval(process, float(t), level) for t in moments.grid]
-    lower = np.array([b[0] for b in bands]) if bands else np.empty(0)
-    upper = np.array([b[1] for b in bands]) if bands else np.empty(0)
+    lower, upper = _beta_bands(moments.first, moments.second, level)
     grid = moments.grid
     defined = process.precision_defined
     precision = _carry(grid[defined], process.precision[defined], grid, np.nan)

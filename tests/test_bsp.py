@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import relfuse.bsp
 from relfuse.bsp import (
     BetaShape,
     BetaStacyProcess,
@@ -408,3 +409,19 @@ class TestCredibleInterval:
             lo, hi = credible_interval(post, t, 0.9)
             m = mean(post, t)
             assert lo - 1e-12 <= m <= hi + 1e-12
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+    def test_level_is_checked_before_the_horizon(self, level):
+        post = posterior_update(dp_prior([1.0, 2.0], [0.5, 1.0], 0.0), [], [])
+        with pytest.raises(ValueError, match="level must lie strictly inside"):
+            credible_interval(post, 5.0, level)
+
+    def test_degenerate_mean_skips_second_moment(self, monkeypatch):
+        post = ecdf_posterior()
+
+        def unread(*args):
+            raise AssertionError("second_moment called for a mean of 0 or 1")
+
+        monkeypatch.setattr(relfuse.bsp, "second_moment", unread)
+        assert credible_interval(post, 0.5, 0.95) == (0.0, 0.0)
+        assert credible_interval(post, 3.0, 0.95) == (1.0, 1.0)

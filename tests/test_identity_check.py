@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from relfuse.demo import demo_config
+from relfuse.fusion import moments_of
 from relfuse.oracle import WeibullLifetime, censoring_rate
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity_check.py"
@@ -72,3 +73,26 @@ def test_calibration_probes_cover_demo_and_grid():
     assert len(probes) == 13 * 2 + 4 * 8 * 3
     sampler, fraction = probes["calibration/weibull-2.2-100000-0.15"]
     assert (sampler.shape, sampler.scale, fraction) == (2.2, 1e5, 0.15)
+
+
+def test_band_probes_reach_every_branch():
+    # Each probe must keep a row on its namesake branch, with that branch's
+    # band, at every level: a changed degenerate branch fails here and is a
+    # mismatch in the identity check.
+    arrays = identity_check.band_probes()
+    processes = identity_check.band_processes()
+    assert len(arrays) == 2 * len(processes) * len(identity_check.BAND_LEVELS)
+    for name, process in processes.items():
+        moments = moments_of(process)
+        m, v = moments.first, moments.second - moments.first**2
+        inside = (0.0 < m) & (m < 1.0)
+        for level in identity_check.BAND_LEVELS:
+            lo, hi = (arrays[f"bands/{name}-{level:g}/{end}"] for end in ("lower", "upper"))
+            rows = {
+                "zero-mass": (m <= 0.0) & (lo == 0.0) & (hi == 0.0),
+                "terminal": (m >= 1.0) & (lo == 1.0) & (hi == 1.0),
+                "zero-variance": inside & (v <= 0.0) & (lo == m) & (hi == m),
+                "bernoulli": inside & (v >= m * (1.0 - m)) & (lo == 0.0) & (hi == 1.0),
+                "skew": inside & (v > 0.0) & (v < m * (1.0 - m)) & ((lo == m) | (hi == m)),
+            }[name]
+            assert rows.any(), f"{name} at level {level:g}"

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 import relfuse
-from relfuse.bsp import BetaStacyProcess, dp_prior, posterior_update
+from relfuse._scipy import special_ufuncs
+from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
 from relfuse.demo import MAX_N_PER_NODE, DemoConfig, demo_config, load_sim_config
@@ -27,7 +31,25 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import nested_series_dsl, nested_series_json
+from conftest import bsp_processes, nested_series_dsl, nested_series_json
+
+
+def scalar_band(m, s, level):
+    """The band rule for one point, branch by branch: the reference for the array rule."""
+    if m <= 0.0:
+        return (0.0, 0.0)
+    if m >= 1.0:
+        return (1.0, 1.0)
+    v = s - m * m
+    if v <= 0.0:
+        return (m, m)
+    if v >= m * (1.0 - m):
+        return (0.0, 1.0)
+    shape = beta_match(m, s)
+    tail = (1.0 - level) / 2.0
+    lo = float(special.betaincinv(shape.a, shape.b, tail))
+    hi = float(special.betaincinv(shape.a, shape.b, 1.0 - tail))
+    return (min(lo, m), max(hi, m))
 
 
 def dataset(label, times, events=None):
@@ -184,6 +206,40 @@ class TestCurveExport:
         result = fit_system(spec, [dataset("sys", [1.0], [0])], {"sys": prior})
         curve = curve_export(result.posterior)
         np.testing.assert_array_equal(curve.t, [1.0])
+
+    @pytest.mark.parametrize("level", [1.5, -1.0, float("nan")], ids=["above_one", "negative", "nan"])
+    def test_level_is_checked_on_an_empty_grid(self, level):
+        post = posterior_update(dp_prior([1.0, 2.0], [0.5, 1.0], 0.0), [], [])
+        assert post.grid.size == 0
+        with pytest.raises(ValueError, match="level must lie strictly inside"):
+            curve_export(post, level=level)
+
+    @given(bsp_processes(min_precision=0.0), st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+    @settings(max_examples=100, deadline=None)
+    def test_bands_follow_the_scalar_rule(self, proc, level):
+        curve = curve_export(proc, level)
+        moments = zip(curve.mean.tolist(), curve.second_moment.tolist())
+        want = [scalar_band(m, s, level) for m, s in moments]
+        assert list(zip(curve.lower.tolist(), curve.upper.tolist())) == want
+
+    def test_two_array_quantile_calls_per_export(self, monkeypatch):
+        ufuncs = special_ufuncs()
+        quantile = ufuncs.betaincinv
+        sizes = []
+
+        def counted(a, b, q):
+            sizes.append(np.size(a))
+            return quantile(a, b, q)
+
+        def per_point(*args, **kwargs):
+            raise AssertionError("curve_export called credible_interval")
+
+        monkeypatch.setattr(ufuncs, "betaincinv", counted)
+        monkeypatch.setattr(relfuse.bsp, "credible_interval", per_point)
+        spec = parse_rbd("sys@series(a, parallel(b, c))")
+        curve = curve_export(fit_system(spec, [*LEAF_DATA.values(), SYS_DATA]).posterior)
+        assert len(sizes) == 2 and sizes[0] == sizes[1] > 1
+        assert sizes[0] == np.count_nonzero((curve.mean > 0.0) & (curve.mean < 1.0))
 
 
 class TestDemoConfig:
@@ -684,6 +740,105 @@ def test_bands_are_scipy_special_quantiles(tmp_path):
         "print(code, loaded, ex.lower[i] == lo, ex.upper[i] == hi)"
     )
     assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True True"
+
+
+# What ``import scipy.special`` loads besides the compiled ufuncs: the package
+# __init__ and, through its array-API backends, numpy.testing and f2py.
+SPECIAL_PACKAGE = ["scipy.special", "scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing"]
+
+
+def test_fit_loads_the_special_ufuncs_alone(tmp_path):
+    args = priors_fit_args(tmp_path)
+    code = (
+        "import sys, warnings, relfuse.cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"code = relfuse.cli.main({args!r})\n"
+        "ufuncs = sys.modules.get('scipy.special._ufuncs')\n"
+        f"print(code, ufuncs is not None, [m for m in {SPECIAL_PACKAGE!r} if m in sys.modules])\n"
+        "import scipy.special\n"
+        "print(scipy.special._ufuncs is ufuncs, scipy.special.betaincinv is ufuncs.betaincinv)"
+    )
+    assert run_fresh(code).splitlines()[-2:] == [f"{EXIT_OK} True []", "True True"]
+    assert (tmp_path / "fit" / "system_cdf.svg").exists()
+
+
+# The finder misses one extension, the list names an extension this scipy
+# does not ship, or an extension is run before the ones it imports and fails
+# partway: each time the module is imported through the package, and no
+# half-run module stays registered.
+LOADER_FAULTS = {
+    "missing_spec": (
+        "real = _scipy._finder\n"
+        "class Missing:\n"
+        "    def __init__(self, finder):\n"
+        "        self.finder = finder\n"
+        "    def find_spec(self, name):\n"
+        "        return None if name == 'scipy.special._gufuncs' else self.finder.find_spec(name)\n"
+        "_scipy._finder = lambda subpackage: Missing(real(subpackage))\n"
+        "ufuncs = _scipy.special_ufuncs()\n"
+    ),
+    "absent_name": (
+        "names = list(_scipy._SPECIAL_UFUNCS)\n"
+        "names.insert(2, '_no_such_extension')\n"
+        "ufuncs = _scipy._load('special', tuple(names))\n"
+    ),
+    "failed_exec": "ufuncs = _scipy._load('special', ('_ufuncs',))\n",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOADER_FAULTS))
+def test_loader_falls_back_to_the_package_import(fault):
+    code = (
+        "import sys\n"
+        "from relfuse import _scipy\n"
+        f"{LOADER_FAULTS[fault]}"
+        "packaged = 'scipy.special' in sys.modules\n"
+        "import scipy.special\n"
+        "loaded = {name: m for name, m in sys.modules.items() if name.startswith('scipy.special.')}\n"
+        "running = [name for name, m in loaded.items() if getattr(m.__spec__, '_initializing', False)]\n"
+        "print(packaged, ufuncs is sys.modules['scipy.special._ufuncs'], scipy.special._ufuncs is ufuncs,\n"
+        "      scipy.special.betaincinv is ufuncs.betaincinv, _scipy.special_ufuncs() is ufuncs,\n"
+        "      'scipy.special._no_such_extension' in loaded, running)"
+    )
+    assert run_fresh(code).splitlines()[-1] == "True True True True True False []"
+
+
+def test_concurrent_first_bands_load_the_ufuncs_once():
+    # Seven threads export while the eighth imports scipy.special the usual
+    # way: none may see a module the other side has registered but not run.
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from relfuse.bsp import dp_prior, posterior_update\n"
+        "from relfuse.pipeline import curve_export\n"
+        "grid = np.linspace(1.0, 40.0, 40)\n"
+        "post = posterior_update(dp_prior(grid, grid / 40.0, 5.0), grid[::3] + 0.5, grid[::3] < 30.0)\n"
+        "before = 'scipy.special._ufuncs' in sys.modules\n"
+        "barrier = threading.Barrier(8)\n"
+        "results = [None] * 8\n"
+        "def work(i):\n"
+        "    barrier.wait(timeout=60)\n"
+        "    if i == 0:\n"
+        "        import scipy.special\n"
+        "        results[i] = scipy.special.betaincinv\n"
+        "    else:\n"
+        "        results[i] = (curve_export(post), sys.modules['scipy.special._ufuncs'])\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=120)\n"
+        "alive = any(t.is_alive() for t in threads)\n"
+        "ref = curve_export(post)\n"
+        "exports = list(filter(None, results[1:]))\n"
+        "equal = all(np.array_equal(ex.lower, ref.lower) and np.array_equal(ex.upper, ref.upper)\n"
+        "            for ex, _ in exports)\n"
+        "ufuncs = sys.modules['scipy.special._ufuncs']\n"
+        "same = all(m is ufuncs for _, m in exports) and results[0] is ufuncs.betaincinv\n"
+        "print(before, alive, None in results, equal, same)"
+    )
+    assert run_fresh(code).splitlines()[-1] == "False False False True True"
 
 
 def test_simulate_skips_the_scipy_integrate_package(tmp_path):

@@ -1,14 +1,19 @@
 """Check that the working tree fits and exports exactly what a parent revision does.
 
-Each side runs a fixed matrix of 52 cases in its own child interpreter:
+Each side runs a fixed matrix of 156 cases in its own child interpreter:
 demo seeds 0-9 at 30 observations per node and 0-2 at 300, each with and
 without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
-``fit_system_only``.  Per case the child keeps every ``curve_export``
-column and flag of every node posterior (the system posterior is one of
-them) and the ordered ``PrecisionRecoveryWarning`` messages.  Per
-simulated set it keeps the lines ``save_lifetimes`` writes, so a change in
-the drawn data shows up before the fits it feeds.  It also
+``fit_system_only``.  Four variants of the demo diagram, fitted on the
+same seeds, reach the branches of the fold that the demo leaves out: an
+unlabelled group passing its fused curve up, a labelled group with a prior
+and no data, a component with a prior, and an unlabelled root with no data
+of its own.  A variant binds only data and priors whose labels it has.
+Per case the child keeps every ``curve_export`` column and flag of every
+node posterior (the system posterior is one of them), or the
+``BindingError`` text, and the ordered ``PrecisionRecoveryWarning``
+messages.  Per simulated set it keeps the lines ``save_lifetimes`` writes,
+so a change in the drawn data shows up before the fits it feeds.  It also
 calls ``censoring_rate`` directly, on every demo node at censored shares
 0.15 and 0.3 and on a grid of Weibull shapes, scales (1e-250 to 1e250) and
 shares, and keeps each rate's hex or the ``ValueError`` text, followed by
@@ -57,14 +62,22 @@ CALIBRATION_SHAPES = (0.5, 1.0, 2.2, 5.0)
 CALIBRATION_SCALES = (1e-250, 1e-4, 1e-2, 0.5, 100.0, 1e5, 1e6, 1e250)
 CALIBRATION_FRACTIONS = (0.05, 0.15, 0.6)
 BAND_LEVELS = (0.5, 0.9, 0.95, 0.99)
+# Demo diagram variants: the label prefixes cut from its source, the labels
+# whose data is withheld, and the labels given a DP prior.
+VARIANTS = {
+    "unlabelled-groups": (("propulsion@", "gas@"), (), ()),
+    "group-prior-no-data": ((), ("electric",), ("electric",)),
+    "component-prior": ((), (), ("batteries",)),
+    "unlabelled-root": (("system@",), (), ()),
+}
 
 
-def _dp_priors(cfg) -> dict:
-    """DP priors on ``PRIOR_POINTS`` times of the exact CDFs of ``PRIOR_NODES``."""
+def _dp_priors(cfg, labels=PRIOR_NODES) -> dict:
+    """DP priors on ``PRIOR_POINTS`` times of the exact CDFs of ``labels``."""
     from relfuse.bsp import dp_prior
 
     priors = {}
-    for label in PRIOR_NODES:
+    for label in labels:
         sampler = cfg.samplers()[label]
         t_hi = sampler.time_scale()
         while sampler.cdf(t_hi) < 0.999:
@@ -74,6 +87,28 @@ def _dp_priors(cfg) -> dict:
         cdf[-1] = 1.0
         priors[label] = dp_prior(times, cdf, PRIOR_PRECISION)
     return priors
+
+
+def variants(cfg) -> dict:
+    """Per variant of ``cfg``'s diagram: its spec, the labels whose data it withholds, its priors."""
+    from relfuse.rbd import parse_rbd
+
+    out = {}
+    for name, (cut, withheld, prior_labels) in VARIANTS.items():
+        source = cfg.rbd_source
+        for text in cut:
+            source = source.replace(text, "")
+        out[name] = (parse_rbd(source), withheld, _dp_priors(cfg, prior_labels) or None)
+    return out
+
+
+def variant_cases(variant_specs: dict, datasets: list, suffix: str) -> dict:
+    """Case name to ``(spec, datasets, priors)``, binding only the labels each variant has."""
+    out = {}
+    for name, (spec, withheld, priors) in variant_specs.items():
+        bound = [d for d in datasets if d.label in spec.labels and d.label not in withheld]
+        out[f"{name}-{suffix}"] = (spec, bound, priors)
+    return out
 
 
 def calibration_probes(demo) -> dict:
@@ -151,7 +186,7 @@ def record(src: str, out: str) -> None:
     import relfuse
     from relfuse.dataio import save_lifetimes
     from relfuse.demo import DemoConfig, demo_config
-    from relfuse.errors import PrecisionRecoveryWarning
+    from relfuse.errors import BindingError, PrecisionRecoveryWarning
     from relfuse.pipeline import curve_export, fit_system, fit_system_only
 
     if not Path(relfuse.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -161,18 +196,25 @@ def record(src: str, out: str) -> None:
     for n, seeds in SEEDS.items():
         cfg = DemoConfig(demo.rbd_source, demo.components, n_per_node=n)
         dp = _dp_priors(cfg)
+        variant_specs = variants(cfg)
         for seed in seeds:
             datasets = cfg.simulate(seed)
             text = io.StringIO()
             save_lifetimes(datasets, text)
             arrays[f"datasets/n{n}-seed{seed}"] = np.array(text.getvalue().splitlines(keepends=True), dtype=str)
-            for priors in (None, dp):
+            cases = {f"n{n}-seed{seed}-{'dp' if p else 'nodp'}": (cfg.spec, datasets, p) for p in (None, dp)}
+            cases.update(variant_cases(variant_specs, datasets, f"n{n}-seed{seed}"))
+            for prefix, (spec, bound, priors) in cases.items():
                 for fit in (fit_system, fit_system_only):
-                    case = f"n{n}-seed{seed}-{'dp' if priors else 'nodp'}-{fit.__name__}"
+                    case = f"{prefix}-{fit.__name__}"
+                    exports = {}
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        result = fit(cfg.spec, datasets, priors)
-                        exports = {k: curve_export(p) for k, p in result.node_posteriors.items()}
+                        try:
+                            result = fit(spec, bound, priors)
+                            exports = {k: curve_export(p) for k, p in result.node_posteriors.items()}
+                        except BindingError as exc:
+                            arrays[f"{case}/error"] = np.array([str(exc)], dtype=str)
                     for label, curve in exports.items():
                         for column in ("t", "mean", "second_moment", "lower", "upper", "precision"):
                             arrays[f"{case}/{label}/{column}"] = getattr(curve, column)

@@ -93,6 +93,14 @@ def _check_lifetimes(times, events) -> tuple[np.ndarray, np.ndarray]:
     return times, events.astype(bool)
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d(a, b)`` without the ``numpy.ma`` import: the first value of each sorted run."""
+    values = np.sort(np.concatenate((a, b)))
+    first = np.ones(values.shape, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def _carry(grid: np.ndarray, values: np.ndarray, t, before):
     """Right-continuous step lookup at ``t``: ``values[i]`` from ``grid[i]`` on.
 
@@ -255,7 +263,7 @@ def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess
         return prior
 
     failed = times[events]
-    union = np.union1d(prior.grid, times)
+    union = _union(prior.grid, times)
 
     g = prior.base.at(union)
     g_prev = np.concatenate(([0.0], g[:-1]))

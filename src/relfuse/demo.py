@@ -11,8 +11,11 @@ measurements of any real hardware.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .dataio import Dataset
 from .errors import DataFormatError
@@ -50,60 +53,57 @@ _DEMO_WEIBULLS: dict[str, tuple[float, float]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemoConfig:
-    """A simulation configuration: diagram plus per-component Weibulls."""
+    """A simulation configuration: diagram plus per-component Weibulls.
+
+    Frozen, ``components`` included, so the censoring rates calibrated by
+    the first ``simulate`` always belong to the fields.
+    """
 
     rbd_source: str
-    components: dict[str, WeibullLifetime]
+    components: Mapping[str, WeibullLifetime]
     n_per_node: int = 30
     censor_fraction: float = 0.15
     spec: SystemSpec = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.spec = parse_rbd(self.rbd_source)
-        have = {c.id for c in self.spec.root.iter_components()}
-        missing = have - self.components.keys()
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
+        object.__setattr__(self, "spec", parse_rbd(self.rbd_source))
+        missing = {c.id for c in self.spec.root.iter_components()} - self.components.keys()
         if missing:
             raise ValueError(f"no Weibull parameters for: {', '.join(sorted(missing))}")
         if not (0 < self.n_per_node <= MAX_N_PER_NODE):
             raise ValueError(f"n_per_node must lie in [1, {MAX_N_PER_NODE:,}]")
         if not (0.0 <= self.censor_fraction < 1.0):
             raise ValueError("censor_fraction must lie in [0, 1)")
-        self._samplers: dict[str, object] | None = None
-        self._censor_rates: dict[str, float] | None = None
 
     def samplers(self) -> dict[str, object]:
-        """One lifetime sampler per bindable node label, leaves first."""
-        if self._samplers is None:
-            out: dict[str, object] = {}
-            for node in self.spec.root.iter_nodes():
-                label = node.binding_label
-                if label is None:
-                    continue
-                if node.kind == "component":
-                    out[label] = self.components[node.id]
-                else:
-                    out[label] = StructuralLifetime(node, self.components)
-            self._samplers = out
-        return self._samplers
+        """One lifetime sampler per bindable node label, in diagram order."""
+        leaves = self.components
+        return {
+            n.binding_label: leaves[n.id] if n.kind == "component" else StructuralLifetime(n, leaves)
+            for n in self.spec.root.iter_nodes()
+            if n.binding_label is not None
+        }
 
     def true_system_cdf(self, t):
         """Exact system CDF under the configured Weibulls."""
         return StructuralLifetime(self.spec.root, self.components).cdf(t)
 
+    @cached_property
+    def _censor_rates(self) -> dict[str, float]:
+        rates = {}
+        for label, sampler in self.samplers().items():
+            try:
+                rates[label] = censoring_rate(sampler, self.censor_fraction)
+            except ValueError as exc:
+                raise ValueError(f"node {label!r}: {exc}") from None
+        return rates
+
     def simulate(self, seed: int) -> list[Dataset]:
         """Simulated datasets for ``seed``; censoring is calibrated on the first call."""
-        samplers = self.samplers()
-        if self._censor_rates is None:
-            rates = {}
-            for label, sampler in samplers.items():
-                try:
-                    rates[label] = censoring_rate(sampler, self.censor_fraction)
-                except ValueError as exc:
-                    raise ValueError(f"node {label!r}: {exc}") from None
-            self._censor_rates = rates
-        return simulate_lifetimes(samplers, self.n_per_node, self._censor_rates, seed)
+        return simulate_lifetimes(self.samplers(), self.n_per_node, self._censor_rates, seed)
 
 
 def demo_config() -> DemoConfig:

@@ -31,6 +31,7 @@ from .bsp import (
     _check_steps,
     _extend_precision,
     _freeze,
+    _union,
     second_moment,
 )
 from .errors import PrecisionRecoveryWarning
@@ -106,13 +107,8 @@ def align_grids(a: MomentCurve, b: MomentCurve) -> tuple[MomentCurve, MomentCurv
 
     Before a curve's first grid point both moments are 0 (no mass yet).
     """
-    union = np.union1d(a.grid, b.grid)
+    union = _union(a.grid, b.grid)
     return _extend_curve(a, union), _extend_curve(b, union)
-
-
-def _require_aligned(a: MomentCurve, b: MomentCurve) -> None:
-    if not np.array_equal(a.grid, b.grid):
-        raise ValueError("curves must be grid-aligned; call align_grids first")
 
 
 def combine_parallel(a: MomentCurve, b: MomentCurve) -> MomentCurve:
@@ -120,9 +116,9 @@ def combine_parallel(a: MomentCurve, b: MomentCurve) -> MomentCurve:
 
     The pair fails once both children have failed, so the CDF is the product
     ``Fa * Fb`` and independence gives ``first = fa * fb``,
-    ``second = sa * sb``.
+    ``second = sa * sb``.  Both curves are first aligned on their union grid.
     """
-    _require_aligned(a, b)
+    a, b = align_grids(a, b)
     return MomentCurve(a.grid, a.first * b.first, a.second * b.second)
 
 
@@ -134,9 +130,9 @@ def combine_series(a: MomentCurve, b: MomentCurve) -> MomentCurve:
     ``first = 1 - ra * rb`` and ``second = ua * ub + 1 - 2 ra rb``.  The
     second moment is computed from the survival moments; expanding it
     through the means alone is wrong (a fully degenerate pair would come
-    out with second moment 2 instead of 0).
+    out with second moment 2 instead of 0).  Both curves are first aligned.
     """
-    _require_aligned(a, b)
+    a, b = align_grids(a, b)
     surv_prod = (1.0 - a.first) * (1.0 - b.first)
     first = 1.0 - surv_prod
     second = a.survival_second * b.survival_second + 1.0 - 2.0 * surv_prod
@@ -205,11 +201,10 @@ def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> BetaStacyProcess:
     monotonized, with a warning when the adjustment is more than cosmetic.
     This rule is intentionally confined here so it can be swapped out.
     """
-    union = np.union1d(a.grid, b.grid)
+    ca, cb = align_grids(moments_of(a), moments_of(b))
+    union = ca.grid
     if union.size == 0:
         raise ValueError("cannot merge two empty priors")
-    ca = _extend_curve(moments_of(a), union)
-    cb = _extend_curve(moments_of(b), union)
     wa = np.where(ca.terminal, PRECISION_CAP, _extend_precision(a, union))
     wb = np.where(cb.terminal, PRECISION_CAP, _extend_precision(b, union))
     total = wa + wb

@@ -199,12 +199,16 @@ def three_beta_product_cdf_grid() -> tuple[np.ndarray, np.ndarray]:
     return ys, cdf
 
 
+@dataclass(frozen=True)
 class WeibullLifetime:
     """Weibull lifetime sampler with the usual shape/scale parameterization."""
 
-    def __init__(self, shape: float, scale: float):
-        self.shape = float(shape)
-        self.scale = float(scale)
+    shape: float
+    scale: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", float(self.shape))
+        object.__setattr__(self, "scale", float(self.scale))
         if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
             raise ValueError("Weibull shape and scale must be finite and positive")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -23,14 +24,13 @@ from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
     MomentCurve,
-    align_grids,
     combine_parallel,
     combine_series,
     merge_priors,
     moments_of,
     recover_precision,
 )
-from .rbd import RbdNode, SystemSpec
+from .rbd import RbdNode, SystemSpec, validate_bindings
 
 __all__ = ["FitResult", "fit_system", "fit_system_only", "curve_export"]
 
@@ -43,13 +43,25 @@ class FitResult:
     node_posteriors: dict[str, BetaStacyProcess] = field(default_factory=dict)
 
 
-def _dataset_map(datasets: Iterable[Dataset]) -> dict[str, Dataset]:
-    out = {}
+def _bind(spec: SystemSpec, datasets: Iterable[Dataset], priors: Mapping | None) -> tuple[dict, dict]:
+    """Datasets and priors by label; a duplicate dataset or a label naming no node raises."""
+    data = {}
     for ds in datasets:
-        if ds.label in out:
+        if ds.label in data:
             raise BindingError(f"duplicate dataset for node '{ds.label}'")
-        out[ds.label] = ds
-    return out
+        data[ds.label] = ds
+    priors = dict(priors) if priors else {}
+    errors = [d.message for d in validate_bindings(spec, data, priors) if d.severity == "error"]
+    if errors:
+        raise BindingError("; ".join(errors))
+    return data, priors
+
+
+def _update(prior: BetaStacyProcess | None, ds: Dataset | None) -> BetaStacyProcess:
+    """``prior``, the zero-precision one when None, conditioned on ``ds`` if any."""
+    prior = BetaStacyProcess.noninformative() if prior is None else prior
+    times, events = (ds.times, ds.events) if ds is not None else ((), ())
+    return posterior_update(prior, times, events)
 
 
 def fit_system(
@@ -61,45 +73,30 @@ def fit_system(
 
     ``datasets`` is an iterable of per-label datasets; ``priors``
     maps labels to elicited prior processes.  Unbound components default to
-    zero-precision priors (their posterior is purely empirical).
+    zero-precision priors (their posterior is purely empirical).  A dataset
+    or prior whose label names no node raises ``BindingError``.
     """
-    data_map = _dataset_map(datasets)
-    prior_map = dict(priors) if priors else {}
+    data, elicited = _bind(spec, datasets, priors)
     posteriors: dict[str, BetaStacyProcess] = {}
-    inputs = {label: (data_map.get(label), prior_map.get(label)) for label in spec.labels}
 
-    def update(node: RbdNode, fused: MomentCurve | None) -> BetaStacyProcess:
-        # ``fused`` is None exactly for a component, which has no children.
-        label = node.binding_label
-        ds, elicited = inputs.get(label, (None, None))
-        if fused is None:
-            prior = elicited if elicited is not None else BetaStacyProcess.noninformative()
-        else:
-            prior = recover_precision(fused)
-            if elicited is not None:
-                prior = merge_priors(prior, elicited)
-        times, events = (ds.times, ds.events) if ds else ((), ())
-        post = posterior_update(prior, times, events)
-        posteriors[label if label is not None else "<root>"] = post
-        return post
-
-    def fuse(node: RbdNode) -> MomentCurve | None:
+    def fit(node: RbdNode) -> MomentCurve | BetaStacyProcess:
+        """The node's moment curve, or its posterior at the root."""
         combine = combine_series if node.kind == "series" else combine_parallel
-        fused = None
-        for child in node.children:
-            nxt = curve(child)
-            fused = nxt if fused is None else combine(*align_grids(fused, nxt))
-        return fused
-
-    def curve(node: RbdNode) -> MomentCurve:
-        fused = fuse(node)
-        ds, elicited = inputs.get(node.binding_label, (None, None))
+        fused = reduce(combine, map(fit, node.children)) if node.children else None
+        label = node.binding_label
+        ds, prior = data.get(label), elicited.get(label)
+        root = node is spec.root
         # A group below the root with nothing of its own skips recovery.
-        if fused is not None and ds is None and elicited is None:
+        if fused is not None and ds is None and prior is None and not root:
             return fused
-        return moments_of(update(node, fused))
+        if fused is not None:
+            recovered = recover_precision(fused)
+            prior = recovered if prior is None else merge_priors(recovered, prior)
+        post = _update(prior, ds)
+        posteriors[label if label is not None else "<root>"] = post
+        return post if root else moments_of(post)
 
-    return FitResult(update(spec.root, fuse(spec.root)), posteriors)
+    return FitResult(fit(spec.root), posteriors)
 
 
 def fit_system_only(
@@ -107,19 +104,14 @@ def fit_system_only(
     datasets: Iterable[Dataset],
     priors: Mapping[str, BetaStacyProcess] | None = None,
 ) -> FitResult:
-    """Fit from the root's own data alone, ignoring the rest of the tree."""
-    data_map = _dataset_map(datasets)
-    prior_map = dict(priors) if priors else {}
+    """Fit from the root's own data alone; labels are checked against the whole tree."""
+    data, elicited = _bind(spec, datasets, priors)
     label = spec.root.binding_label
     if label is None:
         raise BindingError("system-only fit needs a binding label on the root node")
-    ds = data_map.get(label)
-    if ds is None:
+    if label not in data:
         raise BindingError(f"system-only fit needs data bound to the root label '{label}'")
-    prior = prior_map.get(label)
-    if prior is None:
-        prior = BetaStacyProcess.noninformative()
-    post = posterior_update(prior, ds.times, ds.events)
+    post = _update(elicited.get(label), data[label])
     return FitResult(post, {label: post})
 
 

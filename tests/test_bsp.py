@@ -13,6 +13,7 @@ from relfuse.bsp import (
     DiscreteCdf,
     NotEstimableError,
     _carry,
+    _union,
     beta_match,
     credible_interval,
     dp_prior,
@@ -425,3 +426,16 @@ class TestCredibleInterval:
         monkeypatch.setattr(relfuse.bsp, "second_moment", unread)
         assert credible_interval(post, 0.5, 0.95) == (0.0, 0.0)
         assert credible_interval(post, 3.0, 0.95) == (1.0, 1.0)
+
+
+class TestUnion:
+    @given(
+        st.lists(st.floats(0.01, 40.0).map(lambda t: round(t, 1)), max_size=20),
+        st.lists(st.floats(0.01, 40.0).map(lambda t: round(t, 1)), max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_numpy_union(self, a, b):
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        got, want = _union(a, b), np.union1d(a, b)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

@@ -298,3 +298,13 @@ class TestMergePriors:
         nothing = BetaStacyProcess.noninformative()
         with pytest.raises(ValueError):
             merge_priors(nothing, nothing)
+
+
+class TestCombinersAlign:
+    @given(moment_curves(), moment_curves())
+    @settings(max_examples=60, deadline=None)
+    def test_unaligned_inputs_are_aligned_first(self, a, b):
+        for combine in (combine_series, combine_parallel):
+            got, want = combine(a, b), combine(*align_grids(a, b))
+            for name in ("grid", "first", "second"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

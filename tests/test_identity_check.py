@@ -1,14 +1,17 @@
 """The comparison rule of scripts/identity_check.py: which arrays count as different."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relfuse.demo import demo_config
+from relfuse.errors import BindingError, PrecisionRecoveryWarning
 from relfuse.fusion import moments_of
 from relfuse.oracle import WeibullLifetime, censoring_rate
+from relfuse.pipeline import fit_system, fit_system_only
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "identity_check.py"
 _spec = importlib.util.spec_from_file_location("identity_check", _SCRIPT)
@@ -96,3 +99,57 @@ def test_band_probes_reach_every_branch():
                 "skew": inside & (v > 0.0) & (v < m * (1.0 - m)) & ((lo == m) | (hi == m)),
             }[name]
             assert rows.any(), f"{name} at level {level:g}"
+
+
+def fold_branches(spec, data_labels, prior_labels) -> set[str]:
+    """The branches of ``fit_system``'s fold that the nodes of ``spec`` take."""
+    out = set()
+    for node in spec.root.iter_nodes():
+        label = node.binding_label
+        has_data, has_prior = label in data_labels, label in prior_labels
+        if node.kind == "component":
+            out.add("component-prior" if has_prior else "component")
+        elif node is spec.root:
+            out.add("labelled-root" if label is not None else "unlabelled-root")
+            if label is None and not has_data:
+                out.add("unlabelled-root-no-data")
+        elif not (has_data or has_prior):
+            out.add("group-pass-up")
+        elif not has_data:
+            out.add("group-prior-no-data")
+        else:
+            out.add("group-data")
+    return out
+
+
+def test_variants_reach_the_fold_branches_the_demo_leaves_out():
+    cfg = demo_config()
+    datasets = cfg.simulate(0)
+    everything = {d.label for d in datasets}
+    demo_branches = fold_branches(cfg.spec, everything, identity_check.PRIOR_NODES)
+    cases = identity_check.variant_cases(identity_check.variants(cfg), datasets, "n30-seed0")
+    want = {
+        "unlabelled-groups": "group-pass-up",
+        "group-prior-no-data": "group-prior-no-data",
+        "component-prior": "component-prior",
+        "unlabelled-root": "unlabelled-root-no-data",
+    }
+    assert want.keys() == identity_check.VARIANTS.keys()
+    for name, branch in want.items():
+        spec, bound, priors = cases[f"{name}-n30-seed0"]
+        data_labels, prior_labels = {d.label for d in bound}, set(priors or ())
+        # Only labels the variant has are bound, so a parent that ignores
+        # unmatched labels fits the same inputs.
+        assert data_labels <= spec.labels.keys() and prior_labels <= spec.labels.keys()
+        assert branch in fold_branches(spec, data_labels, prior_labels) - demo_branches, name
+        # Every node keeps a posterior but a group that passes its curve up.
+        kept = {
+            n.binding_label or "<root>"
+            for n in spec.root.iter_nodes()
+            if n.kind == "component" or n is spec.root or n.binding_label in data_labels | prior_labels
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionRecoveryWarning)
+            assert set(fit_system(spec, bound, priors).node_posteriors) == kept, name
+    with pytest.raises(BindingError, match="binding label on the root"):
+        fit_system_only(*cases["unlabelled-root-n30-seed0"])

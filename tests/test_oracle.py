@@ -248,7 +248,8 @@ class TestCensoringCalibration:
             seen[t] += 1
             return cdf(t)
 
-        sampler.cdf = counting_cdf
+        # A WeibullLifetime is frozen; the counting cdf goes on this one instance.
+        object.__setattr__(sampler, "cdf", counting_cdf)
         for fraction in (0.15, 0.3):
             seen.clear()
             censoring_rate(sampler, fraction)
@@ -320,3 +321,33 @@ class TestDemoCalibration:
         samplers = cfg.samplers()
         rates = {label: censoring_rate(sampler, 0.3) for label, sampler in samplers.items()}
         assert cfg.simulate(5) == simulate_lifetimes(samplers, 20, rates, seed=5)
+
+
+class TestFrozenDemoConfig:
+    # A config calibrates its censoring once, so a field that could change
+    # afterwards would leave rates that belong to other values.
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda cfg: setattr(cfg, "censor_fraction", 0.6),
+            lambda cfg: setattr(cfg, "n_per_node", 10**7),
+            lambda cfg: cfg.components.__setitem__("motor", WeibullLifetime(1.0, 10.0)),
+            lambda cfg: setattr(cfg.components["motor"], "scale", 10.0),
+        ],
+        ids=["censor_fraction", "n_per_node", "components", "weibull"],
+    )
+    def test_no_field_changes_after_calibration(self, change):
+        cfg = demo_config()
+        cfg.simulate(0)
+        with pytest.raises((AttributeError, TypeError)):
+            change(cfg)
+        fresh = demo_config()
+        assert cfg.simulate(1) == fresh.simulate(1)
+        assert cfg._censor_rates == fresh._censor_rates
+        assert (cfg.censor_fraction, cfg.n_per_node) == (0.15, 30)
+
+    def test_components_are_a_copy(self):
+        components = {"a": WeibullLifetime(2.0, 100.0)}
+        cfg = demo.DemoConfig("a", components)
+        components["a"] = WeibullLifetime(1.0, 1.0)
+        assert cfg.components["a"] == WeibullLifetime(2.0, 100.0)

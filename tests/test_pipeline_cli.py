@@ -868,3 +868,40 @@ def test_simulate_loads_the_bound_module(tmp_path):
         "print(code, bound is sys.modules['scipy.integrate'], bound.quad is scipy.integrate.quad)"
     )
     assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True"
+
+
+@pytest.mark.parametrize("fit", [fit_system, fit_system_only])
+@pytest.mark.parametrize(
+    "extra_data, extra_prior, message",
+    [
+        ("sytem", None, "dataset 'sytem' does not match any node label"),
+        (None, "ghost", "prior 'ghost' does not match any node label"),
+        ("x", "y", "dataset 'x' does not match any node label; prior 'y' does not match any node label"),
+    ],
+    ids=["dataset", "prior", "both"],
+)
+def test_unmatched_labels_are_rejected(fit, extra_data, extra_prior, message):
+    # A misspelt label must not leave its data or prior out of the fit silently.
+    datasets = [dataset("a", [1.0, 2.0]), dataset("b", [1.5]), dataset("sys", [1.2, 2.2])]
+    prior = dp_prior(np.array([1.0, 3.0]), np.array([0.4, 1.0]), 2.0)
+    priors = {"sys": prior}
+    if extra_data is not None:
+        datasets.append(dataset(extra_data, [1.0]))
+    if extra_prior is not None:
+        priors[extra_prior] = prior
+    with pytest.raises(BindingError) as info:
+        fit(parse_rbd("sys@series(a, b)"), datasets, priors)
+    assert str(info.value) == message
+
+
+def test_fit_leaves_numpy_ma_unloaded(tmp_path):
+    # np.union1d imports numpy.ma; the fit's grid unions do not need it.
+    args = priors_fit_args(tmp_path)
+    code = (
+        "import sys, warnings, relfuse.cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"code = relfuse.cli.main({[str(a) for a in args]!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} False"
+    assert (tmp_path / "fit" / "system_cdf.svg").exists()

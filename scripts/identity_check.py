@@ -22,8 +22,11 @@ through the datasets it draws.  It keeps the ``curve_export`` bands of five
 hand-built processes at levels 0.5, 0.9, 0.95 and 0.99, whose rows reach
 every branch of the band rule (zero mass, terminal, zero variance, the
 Bernoulli bound and a quantile widened to the mean), which the demo fits
-may never reach.  Two arrays match when their dtype, shape, values and
-float sign bits agree, NaN matching NaN.
+may never reach.  Last, it keeps every ``run_checks`` result (name, pass
+flag and detail) of the validator for seeds 0-2, so a changed comparison
+in ``validation`` shows up even when the check still passes.  Two arrays
+match when their dtype, shape, values and float sign bits agree, NaN
+matching NaN.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -62,6 +65,7 @@ CALIBRATION_SHAPES = (0.5, 1.0, 2.2, 5.0)
 CALIBRATION_SCALES = (1e-250, 1e-4, 1e-2, 0.5, 100.0, 1e5, 1e6, 1e250)
 CALIBRATION_FRACTIONS = (0.05, 0.15, 0.6)
 BAND_LEVELS = (0.5, 0.9, 0.95, 0.99)
+VALIDATE_SEEDS = range(3)
 # Demo diagram variants: the label prefixes cut from its source, the labels
 # whose data is withheld, and the labels given a DP prior.
 VARIANTS = {
@@ -180,6 +184,16 @@ def band_probes() -> dict:
     return out
 
 
+def validator_reports(seeds=VALIDATE_SEEDS) -> dict:
+    """Per seed, one ``(name, passed, detail)`` row per ``run_checks`` result."""
+    from relfuse.validation import run_checks
+
+    return {
+        f"validate/seed{seed}": np.array([(r.name, str(r.passed), r.detail) for r in run_checks(seed)], dtype=str)
+        for seed in seeds
+    }
+
+
 def record(src: str, out: str) -> None:
     """Run the case matrix with the ``relfuse`` under ``src`` and save its arrays to ``out``."""
     # Imported here, not at the top, so each child binds the relfuse of its own side.
@@ -225,6 +239,7 @@ def record(src: str, out: str) -> None:
                     )
     arrays.update(calibrate(calibration_probes(demo)))
     arrays.update(band_probes())
+    arrays.update(validator_reports())
     np.savez(out, **arrays)
 
 
@@ -272,14 +287,15 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "datasets"}
+    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "datasets", "validate"}
     n_calibrations = sum(name.startswith("calibration/") for name in change)
     n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
     n_datasets = sum(name.startswith("datasets/") for name in change)
+    n_reports = sum(name.startswith("validate/") for name in change)
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     print(
         f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
-        f"{n_calibrations} calibrations, {n_bands} band probes, "
+        f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

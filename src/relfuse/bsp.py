@@ -220,12 +220,17 @@ def dp_prior(grid, cdf_values, precision_const: float) -> BetaStacyProcess:
     precision_const = float(precision_const)
     if not np.isfinite(precision_const) or precision_const < 0.0:
         raise ValueError("precision must be finite and nonnegative")
-    base = DiscreteCdf(np.asarray(grid, dtype=np.float64), np.asarray(cdf_values, dtype=np.float64))
+    return _proper_prior(grid, cdf_values, precision_const)
+
+
+def _proper_prior(grid, cdf_values, precision) -> BetaStacyProcess:
+    """Prior with a nonempty base CDF ending at exactly 1; ``precision`` is per point or one for all."""
+    base = DiscreteCdf(grid, cdf_values)
     if base.grid.size == 0:
         raise ValueError("prior grid must be nonempty")
     if base.values[-1] != 1.0:
         raise ValueError("prior base measure must end at exactly 1")
-    return BetaStacyProcess(base, np.full(base.grid.size, precision_const))
+    return BetaStacyProcess(base, np.broadcast_to(precision, base.grid.shape))
 
 
 def _extend_precision(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .demo import demo_config, load_sim_config
 from .errors import DataFormatError, NotEstimableError, RelfuseError
 from .oracle import MAX_SEED
 from .pipeline import curve_export, fit_system, fit_system_only
-from .rbd import load_system_source, validate_bindings
+from .rbd import load_system_source, unbound_components
 from .validation import format_report, run_checks
 
 __all__ = ["cmd_fit", "cmd_simulate", "cmd_validate", "main"]
@@ -59,13 +59,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     spec = load_system_source(args.rbd.read_text(encoding="utf-8"))
     datasets = load_lifetimes(args.data)
     priors = load_prior_spec(args.priors) if args.priors else {}
-    diags = validate_bindings(spec, [d.label for d in datasets], priors.keys())
-    errors = [d for d in diags if d.severity == "error"]
-    for diag in diags:
-        stream = sys.stderr if diag.severity == "error" else sys.stdout
-        print(f"{diag.severity}: {diag.message}", file=stream)
-    if errors:
-        return EXIT_INPUT
+    # Unmatched labels are the fit's to reject, with one BindingError.
+    for diag in unbound_components(spec, [*(d.label for d in datasets), *priors]):
+        print(f"{diag.severity}: {diag.message}")
     if not (0.0 < args.level < 1.0):
         raise ValueError("--level must lie strictly inside (0, 1)")
     true_path = args.data.parent / "true_system_cdf.csv"

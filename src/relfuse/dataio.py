@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsp import BetaStacyProcess, DiscreteCdf, _check_lifetimes, _check_steps, _freeze
+from .bsp import BetaStacyProcess, _check_lifetimes, _check_steps, _freeze, _proper_prior
 from .errors import DataFormatError
 
 __all__ = [
@@ -207,17 +208,11 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
         grouped.setdefault(node, []).append((time, cdf, prec, where))
     priors: dict[str, BetaStacyProcess] = {}
     for node, entries in grouped.items():
-        times = np.array([e[0] for e in entries])
-        cdfs = np.array([e[1] for e in entries])
-        precs = np.array([e[2] for e in entries])
-        first_row = entries[0][3]
+        times, cdfs, precs, wheres = zip(*entries)
         try:
-            base = DiscreteCdf(times, cdfs)
-            if base.values[-1] != 1.0:
-                raise ValueError("prior base measure must end at exactly 1")
-            priors[node] = BetaStacyProcess(base, precs)
+            priors[node] = _proper_prior(times, cdfs, precs)
         except ValueError as exc:
-            raise DataFormatError(f"{first_row} (node '{node}'): {exc}") from None
+            raise DataFormatError(f"{wheres[0]} (node '{node}'): {exc}") from None
     return priors
 
 
@@ -254,17 +249,18 @@ def _step_points(xs, ys, x_left, y_left, x_right) -> list[tuple[float, float]]:
     return pts
 
 
-def _polyline(points, x0, y0, sx, sy, height) -> str:
-    return " ".join(f"{x0 + sx * x:.2f},{height - (y0 + sy * y):.2f}" for x, y in points)
+def _polyline(points, x0, y0, width, t_max, sy, height) -> str:
+    # x / t_max first: width / t_max overflows when t_max is subnormal.
+    return " ".join(f"{x0 + width * (x / t_max):.2f},{height - (y0 + sy * y):.2f}" for x, y in points)
 
 
 def _write_svg(curve: CurveExport, fh, overlay=None) -> None:
     width, height = 800, 500
     ml, mr, mt, mb = 70.0, 24.0, 24.0, 56.0
-    t_max = float(curve.t[-1]) * 1.05 if len(curve) else 1.0
+    # The 5% margin stops at the largest float, so that t_max stays finite.
+    t_max = min(float(curve.t[-1]) * 1.05, sys.float_info.max) if len(curve) else 1.0
     if overlay is not None:
         t_max = max(t_max, float(np.max(overlay[0])))
-    sx = (width - ml - mr) / t_max
     sy = height - mt - mb
     y0 = mb
 
@@ -272,7 +268,7 @@ def _write_svg(curve: CurveExport, fh, overlay=None) -> None:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{sw}"{dash_attr} '
-            f'points="{_polyline(points, ml, y0, sx, sy, height)}" />'
+            f'points="{_polyline(points, ml, y0, width - ml - mr, t_max, sy, height)}" />'
         )
 
     parts = [

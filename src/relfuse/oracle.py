@@ -266,7 +266,10 @@ class StructuralLifetime:
         return 1.0 - surv
 
     def time_scale(self) -> float:
-        return float(np.median([s.time_scale() for s in self.leaves.values()]))
+        """Median of the leaves' scales, without ``np.median`` and the ``numpy.ma`` import it brings."""
+        scales = sorted(s.time_scale() for s in self.leaves.values())
+        mid = len(scales) // 2
+        return float(scales[mid] if len(scales) % 2 else (scales[mid - 1] + scales[mid]) / 2)
 
 
 def censoring_rate(sampler, censor_fraction: float) -> float:

@@ -32,6 +32,7 @@ __all__ = [
     "rbd_from_json",
     "format_rbd",
     "load_system_source",
+    "unbound_components",
     "validate_bindings",
 ]
 
@@ -333,27 +334,22 @@ def validate_bindings(
 ) -> list[Diagnostic]:
     """Cross-check dataset and prior names against the diagram's labels.
 
-    Returns one diagnostic per dangling reference (severity "error") and an
-    informational diagnostic for each component with neither data nor a
-    prior, which will fall back to a zero-precision prior.  An empty list
-    means everything is consistent.
+    Returns one diagnostic per dangling reference (severity "error")
+    followed by ``unbound_components``'s.  An empty list means everything
+    is consistent.
     """
-    dataset_names = set(dataset_names)
-    prior_names = set(prior_names)
-    labels = spec.labels
-    diags = []
-    for name in sorted(dataset_names - labels.keys()):
-        diags.append(Diagnostic("error", f"dataset '{name}' does not match any node label"))
-    for name in sorted(prior_names - labels.keys()):
-        diags.append(Diagnostic("error", f"prior '{name}' does not match any node label"))
-    for node in spec.root.iter_components():
-        name = node.binding_label
-        if name not in dataset_names and name not in prior_names:
-            diags.append(
-                Diagnostic(
-                    "info",
-                    f"component '{name}' has neither data nor a prior; "
-                    "it contributes a zero-precision prior",
-                )
-            )
-    return diags
+    dataset_names, prior_names = set(dataset_names), set(prior_names)
+    errors = [
+        Diagnostic("error", f"{kind} '{name}' does not match any node label")
+        for kind, names in (("dataset", dataset_names), ("prior", prior_names))
+        for name in sorted(names - spec.labels.keys())
+    ]
+    return errors + unbound_components(spec, dataset_names | prior_names)
+
+
+def unbound_components(spec: SystemSpec, bound_names: Iterable[str]) -> list[Diagnostic]:
+    """An "info" diagnostic for each component that no name binds: it gets a zero-precision prior."""
+    bound_names = set(bound_names)
+    labels = [node.binding_label for node in spec.root.iter_components()]
+    message = "component '{}' has neither data nor a prior; it contributes a zero-precision prior"
+    return [Diagnostic("info", message.format(label)) for label in labels if label not in bound_names]

@@ -9,6 +9,7 @@ they pass for any seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,16 +74,40 @@ def _random_censored_samples(rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return times, events
 
 
+def _prior_only_error(prior: BetaStacyProcess) -> float:
+    """Largest change an update on no data makes to ``prior``; inf if its grid or NaN points move."""
+    post = posterior_update(prior, [], [])
+    defined = prior.precision_defined
+    if not (np.array_equal(post.grid, prior.grid) and np.array_equal(post.precision_defined, defined)):
+        return math.inf
+    err = float(np.max(np.abs(post.base.values - prior.base.values)))
+    return max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
+
+
+def _kaplan_meier_error(times, events) -> float:
+    """Largest gap between the zero-precision posterior mean and the product-limit estimate."""
+    km = kaplan_meier(times, events)
+    post = posterior_update(BetaStacyProcess.noninformative(), times, events)
+    est = np.array([mean(post, float(t)) for t in km.grid])
+    return float(np.max(np.abs(est - km.values)))
+
+
+def _moment_z(process: BetaStacyProcess, n_paths: int, seed: int) -> float:
+    """Worst |z| of the closed-form moments against simulated paths; inf if a zero-SE point differs."""
+    ps = simulate_bsp_paths(process, n_paths, seed)
+    closed = np.array([(mean(process, t), second_moment(process, t)) for t in map(float, process.grid)])
+    emp = np.column_stack((ps.mean, ps.second_moment))
+    se = np.column_stack((ps.mean_se, ps.second_moment_se))
+    zero = se == 0.0
+    if np.any(emp[zero] != closed[zero]):
+        return math.inf
+    return float(np.max(np.abs(emp - closed)[~zero] / se[~zero], initial=0.0))
+
+
 def check_prior_only() -> CheckResult:
     """No data: posterior base and precision must equal the prior."""
-    prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 5.0)
-    post = posterior_update(prior, [], [])
-    err = float(np.max(np.abs(post.base.values - prior.base.values)))
-    defined = prior.precision_defined
-    err = max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
-    same_marker = bool(np.array_equal(post.precision_defined, defined))
-    ok = err <= _EXACT_TOL and same_marker and np.array_equal(post.grid, prior.grid)
-    return CheckResult("prior-only update is the identity", ok, f"max error {err:.3e}")
+    err = _prior_only_error(dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 5.0))
+    return CheckResult("prior-only update is the identity", err <= _EXACT_TOL, f"max error {err:.3e}")
 
 
 def check_data_only() -> CheckResult:
@@ -97,13 +122,7 @@ def check_data_only() -> CheckResult:
 def check_kaplan_meier(seed: int) -> CheckResult:
     """Zero-precision posterior base equals the product-limit estimate."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_KM_SETS):
-        times, events = _random_censored_samples(rng)
-        km = kaplan_meier(times, events)
-        post = posterior_update(BetaStacyProcess.noninformative(), times, events)
-        est = np.array([mean(post, float(t)) for t in km.grid])
-        worst = max(worst, float(np.max(np.abs(est - km.values))))
+    worst = max(_kaplan_meier_error(*_random_censored_samples(rng)) for _ in range(_KM_SETS))
     return CheckResult(
         f"matches Kaplan-Meier on {_KM_SETS} censored datasets",
         worst <= _EXACT_TOL,
@@ -114,26 +133,10 @@ def check_kaplan_meier(seed: int) -> CheckResult:
 def check_second_moment_mc(seed: int) -> CheckResult:
     """Closed-form moments sit within 4 standard errors of simulated paths."""
     rng = np.random.default_rng(seed)
-    worst_z = 0.0
-    for _ in range(_MC_PROCESSES):
-        proc = _random_bsp(rng)
-        ps = simulate_bsp_paths(proc, _MC_PATHS, int(rng.integers(0, 2**63)))
-        for i, t in enumerate(proc.grid):
-            closed_m = mean(proc, float(t))
-            closed_s = second_moment(proc, float(t))
-            for emp, se, closed in (
-                (ps.mean[i], ps.mean_se[i], closed_m),
-                (ps.second_moment[i], ps.second_moment_se[i], closed_s),
-            ):
-                if se == 0.0:
-                    if emp != closed:
-                        return CheckResult(
-                            "closed-form moments match simulated paths",
-                            False,
-                            f"degenerate point disagrees at t={t:g}",
-                        )
-                else:
-                    worst_z = max(worst_z, abs(emp - closed) / se)
+    # Arguments run left to right: the process is drawn before its path seed.
+    worst_z = max(
+        _moment_z(_random_bsp(rng), _MC_PATHS, int(rng.integers(0, 2**63))) for _ in range(_MC_PROCESSES)
+    )
     return CheckResult(
         f"closed-form moments match simulated paths ({_MC_PROCESSES} processes)",
         worst_z <= 4.0,

@@ -1,9 +1,14 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from relfuse.bsp import BetaStacyProcess, DiscreteCdf
+from relfuse.bsp import BetaStacyProcess, DiscreteCdf, posterior_update
 from relfuse.fusion import moments_of
 from relfuse.rbd import RbdNode
+
+
+def ecdf_posterior(times=(1.0, 2.0, 3.0)):
+    """Zero-precision posterior on failures at ``times``: the empirical CDF."""
+    return posterior_update(BetaStacyProcess.noninformative(), times, [1] * len(times))
 
 
 @st.composite

@@ -11,28 +11,20 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from relfuse.bsp import (
-    BetaStacyProcess,
-    beta_match,
-    dp_prior,
-    mean,
-    posterior_update,
-    second_moment,
-)
+from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
 from relfuse.cli import EXIT_OK, main
 from relfuse.demo import demo_config
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import MomentCurve, combine_series, moments_of, recover_precision
-from relfuse.oracle import (
-    exact_three_beta_product_pdf,
-    kaplan_meier,
-    simulate_bsp_paths,
-    three_beta_product_cdf_grid,
-)
+from relfuse.oracle import exact_three_beta_product_pdf, three_beta_product_cdf_grid
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.validation import (
+    _kaplan_meier_error,
+    _moment_z,
+    _prior_only_error,
     _random_bsp,
     _random_censored_samples,
+    check_data_only,
     check_fusion_mc,
     check_series_degenerate,
 )
@@ -49,12 +41,7 @@ def _best_time(fn, repeats=5):
 
 def test_01_prior_only_exactness():
     prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 3.0)
-    post = posterior_update(prior, [], [])
-    err = float(np.max(np.abs(post.base.values - prior.base.values)))
-    defined = ~np.isnan(prior.precision)
-    err = max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
-    assert np.array_equal(post.grid, prior.grid)
-    assert np.array_equal(np.isnan(post.precision), ~defined)
+    err = _prior_only_error(prior)
     assert err <= 1e-12
     elapsed = _best_time(lambda: posterior_update(prior, [], []))
     assert elapsed < 1e-3
@@ -62,33 +49,24 @@ def test_01_prior_only_exactness():
 
 
 def test_02_data_only_exactness():
+    result = check_data_only()
+    assert result.passed, result.detail
     times, events = [1.0, 2.0, 3.0], [1, 1, 1]
     post = posterior_update(BetaStacyProcess.noninformative(), times, events)
-    base_err = float(np.max(np.abs(post.base.values - np.array([1 / 3, 2 / 3, 1.0]))))
-    prec_err = float(np.max(np.abs(post.precision[:2] - 3.0)))
-    assert base_err <= 1e-12 and prec_err <= 1e-12
-    assert np.isnan(post.precision[2])
     # The exported precision column carries the left limit through the
     # terminal point, so it reads as the constant sample size.
     exported = curve_export(post).precision
     assert np.max(np.abs(exported - 3.0)) <= 1e-12
     elapsed = _best_time(lambda: posterior_update(BetaStacyProcess.noninformative(), times, events))
     assert elapsed < 1e-3
-    print(
-        f"criterion 2 PASS: empirical CDF with precision 3, max error "
-        f"{max(base_err, prec_err):.2e}, {elapsed*1e6:.0f} us"
-    )
+    print(f"criterion 2 PASS: empirical CDF with precision 3, {result.detail}, {elapsed*1e6:.0f} us")
 
 
 def test_03_kaplan_meier_equivalence():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(1000):
-        times, events = _random_censored_samples(rng)
-        km = kaplan_meier(times, events)
-        post = posterior_update(BetaStacyProcess.noninformative(), times, events)
-        est = np.array([mean(post, float(t)) for t in km.grid])
-        worst = max(worst, float(np.max(np.abs(est - km.values))))
+        worst = max(worst, _kaplan_meier_error(*_random_censored_samples(rng)))
         assert worst <= 1e-12
     print(f"criterion 3 PASS: Kaplan-Meier equivalence on 1000 datasets, worst {worst:.2e}")
 
@@ -99,18 +77,7 @@ def test_04_second_moment_oracle():
     t0 = time.perf_counter()
     for _ in range(100):
         proc = _random_bsp(rng, max_points=20)
-        ps = simulate_bsp_paths(proc, 200000, int(rng.integers(0, 2**63)))
-        for i, t in enumerate(proc.grid):
-            closed_m = mean(proc, float(t))
-            closed_s = second_moment(proc, float(t))
-            for emp, se, closed in (
-                (ps.mean[i], ps.mean_se[i], closed_m),
-                (ps.second_moment[i], ps.second_moment_se[i], closed_s),
-            ):
-                if se == 0.0:
-                    assert emp == closed
-                else:
-                    worst_z = max(worst_z, abs(emp - closed) / se)
+        worst_z = max(worst_z, _moment_z(proc, 200000, int(rng.integers(0, 2**63))))
     elapsed = time.perf_counter() - t0
     assert worst_z <= 4.0
     assert elapsed <= 60.0

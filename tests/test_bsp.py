@@ -24,12 +24,7 @@ from relfuse.bsp import (
 from relfuse.dataio import Dataset
 from relfuse.oracle import kaplan_meier
 
-from conftest import bsp_processes, censored_samples
-
-
-def ecdf_posterior():
-    prior = BetaStacyProcess.noninformative()
-    return posterior_update(prior, [1.0, 2.0, 3.0], [1, 1, 1])
+from conftest import bsp_processes, censored_samples, ecdf_posterior
 
 
 class TestDiscreteCdf:

@@ -222,6 +222,19 @@ class TestExportFormats:
         )
         assert overlaid.getvalue().count("polyline") > plain.getvalue().count("polyline")
 
+    @pytest.mark.parametrize(
+        "times", [(5e-324, 1e-320, 2e-320), (1e308, 1.5e308, 1.75e308)], ids=["subnormal", "near_max"]
+    )
+    def test_svg_numbers_are_finite_at_extreme_times(self, times):
+        out = io.StringIO()
+        export_curves(small_export(t=np.array(times)), out, format="svg", overlay=(times, [0.1, 0.5, 0.9]))
+        root = ET.fromstring(out.getvalue())
+        points = [float(v) for el in root.iter() for v in el.get("points", "").replace(",", " ").split()]
+        # Tick labels are the texts that start like a number; nan and inf have no digit.
+        ticks = [el.text for el in root.findall(".//{*}text") if el.text[0] in "-.0123456789ni"]
+        assert len(points) == 2 * (3 + 3 * 8) and len(ticks) == 12
+        assert np.isfinite(points).all() and all(any(c.isdigit() for c in text) for text in ticks)
+
     def test_overlay_rejected_for_csv(self):
         with pytest.raises(ValueError, match="overlay"):
             export_curves(small_export(), io.StringIO(), overlay=([1.0], [0.5]))

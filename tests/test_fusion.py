@@ -22,11 +22,7 @@ from relfuse.fusion import (
 )
 from relfuse.oracle import StructuralLifetime, WeibullLifetime
 
-from conftest import bsp_processes, moment_curves, rbd_trees
-
-
-def ecdf_posterior(times=(1.0, 2.0, 3.0)):
-    return posterior_update(BetaStacyProcess.noninformative(), times, [1] * len(times))
+from conftest import bsp_processes, ecdf_posterior, moment_curves, rbd_trees
 
 
 def curve(grid, first, second):

@@ -24,6 +24,7 @@ BASE = {
     "case/flags": np.array(["", "", "terminal"], dtype=str),
     "case/warnings": np.array(["negative precision at t=2: clamped to 0", "precision capped"], dtype=str),
     "datasets/n30-seed0": np.array(["node,time,event\r\n", "a,1.5,1\r\n", "a,2.25,0\r\n"], dtype=str),
+    "validate/seed0": np.array([("matches Kaplan-Meier", "True", "worst error 1.110e-16")], dtype=str),
 }
 
 
@@ -47,8 +48,12 @@ def test_identical_sides_match_with_nan():
         ("case/flags", np.array(["", "terminal", "terminal"], dtype=str)),
         ("case/warnings", BASE["case/warnings"][::-1]),
         ("datasets/n30-seed0", np.array(["node,time,event\r\n", "a,1.5,1\r\n", "a,2.25,1\r\n"], dtype=str)),
+        ("validate/seed0", np.array([("matches Kaplan-Meier", "True", "worst error 2.220e-16")], dtype=str)),
     ],
-    ids=["dtype", "one_ulp", "shape", "nan_to_number", "sign_of_zero", "flag", "warning_order", "dataset_row"],
+    ids=[
+        "dtype", "one_ulp", "shape", "nan_to_number", "sign_of_zero", "flag", "warning_order", "dataset_row",
+        "check_detail",
+    ],
 )
 def test_each_difference_is_flagged(name, value):
     assert identity_check.mismatches(BASE, changed(name, value)) == [name]

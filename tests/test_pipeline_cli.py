@@ -363,12 +363,14 @@ class TestCliErrors:
 
     def test_dangling_dataset_label(self, tmp_path, capsys):
         (tmp_path / "sys.rbd").write_text("sys@series(a, b)")
-        (tmp_path / "d.csv").write_text("node,time,event\nghost,1,1\n")
-        code = main(
-            ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv")]
-        )
-        assert code == EXIT_INPUT
-        assert "ghost" in capsys.readouterr().err
+        (tmp_path / "d.csv").write_text("node,time,event\nzz,2,1\nghost,1,1\na,1,1\n")
+        out = tmp_path / "out"
+        code = main(["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"), "--out", str(out)])
+        assert code == EXIT_INPUT and not out.exists()
+        # The fit's one BindingError is the only error line; the info line still prints.
+        info = "info: component 'b' has neither data nor a prior; it contributes a zero-precision prior\n"
+        error = "error: dataset 'ghost' does not match any node label; dataset 'zz' does not match any node label\n"
+        assert capsys.readouterr() == (info, error)
 
     def test_bad_level(self, tmp_path, capsys):
         (tmp_path / "sys.rbd").write_text("sys")
@@ -649,6 +651,17 @@ def run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
+def fresh_main(args: list[str], shown: str) -> str:
+    """Exit code of ``main(args)`` in a new interpreter, then ``shown`` evaluated after it."""
+    code = (
+        "import sys, warnings, relfuse.cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"code = relfuse.cli.main({[str(a) for a in args]!r})\n"
+        f"print(code, {shown})"
+    )
+    return run_fresh(code).splitlines()[-1]
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats would be the bulk of every CLI start's import time.
     assert run_fresh("import sys, relfuse.cli; print('scipy.stats' in sys.modules)") == "False"
@@ -704,14 +717,7 @@ def priors_fit_args(tmp_path) -> list[str]:
 
 
 def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
-    args = priors_fit_args(tmp_path)
-    code = (
-        "import sys, warnings, relfuse.cli\n"
-        "warnings.simplefilter('ignore')\n"
-        f"code = relfuse.cli.main({[str(a) for a in args]!r})\n"
-        f"print(code, {INTEGRATE_LOADED})"
-    )
-    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} False"
+    assert fresh_main(priors_fit_args(tmp_path), INTEGRATE_LOADED) == f"{EXIT_OK} False"
     assert (tmp_path / "fit" / "system_cdf.svg").exists()
 
 
@@ -894,14 +900,15 @@ def test_unmatched_labels_are_rejected(fit, extra_data, extra_prior, message):
     assert str(info.value) == message
 
 
+MA_LOADED = "'numpy.ma' in sys.modules"
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma; the median of the leaf scales does not need it.
+    assert fresh_main(["simulate", "--seed", "0", "--out", tmp_path], MA_LOADED) == f"{EXIT_OK} False"
+
+
 def test_fit_leaves_numpy_ma_unloaded(tmp_path):
     # np.union1d imports numpy.ma; the fit's grid unions do not need it.
-    args = priors_fit_args(tmp_path)
-    code = (
-        "import sys, warnings, relfuse.cli\n"
-        "warnings.simplefilter('ignore')\n"
-        f"code = relfuse.cli.main({[str(a) for a in args]!r})\n"
-        "print(code, 'numpy.ma' in sys.modules)"
-    )
-    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} False"
+    assert fresh_main(priors_fit_args(tmp_path), MA_LOADED) == f"{EXIT_OK} False"
     assert (tmp_path / "fit" / "system_cdf.svg").exists()

@@ -1,17 +1,18 @@
 """Check that the working tree fits and exports exactly what a parent revision does.
 
-Each side runs a fixed matrix of 156 cases in its own child interpreter:
+Each side runs a fixed matrix of 182 cases in its own child interpreter:
 demo seeds 0-9 at 30 observations per node and 0-2 at 300, each with and
 without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
-``fit_system_only``.  Four variants of the demo diagram, fitted on the
+``fit_system_only``.  Five variants of the demo diagram, fitted on the
 same seeds, reach the branches of the fold that the demo leaves out: an
 unlabelled group passing its fused curve up, a labelled group with a prior
-and no data, a component with a prior, and an unlabelled root with no data
-of its own.  A variant binds only data and priors whose labels it has.
-Per case the child keeps every ``curve_export`` column and flag of every
-node posterior (the system posterior is one of them), or the
-``BindingError`` text, and the ordered ``PrecisionRecoveryWarning``
+and no data, a component with a prior, an unlabelled root with no data
+of its own, and a component with neither data nor a prior.  A variant
+binds only data and priors whose labels it has.  Per case the child keeps
+every ``curve_export`` column and flag of every node posterior (the system
+posterior is one of them), or the ``BindingError`` text, the components
+the fit reports as uninformed, and the ordered ``PrecisionRecoveryWarning``
 messages.  Per simulated set it keeps the lines ``save_lifetimes`` writes,
 so a change in the drawn data shows up before the fits it feeds.  It also
 calls ``censoring_rate`` directly, on every demo node at censored shares
@@ -22,11 +23,14 @@ through the datasets it draws.  It keeps the ``curve_export`` bands of five
 hand-built processes at levels 0.5, 0.9, 0.95 and 0.99, whose rows reach
 every branch of the band rule (zero mass, terminal, zero variance, the
 Bernoulli bound and a quantile widened to the mean), which the demo fits
-may never reach.  Last, it keeps every ``run_checks`` result (name, pass
+may never reach.  It keeps every ``run_checks`` result (name, pass
 flag and detail) of the validator for seeds 0-2, so a changed comparison
-in ``validation`` shows up even when the check still passes.  Two arrays
-match when their dtype, shape, values and float sign bits agree, NaN
-matching NaN.
+in ``validation`` shows up even when the check still passes.  Last, for
+demo seeds 0 and 3 it runs ``relfuse simulate`` and then ``relfuse fit
+--priors --svg`` (the DP priors above, written as CSV) through
+``relfuse.cli.main`` in a temporary directory, and keeps the bytes of the
+five files they write.  Two arrays match when their dtype, shape, values
+and float sign bits agree, NaN matching NaN.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -40,6 +44,7 @@ Prints one summary line; exits 0 only when no array differs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import itertools
 import os
@@ -66,6 +71,10 @@ CALIBRATION_SCALES = (1e-250, 1e-4, 1e-2, 0.5, 100.0, 1e5, 1e6, 1e250)
 CALIBRATION_FRACTIONS = (0.05, 0.15, 0.6)
 BAND_LEVELS = (0.5, 0.9, 0.95, 0.99)
 VALIDATE_SEEDS = range(3)
+CLI_SEEDS = (0, 3)
+CLI_FILES = (
+    "sim/system.rbd", "sim/lifetimes.csv", "sim/true_system_cdf.csv", "fit/system_cdf.csv", "fit/system_cdf.svg"
+)
 # Demo diagram variants: the label prefixes cut from its source, the labels
 # whose data is withheld, and the labels given a DP prior.
 VARIANTS = {
@@ -73,24 +82,27 @@ VARIANTS = {
     "group-prior-no-data": ((), ("electric",), ("electric",)),
     "component-prior": ((), (), ("batteries",)),
     "unlabelled-root": (("system@",), (), ()),
+    "withheld-gearing": ((), ("gearing",), ()),
 }
+
+
+def _prior_points(cfg, label) -> tuple[np.ndarray, np.ndarray]:
+    """``PRIOR_POINTS`` times up to where the exact CDF of ``label`` passes 0.999, and that CDF, ending at 1."""
+    sampler = cfg.samplers()[label]
+    t_hi = sampler.time_scale()
+    while sampler.cdf(t_hi) < 0.999:
+        t_hi *= 2.0
+    times = np.linspace(t_hi / PRIOR_POINTS, t_hi, PRIOR_POINTS)
+    cdf = np.asarray(sampler.cdf(times), dtype=np.float64)
+    cdf[-1] = 1.0
+    return times, cdf
 
 
 def _dp_priors(cfg, labels=PRIOR_NODES) -> dict:
     """DP priors on ``PRIOR_POINTS`` times of the exact CDFs of ``labels``."""
     from relfuse.bsp import dp_prior
 
-    priors = {}
-    for label in labels:
-        sampler = cfg.samplers()[label]
-        t_hi = sampler.time_scale()
-        while sampler.cdf(t_hi) < 0.999:
-            t_hi *= 2.0
-        times = np.linspace(t_hi / PRIOR_POINTS, t_hi, PRIOR_POINTS)
-        cdf = np.asarray(sampler.cdf(times), dtype=np.float64)
-        cdf[-1] = 1.0
-        priors[label] = dp_prior(times, cdf, PRIOR_PRECISION)
-    return priors
+    return {label: dp_prior(*_prior_points(cfg, label), PRIOR_PRECISION) for label in labels}
 
 
 def variants(cfg) -> dict:
@@ -194,6 +206,35 @@ def validator_reports(seeds=VALIDATE_SEEDS) -> dict:
     }
 
 
+def cli_outputs(seeds=CLI_SEEDS) -> dict:
+    """Per seed, the bytes of each of ``CLI_FILES`` that ``simulate`` and ``fit --priors --svg`` write."""
+    from relfuse.cli import main
+    from relfuse.demo import demo_config
+
+    cfg = demo_config()
+    rows = [
+        f"{label},{t:.12g},{c:.12g},{PRIOR_PRECISION:g}\n"
+        for label in PRIOR_NODES
+        for t, c in zip(*_prior_points(cfg, label))
+    ]
+    out = {}
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "priors.csv").write_text("node,time,cdf,precision\n" + "".join(rows), encoding="utf-8")
+            sim = tmp / "sim"
+            inputs = ["--rbd", sim / "system.rbd", "--data", sim / "lifetimes.csv"]
+            inputs += ["--priors", tmp / "priors.csv"]
+            with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                main(["simulate", "--seed", str(seed), "--out", str(sim)])
+                main(["fit", *map(str, inputs), "--out", str(tmp / "fit"), "--svg"])
+            for name in CLI_FILES:
+                if (tmp / name).exists():
+                    out[f"cli/seed{seed}/{name}"] = np.frombuffer((tmp / name).read_bytes(), dtype=np.uint8)
+    return out
+
+
 def record(src: str, out: str) -> None:
     """Run the case matrix with the ``relfuse`` under ``src`` and save its arrays to ``out``."""
     # Imported here, not at the top, so each child binds the relfuse of its own side.
@@ -227,6 +268,10 @@ def record(src: str, out: str) -> None:
                         try:
                             result = fit(spec, bound, priors)
                             exports = {k: curve_export(p) for k, p in result.node_posteriors.items()}
+                            # Revisions before the uninformed-component rule have no such field.
+                            uninformed = getattr(result, "uninformed", None)
+                            if uninformed:
+                                arrays[f"{case}/uninformed"] = np.array(list(uninformed.items()), dtype=str)
                         except BindingError as exc:
                             arrays[f"{case}/error"] = np.array([str(exc)], dtype=str)
                     for label, curve in exports.items():
@@ -240,6 +285,7 @@ def record(src: str, out: str) -> None:
     arrays.update(calibrate(calibration_probes(demo)))
     arrays.update(band_probes())
     arrays.update(validator_reports())
+    arrays.update(cli_outputs())
     np.savez(out, **arrays)
 
 
@@ -287,15 +333,17 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "datasets", "validate"}
+    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "cli", "datasets", "validate"}
     n_calibrations = sum(name.startswith("calibration/") for name in change)
     n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
     n_datasets = sum(name.startswith("datasets/") for name in change)
     n_reports = sum(name.startswith("validate/") for name in change)
+    n_cli = sum(name.startswith("cli/") for name in change)
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     print(
         f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
         f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
+        f"{n_cli} CLI files, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import export_curves, load_lifetimes, load_prior_spec, save_lifetimes
+from .dataio import (
+    export_curves, load_cdf_table, load_lifetimes, load_prior_spec, save_cdf_table, save_lifetimes,
+)
 from .demo import demo_config, load_sim_config
 from .errors import DataFormatError, NotEstimableError, RelfuseError
 from .oracle import MAX_SEED
 from .pipeline import curve_export, fit_system, fit_system_only
-from .rbd import load_system_source, unbound_components
+from .rbd import load_system_source
 from .validation import format_report, run_checks
 
 __all__ = ["cmd_fit", "cmd_simulate", "cmd_validate", "main"]
@@ -37,37 +38,21 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 
-
-def _read_overlay(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The ``t,cdf`` columns that ``simulate`` writes, drawn under the fit."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if [c.strip() for c in fh.readline().split(",")] != ["t", "cdf"]:
-                raise DataFormatError(f"{path}: header must be t,cdf")
-            with warnings.catch_warnings():
-                # An empty file is reported as an error below, not as a warning.
-                warnings.simplefilter("ignore", UserWarning)
-                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-    if raw.shape[1] != 2 or not np.isfinite(raw).all():
-        raise DataFormatError(f"{path}: need rows of two finite columns t,cdf")
-    return raw[:, 0], raw[:, 1]
+_UNINFORMED = "warning: component '{}' has neither data nor a prior; the fused prior of '{}' is dropped"
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     spec = load_system_source(args.rbd.read_text(encoding="utf-8"))
     datasets = load_lifetimes(args.data)
     priors = load_prior_spec(args.priors) if args.priors else {}
-    # Unmatched labels are the fit's to reject, with one BindingError.
-    for diag in unbound_components(spec, [*(d.label for d in datasets), *priors]):
-        print(f"{diag.severity}: {diag.message}")
     if not (0.0 < args.level < 1.0):
         raise ValueError("--level must lie strictly inside (0, 1)")
     true_path = args.data.parent / "true_system_cdf.csv"
-    overlay = _read_overlay(true_path) if args.svg and true_path.exists() else None
+    overlay = load_cdf_table(true_path) if args.svg and true_path.exists() else None
     fitter = fit_system_only if args.system_only else fit_system
     result = fitter(spec, datasets, priors)
+    for label, ancestor in result.uninformed.items():
+        print(_UNINFORMED.format(label, ancestor), file=sys.stderr)
     if not result.posterior.grid.size:
         raise NotEstimableError("no grid point is estimable from the given inputs")
     curve = curve_export(result.posterior, args.level)
@@ -105,12 +90,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     save_lifetimes(datasets, data_path)
     t_max = max(d.times.max() for d in datasets)
     ts = np.linspace(0.0, 1.1 * t_max, 400)
-    truth = np.asarray(cfg.true_system_cdf(ts), dtype=float)
     true_path = args.out / "true_system_cdf.csv"
-    with open(true_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,cdf\n")
-        for t, v in zip(ts, truth):
-            fh.write(f"{t:.12g},{v:.12g}\n")
+    save_cdf_table(ts, cfg.true_system_cdf(ts), true_path)
     n_obs = sum(len(d) for d in datasets)
     print(f"simulated {len(datasets)} datasets, {n_obs} observations (seed {args.seed})")
     for path in (rbd_path, data_path, true_path):

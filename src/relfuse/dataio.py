@@ -8,6 +8,8 @@ Input formats, both with a required header row:
   per node the times must be strictly increasing, the cdf column must be
   nondecreasing and end at exactly 1, and precisions must be finite and
   nonnegative.
+* true CDF: ``t,cdf`` with one row per point, as ``relfuse simulate`` writes
+  it; times finite and nonnegative, cdf values in [0, 1], at least one row.
 
 Exports carry rows of ``t,mean,second_moment,lower,upper,precision,flags``
 with 12 significant digits.  The SVG export draws right-continuous step
@@ -37,6 +39,8 @@ __all__ = [
     "load_lifetimes",
     "save_lifetimes",
     "load_prior_spec",
+    "load_cdf_table",
+    "save_cdf_table",
     "export_curves",
 ]
 
@@ -111,19 +115,18 @@ class CurveExport:
         return self.t.size
 
 
-def _records(source, header: list[str]) -> Iterator[tuple[str, str, list[str]]]:
-    """``(where, node, row)`` for each data row of a CSV with ``header``.
+def _source_name(source) -> str:
+    return getattr(source, "name", "<stream>") if hasattr(source, "read") else str(Path(source))
+
+
+def _records(source, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """``(where, row)`` for each data row of a CSV with ``header``.
 
     Blank rows are dropped; ``where`` names the file and the line the row
-    ends on for error messages, and ``node`` is the stripped first column.
+    ends on for error messages.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        name = getattr(source, "name", "<stream>")
-    else:
-        path = Path(source)
-        text = path.read_text(encoding="utf-8")
-        name = str(path)
+    name = _source_name(source)
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [(reader.line_num, r) for r in reader if r]
@@ -137,10 +140,14 @@ def _records(source, header: list[str]) -> Iterator[tuple[str, str, list[str]]]:
         where = f"{name} row {line}"
         if len(row) != len(header):
             raise DataFormatError(f"{where}: expected {len(header)} columns, found {len(row)}")
-        node = row[0].strip()
-        if not node:
-            raise DataFormatError(f"{where}: empty node label")
-        yield where, node, row
+        yield where, row
+
+
+def _node_label(where: str, row: list[str]) -> str:
+    node = row[0].strip()
+    if not node:
+        raise DataFormatError(f"{where}: empty node label")
+    return node
 
 
 def _parse_float(raw: str, what: str, where: str) -> float:
@@ -157,7 +164,8 @@ def load_lifetimes(source) -> list[Dataset]:
     file order.  Raises ``DataFormatError`` with the offending row number.
     """
     grouped: dict[str, tuple[list[float], list[bool]]] = {}
-    for where, node, row in _records(source, ["node", "time", "event"]):
+    for where, row in _records(source, ["node", "time", "event"]):
+        node = _node_label(where, row)
         time = _parse_float(row[1], "time", where)
         event_raw = row[2].strip()
         if event_raw not in ("0", "1"):
@@ -197,7 +205,8 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
     there the precision is undefined and stored as NaN.
     """
     grouped: dict[str, list[tuple[float, float, float, str]]] = {}
-    for where, node, row in _records(source, ["node", "time", "cdf", "precision"]):
+    for where, row in _records(source, ["node", "time", "cdf", "precision"]):
+        node = _node_label(where, row)
         time = _parse_float(row[1], "time", where)
         cdf = _parse_float(row[2], "cdf", where)
         prec = _parse_float(row[3], "precision", where)
@@ -216,25 +225,35 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
     return priors
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def load_cdf_table(source) -> tuple[np.ndarray, np.ndarray]:
+    """Read a ``t,cdf`` CSV into its time and cdf columns, in file order."""
+    rows = []
+    for where, (t_raw, cdf_raw) in _records(source, ["t", "cdf"]):
+        t = _parse_float(t_raw, "time", where)
+        cdf = _parse_float(cdf_raw, "cdf", where)
+        if not 0.0 <= t < math.inf:
+            raise DataFormatError(f"{where}: time {t_raw!r} must be finite and nonnegative")
+        if not 0.0 <= cdf <= 1.0:
+            raise DataFormatError(f"{where}: cdf {cdf_raw!r} must lie in [0, 1]")
+        rows.append((t, cdf))
+    if not rows:
+        raise DataFormatError(f"{_source_name(source)}: no t,cdf rows")
+    return tuple(np.array(rows).T)
+
+
+def save_cdf_table(times, cdf, destination) -> None:
+    """Write a ``t,cdf`` CSV with 12 significant digits."""
+    rows = zip(np.asarray(times, dtype=float).tolist(), np.asarray(cdf, dtype=float).tolist())
+    with _text_out(destination) as fh:
+        fh.write("t,cdf\n")
+        fh.writelines(f"{t:.12g},{v:.12g}\n" for t, v in rows)
 
 
 def _write_csv(curve: CurveExport, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "mean", "second_moment", "lower", "upper", "precision", "flags"])
-    for i in range(len(curve)):
-        writer.writerow(
-            [
-                _fmt(curve.t[i]),
-                _fmt(curve.mean[i]),
-                _fmt(curve.second_moment[i]),
-                _fmt(curve.lower[i]),
-                _fmt(curve.upper[i]),
-                _fmt(curve.precision[i]),
-                curve.flags[i],
-            ]
-        )
+    columns = (curve.t, curve.mean, curve.second_moment, curve.lower, curve.upper, curve.precision)
+    rows = zip(*(c.tolist() for c in columns), curve.flags)
+    fh.write("t,mean,second_moment,lower,upper,precision,flags\r\n")
+    fh.writelines("{:.12g},{:.12g},{:.12g},{:.12g},{:.12g},{:.12g},{}\r\n".format(*row) for row in rows)
 
 
 def _step_points(xs, ys, x_left, y_left, x_right) -> list[tuple[float, float]]:
@@ -308,9 +327,7 @@ def _write_svg(curve: CurveExport, fh, overlay=None) -> None:
         "probability of failure</text>"
     )
     if overlay is not None:
-        ot, ov = np.asarray(overlay[0], dtype=float), np.asarray(overlay[1], dtype=float)
-        pts = list(zip(ot, ov))
-        parts.append(poly(pts, "#999999", sw=2.0))
+        parts.append(poly(list(zip(*overlay)), "#999999", sw=2.0))
     if len(curve):
         ts = curve.t
         parts.append(poly(_step_points(ts, curve.lower, 0.0, 0.0, t_max), "#444444", dash="5 4", sw=1.5))

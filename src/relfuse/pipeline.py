@@ -7,6 +7,12 @@ fused curve back to a process, blends in the node's elicited prior if any,
 and conditions on the node's own data if any.  The root always ends as a
 process, so credible bands are available on the full union grid.
 
+A component with neither data nor a prior carries no information, and
+neither does a group with nothing of its own above such a child: moments
+cannot stand for a vacuous curve.  The nearest ancestor that has data or a
+prior drops its fused prior and fits on those alone; a root left without
+information raises ``BindingError``.
+
 The system-only variant ignores the tree and fits the root's data alone,
 with identical output formatting, so band widths are directly comparable.
 """
@@ -41,6 +47,9 @@ class FitResult:
 
     posterior: BetaStacyProcess
     node_posteriors: dict[str, BetaStacyProcess] = field(default_factory=dict)
+    # Each component with neither data nor a prior, mapped to the label of
+    # the ancestor that dropped its fused prior because of it.
+    uninformed: dict[str, str] = field(default_factory=dict)
 
 
 def _bind(spec: SystemSpec, datasets: Iterable[Dataset], priors: Mapping | None) -> tuple[dict, dict]:
@@ -51,7 +60,7 @@ def _bind(spec: SystemSpec, datasets: Iterable[Dataset], priors: Mapping | None)
             raise BindingError(f"duplicate dataset for node '{ds.label}'")
         data[ds.label] = ds
     priors = dict(priors) if priors else {}
-    errors = [d.message for d in validate_bindings(spec, data, priors) if d.severity == "error"]
+    errors = [d.message for d in validate_bindings(spec, data, priors)]
     if errors:
         raise BindingError("; ".join(errors))
     return data, priors
@@ -72,20 +81,31 @@ def fit_system(
     """Fit the full hierarchy described by ``spec``.
 
     ``datasets`` is an iterable of per-label datasets; ``priors``
-    maps labels to elicited prior processes.  Unbound components default to
-    zero-precision priors (their posterior is purely empirical).  A dataset
-    or prior whose label names no node raises ``BindingError``.
+    maps labels to elicited prior processes.  A dataset or prior whose
+    label names no node raises ``BindingError``, as does a root that no
+    data or prior informs.  Components with neither are listed in the
+    result's ``uninformed``.
     """
     data, elicited = _bind(spec, datasets, priors)
     posteriors: dict[str, BetaStacyProcess] = {}
+    uninformed: dict[str, str] = {}
 
-    def fit(node: RbdNode) -> MomentCurve | BetaStacyProcess:
-        """The node's moment curve, or its posterior at the root."""
-        combine = combine_series if node.kind == "series" else combine_parallel
-        fused = reduce(combine, map(fit, node.children)) if node.children else None
+    def fit(node: RbdNode) -> MomentCurve | BetaStacyProcess | list[str]:
+        """The node's moment curve, its posterior at the root, or the uninformed components below it."""
+        results = [fit(child) for child in node.children]
+        missing = [name for r in results if isinstance(r, list) for name in r]
         label = node.binding_label
         ds, prior = data.get(label), elicited.get(label)
         root = node is spec.root
+        if ds is None and prior is None and (missing or not results):
+            missing = missing or [label]
+            if root:
+                names = ", ".join(f"'{name}'" for name in missing)
+                raise BindingError(f"no data or prior informs the root; components with neither: {names}")
+            return missing
+        uninformed.update(dict.fromkeys(missing, label))
+        combine = combine_series if node.kind == "series" else combine_parallel
+        fused = reduce(combine, results) if results and not missing else None
         # A group below the root with nothing of its own skips recovery.
         if fused is not None and ds is None and prior is None and not root:
             return fused
@@ -96,7 +116,7 @@ def fit_system(
         posteriors[label if label is not None else "<root>"] = post
         return post if root else moments_of(post)
 
-    return FitResult(fit(spec.root), posteriors)
+    return FitResult(fit(spec.root), posteriors, uninformed)
 
 
 def fit_system_only(

@@ -32,7 +32,6 @@ __all__ = [
     "rbd_from_json",
     "format_rbd",
     "load_system_source",
-    "unbound_components",
     "validate_bindings",
 ]
 
@@ -135,7 +134,7 @@ class SystemSpec:
 class Diagnostic:
     """One finding from binding validation."""
 
-    severity: str  # "error" or "info"
+    severity: str  # "error"
     message: str
 
 
@@ -334,22 +333,12 @@ def validate_bindings(
 ) -> list[Diagnostic]:
     """Cross-check dataset and prior names against the diagram's labels.
 
-    Returns one diagnostic per dangling reference (severity "error")
-    followed by ``unbound_components``'s.  An empty list means everything
-    is consistent.
+    Returns one "error" diagnostic per name that matches no node label.  An
+    empty list means everything is consistent; components left without data
+    or a prior are the fit's to report.
     """
-    dataset_names, prior_names = set(dataset_names), set(prior_names)
-    errors = [
+    return [
         Diagnostic("error", f"{kind} '{name}' does not match any node label")
         for kind, names in (("dataset", dataset_names), ("prior", prior_names))
-        for name in sorted(names - spec.labels.keys())
+        for name in sorted(set(names) - spec.labels.keys())
     ]
-    return errors + unbound_components(spec, dataset_names | prior_names)
-
-
-def unbound_components(spec: SystemSpec, bound_names: Iterable[str]) -> list[Diagnostic]:
-    """An "info" diagnostic for each component that no name binds: it gets a zero-precision prior."""
-    bound_names = set(bound_names)
-    labels = [node.binding_label for node in spec.root.iter_components()]
-    message = "component '{}' has neither data nor a prior; it contributes a zero-precision prior"
-    return [Diagnostic("info", message.format(label)) for label in labels if label not in bound_names]

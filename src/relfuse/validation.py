@@ -74,14 +74,20 @@ def _random_censored_samples(rng: np.random.Generator) -> tuple[np.ndarray, np.n
     return times, events
 
 
+def _worst(errors) -> float:
+    """The largest of ``errors``, or inf when any is NaN, so that no loop's ``max`` can drop it."""
+    worst = float(np.max(errors, initial=0.0))
+    return math.inf if math.isnan(worst) else worst
+
+
 def _prior_only_error(prior: BetaStacyProcess) -> float:
     """Largest change an update on no data makes to ``prior``; inf if its grid or NaN points move."""
     post = posterior_update(prior, [], [])
     defined = prior.precision_defined
     if not (np.array_equal(post.grid, prior.grid) and np.array_equal(post.precision_defined, defined)):
         return math.inf
-    err = float(np.max(np.abs(post.base.values - prior.base.values)))
-    return max(err, float(np.max(np.abs(post.precision[defined] - prior.precision[defined]))))
+    gaps = (post.base.values - prior.base.values, post.precision[defined] - prior.precision[defined])
+    return _worst(np.abs(np.concatenate(gaps)))
 
 
 def _kaplan_meier_error(times, events) -> float:
@@ -89,7 +95,7 @@ def _kaplan_meier_error(times, events) -> float:
     km = kaplan_meier(times, events)
     post = posterior_update(BetaStacyProcess.noninformative(), times, events)
     est = np.array([mean(post, float(t)) for t in km.grid])
-    return float(np.max(np.abs(est - km.values)))
+    return _worst(np.abs(est - km.values))
 
 
 def _moment_z(process: BetaStacyProcess, n_paths: int, seed: int) -> float:
@@ -101,7 +107,7 @@ def _moment_z(process: BetaStacyProcess, n_paths: int, seed: int) -> float:
     zero = se == 0.0
     if np.any(emp[zero] != closed[zero]):
         return math.inf
-    return float(np.max(np.abs(emp - closed)[~zero] / se[~zero], initial=0.0))
+    return _worst(np.abs(emp - closed)[~zero] / se[~zero])
 
 
 def check_prior_only() -> CheckResult:
@@ -176,8 +182,8 @@ def check_fusion_mc(seed: int, n_cases: int = 10) -> CheckResult:
             se2 = (fs * fs).std(axis=0) / np.sqrt(_FUSION_DRAWS)
             worst_z = max(
                 worst_z,
-                float(np.max(np.abs(emp_first - fused.first) / se1)),
-                float(np.max(np.abs(emp_second - fused.second) / se2)),
+                _worst(np.abs(emp_first - fused.first) / se1),
+                _worst(np.abs(emp_second - fused.second) / se2),
             )
     return CheckResult(
         f"fused moments match Monte Carlo ({n_cases} two-node cases)",
@@ -215,8 +221,8 @@ def check_roundtrip(seed: int) -> CheckResult:
             back = moments_of(recover_precision(curve))
             worst = max(
                 worst,
-                float(np.max(np.abs(back.first - curve.first))),
-                float(np.max(np.abs(back.second - curve.second))),
+                _worst(np.abs(back.first - curve.first)),
+                _worst(np.abs(back.second - curve.second)),
             )
     return CheckResult(
         f"moment curves round-trip through recovery ({_ROUNDTRIP_CURVES} curves)",

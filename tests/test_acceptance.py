@@ -4,19 +4,28 @@ Each test prints one summary line so a full run reads as a checklist.  All
 randomness is seeded; every tolerance is asserted, never loosened at runtime.
 """
 
+import math
 import time
 import warnings
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from relfuse import validation
 from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
 from relfuse.cli import EXIT_OK, main
 from relfuse.demo import demo_config
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import MomentCurve, combine_series, moments_of, recover_precision
-from relfuse.oracle import exact_three_beta_product_pdf, three_beta_product_cdf_grid
+from relfuse.oracle import (
+    exact_three_beta_product_pdf,
+    kaplan_meier,
+    simulate_bsp_paths,
+    three_beta_product_cdf_grid,
+)
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.validation import (
     _kaplan_meier_error,
@@ -24,6 +33,7 @@ from relfuse.validation import (
     _prior_only_error,
     _random_bsp,
     _random_censored_samples,
+    _worst,
     check_data_only,
     check_fusion_mc,
     check_series_degenerate,
@@ -87,6 +97,37 @@ def test_04_second_moment_oracle():
     )
 
 
+def test_nan_errors_are_never_dropped(monkeypatch):
+    # Each comparison's reference gets one NaN where it has a finite
+    # neighbour; the loops above keep only a worst error that compares.
+    rng = np.random.default_rng(3)
+    errors = []
+    prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 3.0)
+    nan_precision = np.where(np.arange(3) == 1, np.nan, prior.precision)
+    post = SimpleNamespace(
+        grid=prior.grid, precision_defined=prior.precision_defined, base=prior.base, precision=nan_precision
+    )
+    monkeypatch.setattr(validation, "posterior_update", lambda *args: post)
+    errors.append(_prior_only_error(prior))
+    monkeypatch.undo()
+
+    times, events = _random_censored_samples(rng)
+    km = kaplan_meier(times, events)
+    km_values = np.where(np.arange(km.grid.size) == km.grid.size - 1, np.nan, km.values)
+    km_nan = SimpleNamespace(grid=km.grid, values=km_values)
+    monkeypatch.setattr(validation, "kaplan_meier", lambda *args: km_nan)
+    errors.append(_kaplan_meier_error(times, events))
+    monkeypatch.undo()
+
+    proc = _random_bsp(rng)
+    paths = simulate_bsp_paths(proc, 1000, 0)
+    last_spread = np.flatnonzero(paths.mean_se > 0.0)[-1]
+    nan_mean = np.where(np.arange(paths.mean.size) == last_spread, np.nan, paths.mean)
+    monkeypatch.setattr(validation, "simulate_bsp_paths", lambda *args: replace(paths, mean=nan_mean))
+    errors.append(_moment_z(proc, 1000, 0))
+    assert errors == [math.inf] * 3
+
+
 def test_05_fusion_against_monte_carlo():
     result = check_fusion_mc(seed=13, n_cases=100)
     assert result.passed, result.detail
@@ -116,8 +157,8 @@ def test_06_moment_match_roundtrip():
             again = moments_of(posterior_update(back, [], []))
             worst = max(
                 worst,
-                float(np.max(np.abs(again.first - curve.first))),
-                float(np.max(np.abs(again.second - curve.second))),
+                _worst(np.abs(again.first - curve.first)),
+                _worst(np.abs(again.second - curve.second)),
             )
     assert worst <= 1e-9
     print(f"criterion 6 PASS: moment roundtrip on 100 curves, sup error {worst:.2e}")
@@ -200,3 +241,24 @@ def test_10_coverage_calibration():
     rate = covered / 200.0
     assert 0.85 <= rate <= 0.99
     print(f"criterion 10 PASS: coverage {covered}/200 = {rate:.3f} at the median grid time")
+
+
+def test_11_coverage_with_a_component_withheld():
+    # Criterion 10's loop with no data for 'gearing', a child of the system:
+    # the system fits on its own data instead of treating 'gearing' as a
+    # part that never fails.
+    cfg = demo_config()
+    covered = 0
+    for seed in range(200):
+        datasets = [d for d in cfg.simulate(seed) if d.label != "gearing"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionRecoveryWarning)
+            result = fit_system(cfg.spec, datasets)
+        curve = curve_export(result.posterior)
+        i = curve.t.size // 2
+        truth = float(cfg.true_system_cdf(float(curve.t[i])))
+        covered += bool(curve.lower[i] <= truth <= curve.upper[i])
+    rate = covered / 200.0
+    assert 0.85 <= rate <= 0.99
+    assert result.uninformed == {"gearing": "system"}
+    print(f"criterion 11 PASS: coverage {covered}/200 = {rate:.3f} with 'gearing' withheld")

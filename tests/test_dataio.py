@@ -8,8 +8,10 @@ from relfuse.dataio import (
     CurveExport,
     Dataset,
     export_curves,
+    load_cdf_table,
     load_lifetimes,
     load_prior_spec,
+    save_cdf_table,
     save_lifetimes,
 )
 from relfuse.errors import DataFormatError
@@ -79,6 +81,33 @@ class TestLoadLifetimes:
         save_lifetimes(datasets, out)
         again = load_lifetimes(io.StringIO(out.getvalue()))
         assert again == datasets
+
+
+class TestCdfTable:
+    def test_roundtrip(self):
+        out = io.StringIO()
+        save_cdf_table(np.array([0.0, 1.5, 1 / 3]), [0.0, 0.25, 1.0], out)
+        assert out.getvalue() == "t,cdf\n0,0\n1.5,0.25\n0.333333333333,1\n"
+        times, cdf = load_cdf_table(io.StringIO(out.getvalue()))
+        assert times.tolist() == [0.0, 1.5, 0.333333333333] and cdf.tolist() == [0.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize(
+        "body, fragment",
+        [
+            ("", "empty file"),
+            ("t,cdf\n", "no t,cdf rows"),
+            ("time,cdf\n1,0.5", "header must be t,cdf"),
+            ("t,cdf\n1,0.5,2", "row 2: expected 2 columns"),
+            ("t,cdf\n1,x", "row 2: cdf 'x' is not a number"),
+            ("t,cdf\n-1e308,0", "row 2: time '-1e308' must be finite and nonnegative"),
+            ("t,cdf\ninf,1", "row 2: time 'inf'"),
+            ("t,cdf\n1,1e308", r"row 2: cdf '1e308' must lie in \[0, 1\]"),
+            ("t,cdf\n\n1,0.5\n2,nan", "row 4: cdf 'nan'"),
+        ],
+    )
+    def test_errors_carry_row_numbers(self, body, fragment):
+        with pytest.raises(DataFormatError, match=fragment):
+            load_cdf_table(io.StringIO(body))
 
 
 @pytest.mark.parametrize(

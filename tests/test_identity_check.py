@@ -113,7 +113,7 @@ def fold_branches(spec, data_labels, prior_labels) -> set[str]:
         label = node.binding_label
         has_data, has_prior = label in data_labels, label in prior_labels
         if node.kind == "component":
-            out.add("component-prior" if has_prior else "component")
+            out.add("component-prior" if has_prior else "component" if has_data else "component-uninformed")
         elif node is spec.root:
             out.add("labelled-root" if label is not None else "unlabelled-root")
             if label is None and not has_data:
@@ -138,6 +138,7 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
         "group-prior-no-data": "group-prior-no-data",
         "component-prior": "component-prior",
         "unlabelled-root": "unlabelled-root-no-data",
+        "withheld-gearing": "component-uninformed",
     }
     assert want.keys() == identity_check.VARIANTS.keys()
     for name, branch in want.items():
@@ -147,14 +148,26 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
         # unmatched labels fits the same inputs.
         assert data_labels <= spec.labels.keys() and prior_labels <= spec.labels.keys()
         assert branch in fold_branches(spec, data_labels, prior_labels) - demo_branches, name
-        # Every node keeps a posterior but a group that passes its curve up.
+        # Every node keeps a posterior but a group that passes its curve up
+        # and a component with neither data nor a prior.
         kept = {
             n.binding_label or "<root>"
             for n in spec.root.iter_nodes()
-            if n.kind == "component" or n is spec.root or n.binding_label in data_labels | prior_labels
+            if n is spec.root or n.binding_label in data_labels | prior_labels
         }
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrecisionRecoveryWarning)
             assert set(fit_system(spec, bound, priors).node_posteriors) == kept, name
     with pytest.raises(BindingError, match="binding label on the root"):
         fit_system_only(*cases["unlabelled-root-n30-seed0"])
+
+
+def test_cli_outputs_keep_the_bytes_of_every_written_file():
+    got = identity_check.cli_outputs(seeds=(3,))
+    assert list(got) == [f"cli/seed3/{name}" for name in identity_check.CLI_FILES]
+    text = {name.split("/", 2)[2]: arr.tobytes().decode("utf-8") for name, arr in got.items()}
+    assert text["sim/system.rbd"] == demo_config().rbd_source
+    assert text["sim/lifetimes.csv"].startswith("node,time,event\r\n")
+    assert text["sim/true_system_cdf.csv"].startswith("t,cdf\n0,0\n")
+    assert text["fit/system_cdf.csv"].startswith("t,mean,second_moment,lower,upper,precision,flags\r\n")
+    assert text["fit/system_cdf.svg"].endswith("</svg>\n") and "true CDF" in text["fit/system_cdf.svg"]

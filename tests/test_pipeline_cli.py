@@ -164,6 +164,31 @@ class TestFitSystem:
         assert_same_process(result.posterior, want)
 
 
+    def test_root_without_information_is_rejected(self):
+        # Three failures of 'a' say nothing about 'b', so nothing informs the system.
+        spec = parse_rbd("sys@series(a, b)")
+        with pytest.raises(BindingError, match="no data or prior informs the root; components with neither: 'b'$"):
+            fit_system(spec, [dataset("a", [1.0, 2.0, 3.0])])
+
+    def test_uninformed_component_drops_the_fused_prior(self):
+        spec = parse_rbd("sys@series(a, b)")
+        datasets = [dataset("a", [1.0, 2.0, 3.0]), SYS_DATA]
+        result = fit_system(spec, datasets)
+        assert_same_process(result.posterior, fit_system_only(spec, datasets).posterior)
+        assert set(result.node_posteriors) == {"a", "sys"}
+        assert result.uninformed == {"b": "sys"}
+
+    def test_uninformed_subtree_reaches_the_nearest_informed_ancestor(self):
+        # The unlabelled group holds no information of its own, so 'sub' drops its fused prior.
+        spec = parse_rbd("sys@series(sub@series(parallel(a, b), c), d)")
+        data = [LEAF_DATA["a"], LEAF_DATA["c"], SUB_DATA, dataset("d", [2.0, 3.0])]
+        result = fit_system(spec, data)
+        sub = posterior_update(BetaStacyProcess.noninformative(), SUB_DATA.times, SUB_DATA.events)
+        assert_same_process(result.node_posteriors["sub"], sub)
+        assert result.uninformed == {"b": "sub"}
+        with pytest.raises(BindingError, match="neither: 'b'$"):
+            fit_system(spec, [LEAF_DATA["a"], LEAF_DATA["c"], dataset("d", [2.0, 3.0])])
+
 class TestFitSystemOnly:
     def test_uses_root_data_alone(self):
         spec = parse_rbd("sys@series(a, b)")
@@ -367,10 +392,9 @@ class TestCliErrors:
         out = tmp_path / "out"
         code = main(["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"), "--out", str(out)])
         assert code == EXIT_INPUT and not out.exists()
-        # The fit's one BindingError is the only error line; the info line still prints.
-        info = "info: component 'b' has neither data nor a prior; it contributes a zero-precision prior\n"
+        # The fit's one BindingError is the only line: it stops the fit before 'b' is reported.
         error = "error: dataset 'ghost' does not match any node label; dataset 'zz' does not match any node label\n"
-        assert capsys.readouterr() == (info, error)
+        assert capsys.readouterr() == ("", error)
 
     def test_bad_level(self, tmp_path, capsys):
         (tmp_path / "sys.rbd").write_text("sys")
@@ -433,7 +457,8 @@ class TestCliErrors:
             ]
         )
         assert code == EXIT_OK
-        assert "info" in capsys.readouterr().out
+        warning = "warning: component 'b' has neither data nor a prior; the fused prior of 'sys' is dropped\n"
+        assert capsys.readouterr().err == warning
 
     @pytest.mark.parametrize(
         "row",
@@ -600,25 +625,32 @@ class TestCliHostileInputs:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize(
-        "text",
+        "text, where",
         [
-            "t,cdf\n",
-            "t,cdf\n1,0.5,2\n",
-            "t,cdf\n1,nan\n",
-            "t,cdf\n1,x\n",
-            "1.0,0.2\n1.5,0.5\n",
-            "",
+            ("t,cdf\n", ""),
+            ("t,cdf\n1,0.5,2\n", " row 2"),
+            ("t,cdf\n1,nan\n", " row 2"),
+            ("t,cdf\n1,x\n", " row 2"),
+            ("1.0,0.2\n1.5,0.5\n", ""),
+            ("", ""),
+            ("t,cdf\n-1e308,0\n", " row 2"),
+            ("t,cdf\n1,1e308\n", " row 2"),
+            ("t,cdf\n\n0,0\n2,inf\n", " row 4"),
         ],
-        ids=["header_only", "three_columns", "nan", "not_a_number", "no_header", "empty"],
+        ids=[
+            "header_only", "three_columns", "nan", "not_a_number", "no_header", "empty",
+            "negative_time", "cdf_above_one", "infinite_cdf_after_blank_line",
+        ],
     )
-    def test_malformed_overlay(self, tmp_path, capsys, text):
+    def test_malformed_overlay(self, tmp_path, capsys, text, where):
         (tmp_path / "sys.rbd").write_text("sys")
         (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,2,1\n")
         (tmp_path / "true_system_cdf.csv").write_text(text)
         args = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv")]
         assert main([*args, "--svg", "--out", str(tmp_path / "out")]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "true_system_cdf.csv" in err
+        # One line naming the file, and the bad row's line in it when one row is at fault.
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {tmp_path / 'true_system_cdf.csv'}{where}: ")
         assert not (tmp_path / "out").exists()
 
     def test_one_row_overlay_is_drawn(self, tmp_path):

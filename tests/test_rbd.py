@@ -228,12 +228,10 @@ class TestBindings:
         assert any("ghost" in d.message for d in errors)
         assert any("phantom" in d.message for d in errors)
 
-    def test_unbound_component_is_informational(self):
+    def test_unbound_component_is_left_to_the_fit(self):
+        # A component without data or a prior is no binding error; the fit reports it.
         spec = parse_rbd("sys@series(a, b)")
-        diags = validate_bindings(spec, ["a"])
-        infos = [d for d in diags if d.severity == "info"]
-        assert len(infos) == 1
-        assert "b" in infos[0].message
+        assert validate_bindings(spec, ["a"]) == []
 
     def test_fully_bound_is_clean(self):
         spec = parse_rbd("sys@series(a, b)")

@@ -38,7 +38,8 @@ directory, as ``bench_pairs.py`` does.
 Usage:
     python3 scripts/identity_check.py --parent HEAD~1
 
-Prints one summary line; exits 0 only when no array differs.
+Prints one summary line, then one line per case with mismatching arrays
+that names each of them; exits 0 only when no array differs.
 """
 
 from __future__ import annotations
@@ -309,6 +310,15 @@ def mismatches(parent: dict, change: dict) -> list[str]:
     return out
 
 
+def by_case(names: list[str]) -> list[str]:
+    """One line per case prefix of ``names``, in first-seen order: the prefix, its count and the rest of each name."""
+    groups: dict[str, list[str]] = {}
+    for name in names:
+        case, _, rest = name.partition("/")
+        groups.setdefault(case, []).append(rest)
+    return [f"  {case}: {len(rest)} ({', '.join(rest)})" for case, rest in groups.items()]
+
+
 def run_side(tree: Path, out: Path) -> dict:
     """The arrays ``record`` saves for the source tree ``tree``, run in a child interpreter."""
     src = tree / "src"
@@ -347,6 +357,8 @@ def main(argv=None) -> int:
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )
+    for line in by_case(bad):
+        print(line)
     return 0 if not bad else 1
 
 

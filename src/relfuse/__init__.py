@@ -1,117 +1,18 @@
 """System time-to-failure estimation by fusing censored lifetime data
 collected at component, subsystem, and system level through discrete
-beta-Stacy processes."""
+beta-Stacy processes.
 
-from .bsp import (
-    BetaShape,
-    BetaStacyProcess,
-    DiscreteCdf,
-    beta_match,
-    credible_interval,
-    dp_prior,
-    mean,
-    posterior_update,
-    second_moment,
-)
-from .dataio import (
-    CurveExport,
-    Dataset,
-    export_curves,
-    load_lifetimes,
-    load_prior_spec,
-    save_lifetimes,
-)
-from .errors import (
-    BindingError,
-    DataFormatError,
-    NotEstimableError,
-    PrecisionRecoveryWarning,
-    RbdError,
-    RbdSyntaxError,
-    RelfuseError,
-)
-from .fusion import (
-    PRECISION_CAP,
-    MomentCurve,
-    align_grids,
-    combine_parallel,
-    combine_series,
-    merge_priors,
-    moments_of,
-    recover_precision,
-)
-from .oracle import (
-    PathStats,
-    StructuralLifetime,
-    WeibullLifetime,
-    exact_three_beta_product_pdf,
-    kaplan_meier,
-    simulate_bsp_paths,
-    simulate_lifetimes,
-)
-from .pipeline import FitResult, curve_export, fit_system, fit_system_only
-from .rbd import (
-    Diagnostic,
-    RbdNode,
-    SystemSpec,
-    format_rbd,
-    load_system_source,
-    parse_rbd,
-    rbd_from_json,
-    validate_bindings,
-)
+The package re-exports the public names of its library modules: each
+module's ``__all__`` is the one declaration of what it makes public.
+"""
+
+from . import bsp, dataio, errors, fusion, oracle, pipeline, rbd
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaShape",
-    "BetaStacyProcess",
-    "BindingError",
-    "CurveExport",
-    "DataFormatError",
-    "Dataset",
-    "Diagnostic",
-    "DiscreteCdf",
-    "FitResult",
-    "MomentCurve",
-    "NotEstimableError",
-    "PRECISION_CAP",
-    "PathStats",
-    "PrecisionRecoveryWarning",
-    "RbdError",
-    "RbdNode",
-    "RbdSyntaxError",
-    "RelfuseError",
-    "StructuralLifetime",
-    "SystemSpec",
-    "WeibullLifetime",
-    "align_grids",
-    "beta_match",
-    "combine_parallel",
-    "combine_series",
-    "credible_interval",
-    "curve_export",
-    "dp_prior",
-    "exact_three_beta_product_pdf",
-    "export_curves",
-    "fit_system",
-    "fit_system_only",
-    "format_rbd",
-    "kaplan_meier",
-    "load_lifetimes",
-    "load_prior_spec",
-    "load_system_source",
-    "mean",
-    "merge_priors",
-    "moments_of",
-    "parse_rbd",
-    "posterior_update",
-    "rbd_from_json",
-    "recover_precision",
-    "save_lifetimes",
-    "second_moment",
-    "simulate_bsp_paths",
-    "simulate_lifetimes",
-    "validate_bindings",
-    "__version__",
-]
+__all__ = []
+for _module in (bsp, dataio, errors, fusion, oracle, pipeline, rbd):
+    globals().update({name: getattr(_module, name) for name in _module.__all__})
+    __all__ += _module.__all__
+__all__.append("__version__")
+del _module

@@ -39,6 +39,7 @@ EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 
 _UNINFORMED = "warning: component '{}' has neither data nor a prior; the fused prior of '{}' is dropped"
+_DROPPED = ", so '{}' uses none of the data or priors of {}"
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -52,7 +53,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fitter = fit_system_only if args.system_only else fit_system
     result = fitter(spec, datasets, priors)
     for label, ancestor in result.uninformed.items():
-        print(_UNINFORMED.format(label, ancestor), file=sys.stderr)
+        unused = ", ".join(f"'{name}'" for name in result.dropped[ancestor])
+        tail = _DROPPED.format(ancestor, unused) if unused else ""
+        print(_UNINFORMED.format(label, ancestor) + tail, file=sys.stderr)
     if not result.posterior.grid.size:
         raise NotEstimableError("no grid point is estimable from the given inputs")
     curve = curve_export(result.posterior, args.level)

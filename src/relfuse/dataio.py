@@ -119,11 +119,15 @@ def _source_name(source) -> str:
     return getattr(source, "name", "<stream>") if hasattr(source, "read") else str(Path(source))
 
 
-def _records(source, header: list[str]) -> Iterator[tuple[str, list[str]]]:
-    """``(where, row)`` for each data row of a CSV with ``header``.
+def _where(source, line: int) -> str:
+    """The file and line that error messages name; built only to raise."""
+    return f"{_source_name(source)} row {line}"
 
-    Blank rows are dropped; ``where`` names the file and the line the row
-    ends on for error messages.
+
+def _records(source, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` for each data row of a CSV with ``header``.
+
+    Blank rows are dropped; ``line`` is the line the row ends on.
     """
     name = _source_name(source)
     text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
@@ -137,24 +141,23 @@ def _records(source, header: list[str]) -> Iterator[tuple[str, list[str]]]:
     if [c.strip() for c in rows[0][1]] != header:
         raise DataFormatError(f"{name}: header must be {','.join(header)}")
     for line, row in rows[1:]:
-        where = f"{name} row {line}"
         if len(row) != len(header):
-            raise DataFormatError(f"{where}: expected {len(header)} columns, found {len(row)}")
-        yield where, row
+            raise DataFormatError(f"{_where(source, line)}: expected {len(header)} columns, found {len(row)}")
+        yield line, row
 
 
-def _node_label(where: str, row: list[str]) -> str:
+def _node_label(row: list[str], source, line: int) -> str:
     node = row[0].strip()
     if not node:
-        raise DataFormatError(f"{where}: empty node label")
+        raise DataFormatError(f"{_where(source, line)}: empty node label")
     return node
 
 
-def _parse_float(raw: str, what: str, where: str) -> float:
+def _parse_float(raw: str, what: str, source, line: int) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise DataFormatError(f"{where}: {what} {raw!r} is not a number") from None
+        raise DataFormatError(f"{_where(source, line)}: {what} {raw!r} is not a number") from None
 
 
 def load_lifetimes(source) -> list[Dataset]:
@@ -164,14 +167,14 @@ def load_lifetimes(source) -> list[Dataset]:
     file order.  Raises ``DataFormatError`` with the offending row number.
     """
     grouped: dict[str, tuple[list[float], list[bool]]] = {}
-    for where, row in _records(source, ["node", "time", "event"]):
-        node = _node_label(where, row)
-        time = _parse_float(row[1], "time", where)
+    for line, row in _records(source, ["node", "time", "event"]):
+        node = _node_label(row, source, line)
+        time = _parse_float(row[1], "time", source, line)
         event_raw = row[2].strip()
         if event_raw not in ("0", "1"):
-            raise DataFormatError(f"{where}: event must be 0 or 1, found {event_raw!r}")
+            raise DataFormatError(f"{_where(source, line)}: event must be 0 or 1, found {event_raw!r}")
         if not 0.0 < time < math.inf:
-            raise DataFormatError(f"{where}: sample time must be a finite positive number")
+            raise DataFormatError(f"{_where(source, line)}: sample time must be a finite positive number")
         times, events = grouped.setdefault(node, ([], []))
         times.append(time)
         events.append(event_raw == "1")
@@ -204,37 +207,37 @@ def load_prior_spec(source) -> dict[str, BetaStacyProcess]:
     Per-point precisions are kept as given, except where the cdf reaches 1:
     there the precision is undefined and stored as NaN.
     """
-    grouped: dict[str, list[tuple[float, float, float, str]]] = {}
-    for where, row in _records(source, ["node", "time", "cdf", "precision"]):
-        node = _node_label(where, row)
-        time = _parse_float(row[1], "time", where)
-        cdf = _parse_float(row[2], "cdf", where)
-        prec = _parse_float(row[3], "precision", where)
+    grouped: dict[str, list[tuple[float, float, float, int]]] = {}
+    for line, row in _records(source, ["node", "time", "cdf", "precision"]):
+        node = _node_label(row, source, line)
+        time = _parse_float(row[1], "time", source, line)
+        cdf = _parse_float(row[2], "cdf", source, line)
+        prec = _parse_float(row[3], "precision", source, line)
         if not np.isfinite(prec) or prec < 0.0:
             raise DataFormatError(
-                f"{where} (node '{node}'): precision {row[3]!r} must be finite and nonnegative"
+                f"{_where(source, line)} (node '{node}'): precision {row[3]!r} must be finite and nonnegative"
             )
-        grouped.setdefault(node, []).append((time, cdf, prec, where))
+        grouped.setdefault(node, []).append((time, cdf, prec, line))
     priors: dict[str, BetaStacyProcess] = {}
     for node, entries in grouped.items():
-        times, cdfs, precs, wheres = zip(*entries)
+        times, cdfs, precs, lines = zip(*entries)
         try:
             priors[node] = _proper_prior(times, cdfs, precs)
         except ValueError as exc:
-            raise DataFormatError(f"{wheres[0]} (node '{node}'): {exc}") from None
+            raise DataFormatError(f"{_where(source, lines[0])} (node '{node}'): {exc}") from None
     return priors
 
 
 def load_cdf_table(source) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``t,cdf`` CSV into its time and cdf columns, in file order."""
     rows = []
-    for where, (t_raw, cdf_raw) in _records(source, ["t", "cdf"]):
-        t = _parse_float(t_raw, "time", where)
-        cdf = _parse_float(cdf_raw, "cdf", where)
+    for line, (t_raw, cdf_raw) in _records(source, ["t", "cdf"]):
+        t = _parse_float(t_raw, "time", source, line)
+        cdf = _parse_float(cdf_raw, "cdf", source, line)
         if not 0.0 <= t < math.inf:
-            raise DataFormatError(f"{where}: time {t_raw!r} must be finite and nonnegative")
+            raise DataFormatError(f"{_where(source, line)}: time {t_raw!r} must be finite and nonnegative")
         if not 0.0 <= cdf <= 1.0:
-            raise DataFormatError(f"{where}: cdf {cdf_raw!r} must lie in [0, 1]")
+            raise DataFormatError(f"{_where(source, line)}: cdf {cdf_raw!r} must lie in [0, 1]")
         rows.append((t, cdf))
     if not rows:
         raise DataFormatError(f"{_source_name(source)}: no t,cdf rows")

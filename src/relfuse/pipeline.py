@@ -10,8 +10,9 @@ process, so credible bands are available on the full union grid.
 A component with neither data nor a prior carries no information, and
 neither does a group with nothing of its own above such a child: moments
 cannot stand for a vacuous curve.  The nearest ancestor that has data or a
-prior drops its fused prior and fits on those alone; a root left without
-information raises ``BindingError``.
+prior drops its fused prior and fits on those alone, leaving the data and
+priors below it unused; a root left without information raises
+``BindingError``.
 
 The system-only variant ignores the tree and fits the root's data alone,
 with identical output formatting, so band widths are directly comparable.
@@ -50,6 +51,9 @@ class FitResult:
     # Each component with neither data nor a prior, mapped to the label of
     # the ancestor that dropped its fused prior because of it.
     uninformed: dict[str, str] = field(default_factory=dict)
+    # Each such ancestor, mapped to the labels below it, in diagram order,
+    # whose data or prior it therefore does not use.
+    dropped: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def _bind(spec: SystemSpec, datasets: Iterable[Dataset], priors: Mapping | None) -> tuple[dict, dict]:
@@ -60,7 +64,7 @@ def _bind(spec: SystemSpec, datasets: Iterable[Dataset], priors: Mapping | None)
             raise BindingError(f"duplicate dataset for node '{ds.label}'")
         data[ds.label] = ds
     priors = dict(priors) if priors else {}
-    errors = [d.message for d in validate_bindings(spec, data, priors)]
+    errors = validate_bindings(spec, data, priors)
     if errors:
         raise BindingError("; ".join(errors))
     return data, priors
@@ -84,11 +88,14 @@ def fit_system(
     maps labels to elicited prior processes.  A dataset or prior whose
     label names no node raises ``BindingError``, as does a root that no
     data or prior informs.  Components with neither are listed in the
-    result's ``uninformed``.
+    result's ``uninformed``, and the labels whose data or prior their
+    ancestors therefore drop in its ``dropped``.
     """
     data, elicited = _bind(spec, datasets, priors)
+    informed = data.keys() | elicited.keys()
     posteriors: dict[str, BetaStacyProcess] = {}
     uninformed: dict[str, str] = {}
+    dropped: dict[str, tuple[str, ...]] = {}
 
     def fit(node: RbdNode) -> MomentCurve | BetaStacyProcess | list[str]:
         """The node's moment curve, its posterior at the root, or the uninformed components below it."""
@@ -103,7 +110,10 @@ def fit_system(
                 names = ", ".join(f"'{name}'" for name in missing)
                 raise BindingError(f"no data or prior informs the root; components with neither: {names}")
             return missing
-        uninformed.update(dict.fromkeys(missing, label))
+        if missing:
+            uninformed.update(dict.fromkeys(missing, label))
+            below = (n.binding_label for child in node.children for n in child.iter_nodes())
+            dropped[label] = tuple(name for name in below if name in informed)
         combine = combine_series if node.kind == "series" else combine_parallel
         fused = reduce(combine, results) if results and not missing else None
         # A group below the root with nothing of its own skips recovery.
@@ -116,7 +126,7 @@ def fit_system(
         posteriors[label if label is not None else "<root>"] = post
         return post if root else moments_of(post)
 
-    return FitResult(fit(spec.root), posteriors, uninformed)
+    return FitResult(fit(spec.root), posteriors, uninformed, dropped)
 
 
 def fit_system_only(

@@ -24,7 +24,6 @@ from .errors import RbdError, RbdSyntaxError
 __all__ = [
     "RbdNode",
     "SystemSpec",
-    "Diagnostic",
     "component",
     "series",
     "parallel",
@@ -128,14 +127,6 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _validate_tree(self.root))
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One finding from binding validation."""
-
-    severity: str  # "error"
-    message: str
 
 
 @dataclass(frozen=True)
@@ -330,15 +321,15 @@ def validate_bindings(
     spec: SystemSpec,
     dataset_names: Iterable[str],
     prior_names: Iterable[str] = (),
-) -> list[Diagnostic]:
+) -> list[str]:
     """Cross-check dataset and prior names against the diagram's labels.
 
-    Returns one "error" diagnostic per name that matches no node label.  An
-    empty list means everything is consistent; components left without data
-    or a prior are the fit's to report.
+    Returns one message per name that matches no node label, datasets first,
+    each kind in sorted order.  An empty list means everything is consistent;
+    components left without data or a prior are the fit's to report.
     """
     return [
-        Diagnostic("error", f"{kind} '{name}' does not match any node label")
+        f"{kind} '{name}' does not match any node label"
         for kind, names in (("dataset", dataset_names), ("prior", prior_names))
         for name in sorted(set(names) - spec.labels.keys())
     ]

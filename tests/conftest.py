@@ -1,9 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
+import relfuse
 from relfuse.bsp import BetaStacyProcess, DiscreteCdf, posterior_update
 from relfuse.fusion import moments_of
 from relfuse.rbd import RbdNode
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports relfuse from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relfuse.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def ecdf_posterior(times=(1.0, 2.0, 3.0)):

@@ -66,6 +66,17 @@ def test_array_missing_on_one_side_is_flagged():
     assert identity_check.mismatches(change, BASE) == ["case/flags"]
 
 
+def test_mismatches_are_listed_in_full_by_case():
+    bad = [f"n30-seed0-dp-fit_system/system/{c}" for c in ("lower", "mean", "precision", "t", "upper")]
+    bad += ["n30-seed0-dp-fit_system/warnings", "calibration/weibull-1-0.5-0.15", "n30-seed1-nodp-fit_system/uninformed"]
+    assert identity_check.by_case(bad) == [
+        "  n30-seed0-dp-fit_system: 6 (system/lower, system/mean, system/precision, system/t, system/upper, warnings)",
+        "  calibration: 1 (weibull-1-0.5-0.15)",
+        "  n30-seed1-nodp-fit_system: 1 (uninformed)",
+    ]
+    assert identity_check.by_case([]) == []
+
+
 def test_calibration_keeps_the_rate_bits_or_the_error():
     exp = WeibullLifetime(1.0, 0.5)
     got = identity_check.calibrate(

@@ -1,10 +1,6 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +27,7 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import bsp_processes, nested_series_dsl, nested_series_json
+from conftest import bsp_processes, nested_series_dsl, nested_series_json, run_fresh
 
 
 def scalar_band(m, s, level):
@@ -177,6 +173,7 @@ class TestFitSystem:
         assert_same_process(result.posterior, fit_system_only(spec, datasets).posterior)
         assert set(result.node_posteriors) == {"a", "sys"}
         assert result.uninformed == {"b": "sys"}
+        assert result.dropped == {"sys": ("a",)}
 
     def test_uninformed_subtree_reaches_the_nearest_informed_ancestor(self):
         # The unlabelled group holds no information of its own, so 'sub' drops its fused prior.
@@ -186,6 +183,8 @@ class TestFitSystem:
         sub = posterior_update(BetaStacyProcess.noninformative(), SUB_DATA.times, SUB_DATA.events)
         assert_same_process(result.node_posteriors["sub"], sub)
         assert result.uninformed == {"b": "sub"}
+        # The data of 'a' and 'c' never reach 'sub'; 'd' still reaches 'sys'.
+        assert result.dropped == {"sub": ("a", "c")}
         with pytest.raises(BindingError, match="neither: 'b'$"):
             fit_system(spec, [LEAF_DATA["a"], LEAF_DATA["c"], dataset("d", [2.0, 3.0])])
 
@@ -457,8 +456,37 @@ class TestCliErrors:
             ]
         )
         assert code == EXIT_OK
-        warning = "warning: component 'b' has neither data nor a prior; the fused prior of 'sys' is dropped\n"
+        warning = (
+            "warning: component 'b' has neither data nor a prior; the fused prior of 'sys' is dropped, "
+            "so 'sys' uses none of the data or priors of 'a'\n"
+        )
         assert capsys.readouterr().err == warning
+
+    def test_uninformed_warnings_name_the_unused_labels(self, tmp_path, capsys):
+        (tmp_path / "sys.rbd").write_text("sys@series(sub@series(parallel(a, b), c@series(e, f)), d)")
+        (tmp_path / "d.csv").write_text(
+            "node,time,event\na,1,1\nc,2,1\nf,2,1\nd,3,1\nsub,1.5,1\nsys,2.5,1\n"
+        )
+        code = main(
+            ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        head = "warning: component '{}' has neither data nor a prior; the fused prior of '{}' is dropped"
+        # Bottom-up: 'c' drops its own fused prior before 'sub' drops everything below it.
+        assert capsys.readouterr().err.splitlines() == [
+            head.format("e", "c") + ", so 'c' uses none of the data or priors of 'f'",
+            head.format("b", "sub") + ", so 'sub' uses none of the data or priors of 'a', 'c', 'f'",
+        ]
+
+    def test_uninformed_warning_without_unused_labels(self, tmp_path, capsys):
+        (tmp_path / "sys.rbd").write_text("sys@series(a, b)")
+        (tmp_path / "d.csv").write_text("node,time,event\nsys,1.5,1\nsys,2.5,1\n")
+        code = main(
+            ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        head = "warning: component '{}' has neither data nor a prior; the fused prior of 'sys' is dropped"
+        assert capsys.readouterr().err.splitlines() == [head.format("a"), head.format("b")]
 
     @pytest.mark.parametrize(
         "row",
@@ -674,13 +702,6 @@ class TestCliHostileInputs:
 # scipy.integrate is bound lazily: until something integrates, sys.modules
 # holds only its unexecuted stub, and none of its submodules is imported.
 INTEGRATE_LOADED = "any(m.startswith('scipy.integrate.') for m in sys.modules)"
-
-
-def run_fresh(code: str) -> str:
-    """Stdout of ``code`` run in a new interpreter that imports relfuse from this tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(relfuse.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
 
 
 def fresh_main(args: list[str], shown: str) -> str:

@@ -29,8 +29,12 @@ in ``validation`` shows up even when the check still passes.  Last, for
 demo seeds 0 and 3 it runs ``relfuse simulate`` and then ``relfuse fit
 --priors --svg`` (the DP priors above, written as CSV) through
 ``relfuse.cli.main`` in a temporary directory, and keeps the bytes of the
-five files they write.  Two arrays match when their dtype, shape, values
-and float sign bits agree, NaN matching NaN.
+five files they write.  It also feeds a fixed corpus of ``node,time,event``,
+``node,time,cdf,precision`` and ``t,cdf`` texts to the three loaders and
+keeps the arrays each parses or its ``DataFormatError`` text, so a change in
+how rows are read or which fault is reported first shows up per text.
+Two arrays match when their dtype, shape, values and float sign bits agree,
+NaN matching NaN.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -236,6 +240,130 @@ def cli_outputs(seeds=CLI_SEEDS) -> dict:
     return out
 
 
+# csv's own errors: a lone carriage return in an unquoted field of a stream,
+# and a field over its 131,072-character limit.
+_BIG = "x" * 131_073
+_LIFE, _PRIOR, _TABLE = "node,time,event\n", "node,time,cdf,precision\n", "t,cdf\n"
+# Per loader: valid files, blank lines, a quoted label, each single fault the
+# loader names, and pairs of faults in either order, among them a bad row
+# before and after each of csv's own errors.
+LOADER_CORPUS = {
+    "lifetimes": {
+        "valid": _LIFE + "motor,120.5,1\nmotor,340,0\nbattery,88.25,1\nmotor,91,1\n",
+        "header-only": _LIFE,
+        "blank-lines": "\n" + _LIFE + "\nmotor,1,1\n\n\nmotor,2,0\n",
+        "quoted-label": _LIFE + '"pump, main",1.5,1\n" pump ",2,0\n',
+        "crlf": "node,time,event\r\nmotor,1,1\r\nmotor,2,0\r\n",
+        "spaced-header": " node , time ,event\nmotor, 1 , 1 \n",
+        "empty-file": "",
+        "blank-file": "\n\n",
+        "bad-header": "node,time\nmotor,1\n",
+        "columns-short": _LIFE + "motor,1\n",
+        "columns-long": _LIFE + "motor,1,1,1\n",
+        "time-not-a-number": _LIFE + "motor,abc,1\n",
+        "time-zero": _LIFE + "motor,0,1\n",
+        "time-negative": _LIFE + "motor,-1,1\n",
+        "time-infinite": _LIFE + "motor,inf,1\n",
+        "time-nan": _LIFE + "motor,nan,1\n",
+        "event": _LIFE + "motor,1,2\n",
+        "event-fraction": _LIFE + "motor,1,0.5\n",
+        "empty-label": _LIFE + " ,1,1\n",
+        "blank-lines-then-bad-row": _LIFE + "\n\nmotor,1,1\nmotor,x,1\n",
+        "lone-cr": _LIFE + "mo\rtor,1,1\n",
+        "oversized-field": _LIFE + f"{_BIG},1,1\n",
+        "two-bad-rows": _LIFE + "motor,1,2\nmotor,x,1\n",
+        "two-bad-rows-swapped": _LIFE + "motor,x,1\nmotor,1,2\n",
+        "bad-row-then-lone-cr": _LIFE + "motor,x,1\nmo\rtor,1,1\n",
+        "lone-cr-then-bad-row": _LIFE + "mo\rtor,1,1\nmotor,x,1\n",
+        "bad-row-then-oversized-field": _LIFE + f"motor,x,1\n{_BIG},1,1\n",
+        "oversized-field-then-bad-row": _LIFE + f"{_BIG},1,1\nmotor,x,1\n",
+        "columns-then-lone-cr": _LIFE + "motor,1\nmo\rtor,1,1\n",
+        "bad-header-then-lone-cr": "node,time\nmo\rtor,1,1\n",
+    },
+    "priors": {
+        "valid": _PRIOR + "system,100,0.2,5\nsystem,200,0.7,5\nsystem,400,1.0,5\npump,50,0.5,2\npump,80,1.0,4\n",
+        "header-only": _PRIOR,
+        "blank-lines": _PRIOR + "\npump,50,0.5,2\n\n\npump,80,1.0,4\n",
+        "quoted-label": _PRIOR + '"pump, main",50,0.5,2\n"pump, main",80,1,4\n',
+        "empty-file": "",
+        "bad-header": "node,time,cdf\nx,1,0.5\n",
+        "columns": _PRIOR + "x,1,0.5\n",
+        "empty-label": _PRIOR + ",1,1,1\n",
+        "time-not-a-number": _PRIOR + "x,t,1,1\n",
+        "cdf-not-a-number": _PRIOR + "x,1,oops,1\n",
+        "precision-not-a-number": _PRIOR + "x,1,1,p\n",
+        "precision-negative": _PRIOR + "x,1,0.5,-1\nx,2,1,1\n",
+        "precision-nan": _PRIOR + "x,1,0.5,nan\nx,2,1,1\n",
+        "precision-infinite": _PRIOR + "x,1,0.5,inf\nx,2,1,1\n",
+        "times-not-increasing": _PRIOR + "x,2,0.5,1\nx,2,1,1\n",
+        "time-zero": _PRIOR + "x,0,0.5,1\nx,1,1,1\n",
+        "cdf-decreasing": _PRIOR + "x,1,0.5,1\nx,2,0.4,1\nx,3,1,1\n",
+        "cdf-nan": _PRIOR + "x,1,nan,1\nx,2,1,1\n",
+        "cdf-not-ending-at-one": _PRIOR + "x,1,0.5,1\nx,2,0.9,1\n",
+        "node-fault-then-bad-row": _PRIOR + "x,1,0.5,1\nx,2,0.9,1\ny,1,0.5,-1\n",
+        "lone-cr": _PRIOR + "x\r,1,1,1\n",
+        "oversized-field": _PRIOR + f"{_BIG},1,1,1\n",
+        "bad-row-then-lone-cr": _PRIOR + "x,1,0.5,-1\nx\r,2,1,1\n",
+        "lone-cr-then-bad-row": _PRIOR + "x\r,2,1,1\nx,1,0.5,-1\n",
+        "bad-row-then-oversized-field": _PRIOR + f"x,1,0.5,-1\n{_BIG},2,1,1\n",
+        "oversized-field-then-bad-row": _PRIOR + f"{_BIG},2,1,1\nx,1,0.5,-1\n",
+        "node-fault-then-lone-cr": _PRIOR + "x,1,0.5,1\nx,2,0.9,1\nx\r,3,1,1\n",
+    },
+    "table": {
+        "valid": _TABLE + "0,0\n0.5,0.25\n1,1\n",
+        "blank-lines": _TABLE + "\n0,0\n\n1,1\n\n",
+        "quoted": _TABLE + '"0.5","0.25"\n',
+        "header-only": _TABLE,
+        "empty-file": "",
+        "bad-header": "t,F\n0,0\n",
+        "columns": _TABLE + "1\n",
+        "time-not-a-number": _TABLE + "t,0.5\n",
+        "time-negative": _TABLE + "-1,0.5\n",
+        "time-infinite": _TABLE + "inf,0.5\n",
+        "time-nan": _TABLE + "nan,0.5\n",
+        "cdf-not-a-number": _TABLE + "1,c\n",
+        "cdf-above-one": _TABLE + "1,1.5\n",
+        "cdf-negative": _TABLE + "1,-0.5\n",
+        "cdf-nan": _TABLE + "1,nan\n",
+        "lone-cr": _TABLE + "0\r5,0.5\n",
+        "oversized-field": _TABLE + f"1,{_BIG}\n",
+        "bad-row-then-lone-cr": _TABLE + "-1,0.5\n0\r5,0.5\n",
+        "lone-cr-then-bad-row": _TABLE + "0\r5,0.5\n-1,0.5\n",
+        "bad-row-then-oversized-field": _TABLE + f"-1,0.5\n1,{_BIG}\n",
+        "oversized-field-then-bad-row": _TABLE + f"1,{_BIG}\n-1,0.5\n",
+    },
+}
+
+
+def loader_outputs(corpus=LOADER_CORPUS) -> dict:
+    """Per corpus text, the arrays its loader parses from a stream, or its ``DataFormatError`` text."""
+    from relfuse.dataio import load_cdf_table, load_lifetimes, load_prior_spec
+    from relfuse.errors import DataFormatError
+
+    out = {}
+    for fmt, cases in corpus.items():
+        for case, text in cases.items():
+            name = f"loaders/{fmt}-{case}"
+            try:
+                if fmt == "lifetimes":
+                    datasets = load_lifetimes(io.StringIO(text))
+                    parsed = {d.label: {"times": d.times, "events": d.events} for d in datasets}
+                elif fmt == "priors":
+                    parsed = {
+                        label: {"grid": p.grid, "cdf": p.base.values, "precision": p.precision, "horizon": p.horizon}
+                        for label, p in load_prior_spec(io.StringIO(text)).items()
+                    }
+                else:
+                    parsed = {"table": dict(zip(("t", "cdf"), load_cdf_table(io.StringIO(text))))}
+            except DataFormatError as exc:
+                out[f"{name}/error"] = np.array([str(exc)], dtype=str)
+                continue
+            out[f"{name}/labels"] = np.array(list(parsed), dtype=str)
+            for i, columns in enumerate(parsed.values()):
+                out.update({f"{name}/{i}/{column}": np.asarray(v) for column, v in columns.items()})
+    return out
+
+
 def record(src: str, out: str) -> None:
     """Run the case matrix with the ``relfuse`` under ``src`` and save its arrays to ``out``."""
     # Imported here, not at the top, so each child binds the relfuse of its own side.
@@ -287,6 +415,7 @@ def record(src: str, out: str) -> None:
     arrays.update(band_probes())
     arrays.update(validator_reports())
     arrays.update(cli_outputs())
+    arrays.update(loader_outputs())
     np.savez(out, **arrays)
 
 
@@ -343,17 +472,18 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "cli", "datasets", "validate"}
+    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "cli", "datasets", "loaders", "validate"}
     n_calibrations = sum(name.startswith("calibration/") for name in change)
     n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
     n_datasets = sum(name.startswith("datasets/") for name in change)
     n_reports = sum(name.startswith("validate/") for name in change)
     n_cli = sum(name.startswith("cli/") for name in change)
+    n_loaders = len({name.split("/")[1] for name in change if name.startswith("loaders/")})
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     print(
         f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
         f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
-        f"{n_cli} CLI files, "
+        f"{n_cli} CLI files, {n_loaders} loader texts, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

@@ -160,10 +160,10 @@ class BetaStacyProcess:
         if prec.shape != self.base.grid.shape:
             raise ValueError("precision must align with the base grid")
         terminal = self.base.values >= 1.0
-        prec[terminal] = np.nan
-        defined = ~np.isnan(prec)
-        if np.any(prec[defined] < 0.0) or not np.isfinite(prec[defined]).all():
+        live = prec[~terminal]
+        if not (np.isfinite(live).all() and np.all(live >= 0.0)):
             raise ValueError("precision values must be finite and nonnegative")
+        prec[terminal] = np.nan
         horizon = float(self.horizon)
         if not horizon > (self.base.grid[-1] if self.base.grid.size else 0.0):  # NaN fails too
             raise ValueError("horizon must lie after the last grid time")

@@ -25,7 +25,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,6 @@ __all__ = [
     "save_cdf_table",
     "export_curves",
 ]
-
-_FLAGS = ("", "terminal")
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -81,7 +78,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CurveExport:
-    """Point-estimate and band columns for one fitted curve."""
+    """Point-estimate and band columns for one fitted curve, all finite but ``precision``."""
 
     t: np.ndarray
     mean: np.ndarray
@@ -89,7 +86,6 @@ class CurveExport:
     lower: np.ndarray
     upper: np.ndarray
     precision: np.ndarray
-    flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         t, mean = _check_steps(self.t, self.mean, "mean column")
@@ -98,18 +94,19 @@ class CurveExport:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != t.shape:
                 raise ValueError(f"{name} column must be 1-d and as long as t")
+            if name != "precision" and not np.isfinite(arr).all():
+                raise ValueError(f"{name} column must be finite")
             cols[name] = arr
-        flags = tuple(self.flags) if self.flags else ("",) * t.size
-        if len(flags) != t.size:
-            raise ValueError("flags column must match the grid length")
-        if any(f not in _FLAGS for f in flags):
-            raise ValueError(f"flags must be one of {_FLAGS}")
         slack = 1e-9
         if np.any(cols["lower"] > mean + slack) or np.any(cols["upper"] < mean - slack):
             raise ValueError("band must contain the mean at every row")
         for name, arr in cols.items():
             object.__setattr__(self, name, _freeze(arr))
-        object.__setattr__(self, "flags", flags)
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Per row ``"terminal"`` where the mean reaches 1, else ``""``."""
+        return tuple("terminal" if m >= 1.0 else "" for m in self.mean.tolist())
 
     def __len__(self) -> int:
         return self.t.size
@@ -127,23 +124,26 @@ def _where(source, line: int) -> str:
 def _records(source, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """``(line, row)`` for each data row of a CSV with ``header``.
 
-    Blank rows are dropped; ``line`` is the line the row ends on.
+    Each row is checked as ``csv`` reads it, so the first fault in file
+    order is the one raised.  Blank rows are dropped; ``line`` is the line
+    the row ends on.
     """
     name = _source_name(source)
     text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
+    rows = filter(None, reader)
     try:
-        rows = [(reader.line_num, r) for r in reader if r]
+        if (first := next(rows, None)) is None:
+            raise DataFormatError(f"{name}: empty file")
+        if [c.strip() for c in first] != header:
+            raise DataFormatError(f"{name}: header must be {','.join(header)}")
+        for row in rows:
+            if len(row) != len(header):
+                where = _where(source, reader.line_num)
+                raise DataFormatError(f"{where}: expected {len(header)} columns, found {len(row)}")
+            yield reader.line_num, row
     except csv.Error as exc:
         raise DataFormatError(f"{name}: {exc}") from None
-    if not rows:
-        raise DataFormatError(f"{name}: empty file")
-    if [c.strip() for c in rows[0][1]] != header:
-        raise DataFormatError(f"{name}: header must be {','.join(header)}")
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise DataFormatError(f"{_where(source, line)}: expected {len(header)} columns, found {len(row)}")
-        yield line, row
 
 
 def _node_label(row: list[str], source, line: int) -> str:
@@ -259,21 +259,19 @@ def _write_csv(curve: CurveExport, fh) -> None:
     fh.writelines("{:.12g},{:.12g},{:.12g},{:.12g},{:.12g},{:.12g},{}\r\n".format(*row) for row in rows)
 
 
-def _step_points(xs, ys, x_left, y_left, x_right) -> list[tuple[float, float]]:
-    """Vertex list of a right-continuous step path from (x_left, y_left)."""
-    pts = [(x_left, y_left)]
-    prev = y_left
-    for x, y in zip(xs, ys):
-        pts.append((x, prev))
-        pts.append((x, y))
-        prev = y
-    pts.append((x_right, prev))
-    return pts
+def _step_path(xs: list[str], ys: list[str]) -> str:
+    """Path data of a step function from (``xs[0]``, ``ys[0]``) to ``xs[-1]``, turning where y changes."""
+    d, last = [f"M{xs[0]} {ys[0]}"], ys[0]
+    for x, y in zip(xs[1:-1], ys[1:]):
+        if y != last:
+            d.append(f"H{x}V{y}")
+            last = y
+    return "".join(d) + f"H{xs[-1]}"
 
 
-def _polyline(points, x0, y0, width, t_max, sy, height) -> str:
-    # x / t_max first: width / t_max overflows when t_max is subnormal.
-    return " ".join(f"{x0 + width * (x / t_max):.2f},{height - (y0 + sy * y):.2f}" for x, y in points)
+def _path(d: str, stroke: str, sw: float = 2.0, dash: str | None = None) -> str:
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'<path fill="none" stroke="{stroke}" stroke-width="{sw}"{dash_attr} d="{d}" />'
 
 
 def _write_svg(curve: CurveExport, fh, overlay=None) -> None:
@@ -284,14 +282,15 @@ def _write_svg(curve: CurveExport, fh, overlay=None) -> None:
     if overlay is not None:
         t_max = max(t_max, float(np.max(overlay[0])))
     sy = height - mt - mb
-    y0 = mb
+    plot_w = width - ml - mr
 
-    def poly(points, stroke, dash=None, sw=2.0):
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        return (
-            f'<polyline fill="none" stroke="{stroke}" stroke-width="{sw}"{dash_attr} '
-            f'points="{_polyline(points, ml, y0, width - ml - mr, t_max, sy, height)}" />'
-        )
+    # Drawn coordinates at two decimals; t / t_max first, since plot_w / t_max
+    # overflows when t_max is subnormal.
+    def x_of(t):
+        return [f"{x:.2f}" for x in (ml + plot_w * (np.asarray(t, dtype=float) / t_max)).tolist()]
+
+    def y_of(cdf):
+        return [f"{y:.2f}" for y in (height - (mb + sy * np.asarray(cdf, dtype=float))).tolist()]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -330,12 +329,13 @@ def _write_svg(curve: CurveExport, fh, overlay=None) -> None:
         "probability of failure</text>"
     )
     if overlay is not None:
-        parts.append(poly(list(zip(*overlay)), "#999999", sw=2.0))
+        points = zip(x_of(overlay[0]), y_of(overlay[1]))
+        parts.append(_path("M" + "L".join(f"{x} {y}" for x, y in points), "#999999"))
     if len(curve):
-        ts = curve.t
-        parts.append(poly(_step_points(ts, curve.lower, 0.0, 0.0, t_max), "#444444", dash="5 4", sw=1.5))
-        parts.append(poly(_step_points(ts, curve.upper, 0.0, 0.0, t_max), "#444444", dash="5 4", sw=1.5))
-        parts.append(poly(_step_points(ts, curve.mean, 0.0, 0.0, t_max), "black"))
+        xs = x_of(np.concatenate(([0.0], curve.t, [t_max])))
+        band = ("#444444", 1.5, "5 4")
+        for column, style in ((curve.lower, band), (curve.upper, band), (curve.mean, ("black",))):
+            parts.append(_path(_step_path(xs, y_of(np.concatenate(([0.0], column)))), *style))
     legend = [("estimated CDF", "black", None), ("credible band", "#444444", "5 4")]
     if overlay is not None:
         legend.append(("true CDF", "#999999", None))

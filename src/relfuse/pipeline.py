@@ -159,5 +159,4 @@ def curve_export(process: BetaStacyProcess, level: float = 0.95) -> CurveExport:
     grid = moments.grid
     defined = process.precision_defined
     precision = _carry(grid[defined], process.precision[defined], grid, np.nan)
-    flags = tuple("" if d else "terminal" for d in defined)
-    return CurveExport(grid, moments.first, moments.second, lower, upper, precision, flags)
+    return CurveExport(grid, moments.first, moments.second, lower, upper, precision)

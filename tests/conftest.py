@@ -1,13 +1,17 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 import relfuse
 from relfuse.bsp import BetaStacyProcess, DiscreteCdf, posterior_update
+from relfuse.cli import EXIT_OK, main
 from relfuse.fusion import moments_of
 from relfuse.rbd import RbdNode
 
@@ -17,6 +21,88 @@ def run_fresh(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(relfuse.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def priors_fit_args(tmp_path) -> list[str]:
+    """``relfuse fit --priors --svg`` arguments on simulated demo data with a DP prior on ``system``."""
+    sim_dir, fit_dir = tmp_path / "sim", tmp_path / "fit"
+    assert main(["simulate", "--seed", "0", "--out", str(sim_dir)]) == EXIT_OK
+    times = np.linspace(200.0, 2000.0, 10)
+    cdf = -np.expm1(-((times / 800.0) ** 2))
+    cdf[-1] = 1.0
+    rows = ["node,time,cdf,precision"] + [f"system,{t:g},{c:.12g},40" for t, c in zip(times, cdf)]
+    (tmp_path / "priors.csv").write_text("\n".join(rows) + "\n")
+    return [
+        "fit",
+        "--rbd", str(sim_dir / "system.rbd"),
+        "--data", str(sim_dir / "lifetimes.csv"),
+        "--priors", str(tmp_path / "priors.csv"),
+        "--out", str(fit_dir),
+        "--svg",
+    ]
+
+
+def rejected_inputs_args(tmp_path) -> list[list[str]]:
+    """A ``relfuse simulate`` with a bad seed and a ``relfuse fit`` on a CSV with a bad time."""
+    (tmp_path / "sys.rbd").write_text("sys")
+    (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,x,1\n")
+    simulate = ["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")]
+    fit = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"),
+           "--out", str(tmp_path / "fit")]
+    return [simulate, fit]
+
+
+# Per entry point, the module a new interpreter imports and the ``main``
+# argument lists it runs, given a scratch directory.
+ENTRY_POINTS = {
+    "import relfuse": lambda tmp: ("relfuse", []),
+    "import relfuse.cli": lambda tmp: ("relfuse.cli", []),
+    "rejected inputs": lambda tmp: ("relfuse.cli", rejected_inputs_args(tmp)),
+    "relfuse simulate": lambda tmp: ("relfuse.cli", [["simulate", "--seed", "0", "--out", str(tmp)]]),
+    "relfuse fit --priors --svg": lambda tmp: ("relfuse.cli", [priors_fit_args(tmp)]),
+}
+
+# After recording what loaded, the interpreter imports scipy.integrate and
+# scipy.special the usual way and checks that they reuse what relfuse loaded.
+_ENTRY_CODE = """\
+import sys, warnings, {module}
+warnings.simplefilter("ignore")
+codes = [relfuse.cli.main(args) for args in {argvs!r}]
+loaded = sorted(sys.modules)
+quadpack = sys.modules.get("scipy.integrate._quadpack")
+ufuncs = sys.modules.get("scipy.special._ufuncs")
+import json, scipy.integrate, scipy.special
+bound = getattr(sys.modules.get("relfuse.oracle"), "integrate", None)
+reuse = {{
+    "quadpack": scipy.integrate._quadpack_py._quadpack is quadpack,
+    "integrate": bound is sys.modules["scipy.integrate"] and bound.quad is scipy.integrate.quad,
+    "ufuncs": scipy.special._ufuncs is ufuncs and scipy.special.betaincinv is getattr(ufuncs, "betaincinv", None),
+}}
+print(json.dumps({{"codes": codes, "loaded": loaded, "reuse": reuse}}))
+"""
+
+
+class EntryRun(NamedTuple):
+    codes: list[int]
+    loaded: frozenset[str]
+    reuse: dict[str, bool]
+    tmp: Path
+
+
+@pytest.fixture(scope="session")
+def entry_run(tmp_path_factory):
+    """``entry_run(name)``: the ``EntryRun`` of ``ENTRY_POINTS[name]``, one new interpreter per name per session."""
+    runs = {}
+
+    def run(name: str) -> EntryRun:
+        if name not in runs:
+            tmp = tmp_path_factory.mktemp("entry")
+            module, argvs = ENTRY_POINTS[name](tmp)
+            out = json.loads(run_fresh(_ENTRY_CODE.format(module=module, argvs=argvs)).splitlines()[-1])
+            runs[name] = EntryRun(out["codes"], frozenset(out["loaded"]), out["reuse"], tmp)
+        return runs[name]
+
+    return run
 
 
 def ecdf_posterior(times=(1.0, 2.0, 3.0)):

@@ -3,8 +3,6 @@
 import relfuse
 from relfuse import bsp, dataio, errors, fusion, oracle, pipeline, rbd
 
-from conftest import run_fresh
-
 MODULES = (bsp, dataio, errors, fusion, oracle, pipeline, rbd)
 
 # Every name the package exported before it re-exported the modules' lists.
@@ -47,7 +45,7 @@ def test_no_earlier_name_is_lost():
     assert EARLIER_NAMES | JOINED_NAMES <= set(relfuse.__all__)
 
 
-def test_import_loads_only_the_library_modules():
+def test_import_loads_only_the_library_modules(entry_run):
     # No front-end module (cli, demo, validation) loads with the package.
-    loaded = run_fresh("import sys, relfuse; print(*sorted(m for m in sys.modules if m.startswith('relfuse')))")
-    assert loaded.split() == ["relfuse", "relfuse._scipy", *(module.__name__ for module in MODULES)]
+    loaded = sorted(m for m in entry_run("import relfuse").loaded if m.startswith("relfuse"))
+    assert loaded == ["relfuse", "relfuse._scipy", *(module.__name__ for module in MODULES)]

@@ -205,6 +205,11 @@ class TestDpPrior:
         with pytest.raises(ValueError):
             dp_prior(np.array([1.0]), np.array([1.0]), -1.0)
 
+    def test_rejects_nan_precision_below_one(self):
+        # NaN marks only the points where the base has reached 1.
+        with pytest.raises(ValueError, match="precision values must be finite and nonnegative"):
+            BetaStacyProcess(DiscreteCdf([1.0, 2.0, 3.0], [0.2, 0.5, 1.0]), [np.nan, 4.0, 4.0])
+
 
 class TestPosteriorUpdate:
     def test_prior_only_is_identity(self):

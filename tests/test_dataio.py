@@ -1,4 +1,6 @@
 import io
+import re
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -40,10 +42,39 @@ def small_export(**overrides):
         lower=np.array([0.05, 0.2, 1.0]),
         upper=np.array([0.5, 0.8, 1.0]),
         precision=np.array([4.0, 4.0, 4.0]),
-        flags=("", "", "terminal"),
     )
     fields.update(overrides)
     return CurveExport(**fields)
+
+
+# The plot's frame: x from 70 at t = 0 to 776 at t_max, y from 444 at 0 up to 24 at 1.
+def drawn(t, value, t_max):
+    return f"{70.0 + 706.0 * (t / t_max):.2f}", f"{500 - (56.0 + 420.0 * value):.2f}"
+
+
+def step_corners(times, values, t_max):
+    """Corners of a step curve from (0, 0): two at each row whose drawn y changes, then one at t_max."""
+    corners = [drawn(0.0, 0.0, t_max)]
+    for t, value in zip(times, values):
+        x, y = drawn(t, value, t_max)
+        if y != corners[-1][1]:
+            corners += [(x, corners[-1][1]), (x, y)]
+    return corners + [(drawn(t_max, 0.0, t_max)[0], corners[-1][1])]
+
+
+def path_corners(d):
+    """The points an SVG path of M, L, H and V commands visits, as drawn."""
+    corners = []
+    for command, args in re.findall("([MLHV])([^MLHV]*)", d):
+        x, y = corners[-1] if corners else (None, None)
+        if command in "ML":
+            x, y = args.split()
+        elif command == "H":
+            x = args
+        else:
+            y = args
+        corners.append((x, y))
+    return corners
 
 
 class TestLoadLifetimes:
@@ -189,10 +220,17 @@ class TestCurveExport:
         with pytest.raises(ValueError, match="band"):
             small_export(lower=np.array([0.3, 0.2, 1.0]))
 
-    @pytest.mark.parametrize("flag", ["weird", "beyond_data"])
-    def test_rejects_unknown_flags(self, flag):
-        with pytest.raises(ValueError, match="flags"):
-            small_export(flags=("", "", flag))
+    @pytest.mark.parametrize("column", ["second_moment", "lower", "upper"])
+    def test_rejects_nan_columns(self, column):
+        values = getattr(small_export(), column).copy()
+        values[0] = np.nan
+        with pytest.raises(ValueError, match=f"{column} column must be finite"):
+            small_export(**{column: values})
+
+    def test_flags_mark_the_rows_where_the_mean_reaches_one(self):
+        assert small_export().flags == ("", "", "terminal")
+        below_one = small_export(mean=np.array([0.2, 0.5, 0.9]), lower=np.array([0.05, 0.2, 0.8]))
+        assert below_one.flags == ("", "", "")
 
     def test_rejects_decreasing_mean(self):
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -249,7 +287,7 @@ class TestExportFormats:
             format="svg",
             overlay=(np.array([1.0, 2.0]), np.array([0.3, 0.9])),
         )
-        assert overlaid.getvalue().count("polyline") > plain.getvalue().count("polyline")
+        assert overlaid.getvalue().count("<path") > plain.getvalue().count("<path")
 
     @pytest.mark.parametrize(
         "times", [(5e-324, 1e-320, 2e-320), (1e308, 1.5e308, 1.75e308)], ids=["subnormal", "near_max"]
@@ -258,11 +296,36 @@ class TestExportFormats:
         out = io.StringIO()
         export_curves(small_export(t=np.array(times)), out, format="svg", overlay=(times, [0.1, 0.5, 0.9]))
         root = ET.fromstring(out.getvalue())
-        points = [float(v) for el in root.iter() for v in el.get("points", "").replace(",", " ").split()]
+        points = [float(v) for el in root.iter() for v in re.split("[MHVL ]", el.get("d", "")) if v]
         # Tick labels are the texts that start like a number; nan and inf have no digit.
         ticks = [el.text for el in root.findall(".//{*}text") if el.text[0] in "-.0123456789ni"]
-        assert len(points) == 2 * (3 + 3 * 8) and len(ticks) == 12
+        # The overlay's three points, then per step path its start, two
+        # numbers per row and its end.
+        assert len(points) == 2 * 3 + 3 * (2 + 2 * 3 + 1) and len(ticks) == 12
         assert np.isfinite(points).all() and all(any(c.isdigit() for c in text) for text in ticks)
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.arange(1.0, 7.0), np.arange(1.0, 7.0) * 5e-324, np.linspace(1e308, 1.75e308, 6)],
+        ids=["plain", "subnormal", "near_max"],
+    )
+    def test_step_paths_turn_at_every_drawn_jump(self, times):
+        # Flat steps, a rise too small to draw, and a terminal row.
+        exp = small_export(
+            t=times,
+            mean=np.array([0.2, 0.2, 0.2 + 1e-6, 0.5, 0.5, 1.0]),
+            second_moment=np.array([0.1, 0.1, 0.1, 0.3, 0.3, 1.0]),
+            lower=np.array([0.0, 0.05, 0.05, 0.2, 0.2, 1.0]),
+            upper=np.array([0.5, 0.5, 0.6, 0.8, 0.9, 1.0]),
+            precision=np.full(6, 4.0),
+        )
+        out = io.StringIO()
+        export_curves(exp, out, format="svg")
+        paths = ET.fromstring(out.getvalue()).findall(".//{*}path")
+        t_max = min(float(times[-1]) * 1.05, sys.float_info.max)
+        assert [path_corners(el.get("d")) for el in paths] == [
+            step_corners(times, column, t_max) for column in (exp.lower, exp.upper, exp.mean)
+        ]
 
     def test_overlay_rejected_for_csv(self):
         with pytest.raises(ValueError, match="overlay"):

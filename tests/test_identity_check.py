@@ -182,3 +182,34 @@ def test_cli_outputs_keep_the_bytes_of_every_written_file():
     assert text["sim/true_system_cdf.csv"].startswith("t,cdf\n0,0\n")
     assert text["fit/system_cdf.csv"].startswith("t,mean,second_moment,lower,upper,precision,flags\r\n")
     assert text["fit/system_cdf.svg"].endswith("</svg>\n") and "true CDF" in text["fit/system_cdf.svg"]
+
+
+# One fragment of each fault message the three loaders name.
+LOADER_FAULTS = (
+    "empty file", "header must be", "expected 2 columns", "expected 3 columns", "expected 4 columns",
+    "is not a number", "event must be 0 or 1", "sample time must be a finite positive number", "empty node label",
+    "(node 'x'): precision '-1' must be finite and nonnegative", "strictly increasing", "nondecreasing",
+    "end at exactly 1", "time '-1' must be finite and nonnegative", "must lie in [0, 1]", "no t,cdf rows",
+    "new-line character seen in unquoted field", "field larger than field limit",
+)
+
+
+def test_loader_outputs_keep_each_parse_or_error():
+    got = identity_check.loader_outputs()
+    corpus = identity_check.LOADER_CORPUS
+    for fmt, cases in corpus.items():
+        for case in cases:
+            arrays = {name.split("/", 2)[2] for name in got if name.startswith(f"loaders/{fmt}-{case}/")}
+            assert arrays == {"error"} or "labels" in arrays and "error" not in arrays, (fmt, case)
+    assert got["loaders/lifetimes-valid/labels"].tolist() == ["motor", "battery"]
+    assert got["loaders/lifetimes-valid/0/times"].tolist() == [120.5, 340.0, 91.0]
+    assert got["loaders/priors-quoted-label/labels"].tolist() == ["pump, main"]
+    assert got["loaders/table-valid/0/cdf"].tolist() == [0.0, 0.25, 1.0]
+    errors = [str(got[name][0]) for name in got if name.endswith("/error")]
+    assert [f for f in LOADER_FAULTS if not any(f in text for text in errors)] == []
+    # The first fault in file order is the one reported, csv's own errors included.
+    for fmt in corpus:
+        for csv_fault, message in (("lone-cr", "new-line character"), ("oversized-field", "field larger")):
+            [before] = got[f"loaders/{fmt}-bad-row-then-{csv_fault}/error"].tolist()
+            [after] = got[f"loaders/{fmt}-{csv_fault}-then-bad-row/error"].tolist()
+            assert before.startswith("<stream> row 2") and after.startswith(f"<stream>: {message}"), fmt

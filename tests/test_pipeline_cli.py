@@ -27,7 +27,7 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import bsp_processes, nested_series_dsl, nested_series_json, run_fresh
+from conftest import bsp_processes, nested_series_dsl, nested_series_json, priors_fit_args, run_fresh
 
 
 def scalar_band(m, s, level):
@@ -337,7 +337,7 @@ class TestCliRoundTrip:
         assert csv_text.startswith("t,mean,second_moment,lower,upper,precision,flags")
         svg = (fit_dir / "system_cdf.svg").read_text()
         ET.fromstring(svg)
-        assert "polyline" in svg
+        assert "<path" in svg
 
         assert main(["validate", "--seed", "0"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -699,25 +699,18 @@ class TestCliHostileInputs:
         assert capsys.readouterr().err.startswith("error:")
 
 
-# scipy.integrate is bound lazily: until something integrates, sys.modules
-# holds only its unexecuted stub, and none of its submodules is imported.
-INTEGRATE_LOADED = "any(m.startswith('scipy.integrate.') for m in sys.modules)"
+# What each entry point loads, read from one new interpreter per entry point
+# (``conftest.ENTRY_POINTS``).
+FIT = "relfuse fit --priors --svg"
 
 
-def fresh_main(args: list[str], shown: str) -> str:
-    """Exit code of ``main(args)`` in a new interpreter, then ``shown`` evaluated after it."""
-    code = (
-        "import sys, warnings, relfuse.cli\n"
-        "warnings.simplefilter('ignore')\n"
-        f"code = relfuse.cli.main({[str(a) for a in args]!r})\n"
-        f"print(code, {shown})"
-    )
-    return run_fresh(code).splitlines()[-1]
+def loads(run, prefix: str) -> bool:
+    return any(m.startswith(prefix) for m in run.loaded)
 
 
-def test_cli_import_skips_scipy_stats():
+def test_cli_import_skips_scipy_stats(entry_run):
     # scipy.stats would be the bulk of every CLI start's import time.
-    assert run_fresh("import sys, relfuse.cli; print('scipy.stats' in sys.modules)") == "False"
+    assert "scipy.stats" not in entry_run("import relfuse.cli").loaded
 
 
 # scipy.special is imported inside the functions that draw a band or check
@@ -726,52 +719,27 @@ SPECIAL_LOADED = "any(m.startswith('scipy.special') for m in sys.modules)"
 
 
 @pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
-def test_import_leaves_scipy_special_unloaded(module):
-    assert run_fresh(f"import sys, {module}; print({SPECIAL_LOADED})") == "False"
+def test_import_leaves_scipy_special_unloaded(entry_run, module):
+    assert not loads(entry_run(f"import {module}"), "scipy.special")
 
 
-def test_input_errors_leave_scipy_special_unloaded(tmp_path):
-    (tmp_path / "sys.rbd").write_text("sys")
-    (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,x,1\n")
-    simulate = ["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")]
-    fit = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"),
-           "--out", str(tmp_path / "fit")]
-    code = (
-        "import sys, relfuse.cli\n"
-        f"codes = [relfuse.cli.main(args) for args in ({simulate!r}, {fit!r})]\n"
-        f"print(*codes, {SPECIAL_LOADED})"
-    )
-    assert run_fresh(code).splitlines()[-1] == f"{EXIT_INPUT} {EXIT_INPUT} False"
-    assert not (tmp_path / "sim").exists() and not (tmp_path / "fit").exists()
+def test_input_errors_leave_scipy_special_unloaded(entry_run):
+    run = entry_run("rejected inputs")
+    assert run.codes == [EXIT_INPUT, EXIT_INPUT] and not loads(run, "scipy.special")
+    assert not (run.tmp / "sim").exists() and not (run.tmp / "fit").exists()
 
 
+# scipy.integrate is bound lazily: until something integrates, sys.modules
+# holds only its unexecuted stub, and none of its submodules is imported.
 @pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
-def test_import_leaves_scipy_integrate_unloaded(module):
-    assert run_fresh(f"import sys, {module}; print({INTEGRATE_LOADED})") == "False"
+def test_import_leaves_scipy_integrate_unloaded(entry_run, module):
+    assert not loads(entry_run(f"import {module}"), "scipy.integrate.")
 
 
-def priors_fit_args(tmp_path) -> list[str]:
-    """``relfuse fit --priors --svg`` arguments on simulated demo data with a DP prior on ``system``."""
-    sim_dir, fit_dir = tmp_path / "sim", tmp_path / "fit"
-    assert main(["simulate", "--seed", "0", "--out", str(sim_dir)]) == EXIT_OK
-    times = np.linspace(200.0, 2000.0, 10)
-    cdf = -np.expm1(-((times / 800.0) ** 2))
-    cdf[-1] = 1.0
-    rows = ["node,time,cdf,precision"] + [f"system,{t:g},{c:.12g},40" for t, c in zip(times, cdf)]
-    (tmp_path / "priors.csv").write_text("\n".join(rows) + "\n")
-    return [
-        "fit",
-        "--rbd", str(sim_dir / "system.rbd"),
-        "--data", str(sim_dir / "lifetimes.csv"),
-        "--priors", str(tmp_path / "priors.csv"),
-        "--out", str(fit_dir),
-        "--svg",
-    ]
-
-
-def test_fit_leaves_scipy_integrate_unloaded(tmp_path):
-    assert fresh_main(priors_fit_args(tmp_path), INTEGRATE_LOADED) == f"{EXIT_OK} False"
-    assert (tmp_path / "fit" / "system_cdf.svg").exists()
+def test_fit_leaves_scipy_integrate_unloaded(entry_run):
+    run = entry_run(FIT)
+    assert run.codes == [EXIT_OK] and not loads(run, "scipy.integrate.")
+    assert (run.tmp / "fit" / "system_cdf.svg").exists()
 
 
 def test_bands_are_scipy_special_quantiles(tmp_path):
@@ -806,19 +774,13 @@ def test_bands_are_scipy_special_quantiles(tmp_path):
 SPECIAL_PACKAGE = ["scipy.special", "scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing"]
 
 
-def test_fit_loads_the_special_ufuncs_alone(tmp_path):
-    args = priors_fit_args(tmp_path)
-    code = (
-        "import sys, warnings, relfuse.cli\n"
-        "warnings.simplefilter('ignore')\n"
-        f"code = relfuse.cli.main({args!r})\n"
-        "ufuncs = sys.modules.get('scipy.special._ufuncs')\n"
-        f"print(code, ufuncs is not None, [m for m in {SPECIAL_PACKAGE!r} if m in sys.modules])\n"
-        "import scipy.special\n"
-        "print(scipy.special._ufuncs is ufuncs, scipy.special.betaincinv is ufuncs.betaincinv)"
-    )
-    assert run_fresh(code).splitlines()[-2:] == [f"{EXIT_OK} True []", "True True"]
-    assert (tmp_path / "fit" / "system_cdf.svg").exists()
+def test_fit_loads_the_special_ufuncs_alone(entry_run):
+    run = entry_run(FIT)
+    assert run.codes == [EXIT_OK] and "scipy.special._ufuncs" in run.loaded
+    assert [m for m in SPECIAL_PACKAGE if m in run.loaded] == []
+    # A later ``import scipy.special`` reuses the loaded ufuncs.
+    assert run.reuse["ufuncs"]
+    assert (run.tmp / "fit" / "system_cdf.svg").exists()
 
 
 # The finder misses one extension, the list names an extension this scipy
@@ -900,33 +862,23 @@ def test_concurrent_first_bands_load_the_ufuncs_once():
     assert run_fresh(code).splitlines()[-1] == "False False False True True"
 
 
-def test_simulate_skips_the_scipy_integrate_package(tmp_path):
+def test_simulate_skips_the_scipy_integrate_package(entry_run):
     # The calibration loads QUADPACK's extension alone: the package __init__
     # and the subpackages it imports stay unloaded.  A later import of the
     # package reuses the extension module.
     skipped = [
         "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg", "scipy.integrate._quadpack_py"
     ]
-    code = (
-        "import sys, relfuse.cli\n"
-        f"code = relfuse.cli.main(['simulate', '--seed', '0', '--out', {str(tmp_path)!r}])\n"
-        "ext = sys.modules.get('scipy.integrate._quadpack')\n"
-        f"print(code, ext is not None, [m for m in {skipped!r} if m in sys.modules])\n"
-        "import scipy.integrate\n"
-        "print(scipy.integrate._quadpack_py._quadpack is ext)"
-    )
-    assert run_fresh(code).splitlines()[-2:] == [f"{EXIT_OK} True []", "True"]
+    run = entry_run("relfuse simulate")
+    assert run.codes == [EXIT_OK] and "scipy.integrate._quadpack" in run.loaded
+    assert [m for m in skipped if m in run.loaded] == []
+    assert run.reuse["quadpack"]
 
 
-def test_simulate_loads_the_bound_module(tmp_path):
-    code = (
-        "import sys, relfuse.cli, relfuse.oracle\n"
-        f"code = relfuse.cli.main(['simulate', '--seed', '0', '--out', {str(tmp_path)!r}])\n"
-        "import scipy.integrate\n"
-        "bound = relfuse.oracle.integrate\n"
-        "print(code, bound is sys.modules['scipy.integrate'], bound.quad is scipy.integrate.quad)"
-    )
-    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True"
+def test_simulate_loads_the_bound_module(entry_run):
+    # After ``import scipy.integrate``, relfuse.oracle's lazy binding is that package.
+    run = entry_run("relfuse simulate")
+    assert run.codes == [EXIT_OK] and run.reuse["integrate"]
 
 
 @pytest.mark.parametrize("fit", [fit_system, fit_system_only])
@@ -953,15 +905,14 @@ def test_unmatched_labels_are_rejected(fit, extra_data, extra_prior, message):
     assert str(info.value) == message
 
 
-MA_LOADED = "'numpy.ma' in sys.modules"
-
-
-def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+def test_simulate_leaves_numpy_ma_unloaded(entry_run):
     # np.median imports numpy.ma; the median of the leaf scales does not need it.
-    assert fresh_main(["simulate", "--seed", "0", "--out", tmp_path], MA_LOADED) == f"{EXIT_OK} False"
+    run = entry_run("relfuse simulate")
+    assert run.codes == [EXIT_OK] and "numpy.ma" not in run.loaded
 
 
-def test_fit_leaves_numpy_ma_unloaded(tmp_path):
+def test_fit_leaves_numpy_ma_unloaded(entry_run):
     # np.union1d imports numpy.ma; the fit's grid unions do not need it.
-    assert fresh_main(priors_fit_args(tmp_path), MA_LOADED) == f"{EXIT_OK} False"
-    assert (tmp_path / "fit" / "system_cdf.svg").exists()
+    run = entry_run(FIT)
+    assert run.codes == [EXIT_OK] and "numpy.ma" not in run.loaded
+    assert (run.tmp / "fit" / "system_cdf.svg").exists()

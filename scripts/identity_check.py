@@ -244,9 +244,9 @@ def cli_outputs(seeds=CLI_SEEDS) -> dict:
 # and a field over its 131,072-character limit.
 _BIG = "x" * 131_073
 _LIFE, _PRIOR, _TABLE = "node,time,event\n", "node,time,cdf,precision\n", "t,cdf\n"
-# Per loader: valid files, blank lines, a quoted label, each single fault the
-# loader names, and pairs of faults in either order, among them a bad row
-# before and after each of csv's own errors.
+# Per loader: valid files, blank lines, a quoted label, a leading byte-order
+# mark, each single fault the loader names, and pairs of faults in either
+# order, among them a bad row before and after each of csv's own errors.
 LOADER_CORPUS = {
     "lifetimes": {
         "valid": _LIFE + "motor,120.5,1\nmotor,340,0\nbattery,88.25,1\nmotor,91,1\n",
@@ -254,6 +254,7 @@ LOADER_CORPUS = {
         "blank-lines": "\n" + _LIFE + "\nmotor,1,1\n\n\nmotor,2,0\n",
         "quoted-label": _LIFE + '"pump, main",1.5,1\n" pump ",2,0\n',
         "crlf": "node,time,event\r\nmotor,1,1\r\nmotor,2,0\r\n",
+        "byte-order-mark": "\ufeff" + _LIFE + "motor,1,1\n",
         "spaced-header": " node , time ,event\nmotor, 1 , 1 \n",
         "empty-file": "",
         "blank-file": "\n\n",
@@ -285,6 +286,7 @@ LOADER_CORPUS = {
         "header-only": _PRIOR,
         "blank-lines": _PRIOR + "\npump,50,0.5,2\n\n\npump,80,1.0,4\n",
         "quoted-label": _PRIOR + '"pump, main",50,0.5,2\n"pump, main",80,1,4\n',
+        "byte-order-mark": "\ufeff" + _PRIOR + "x,1,0.5,1\nx,2,1,1\n",
         "empty-file": "",
         "bad-header": "node,time,cdf\nx,1,0.5\n",
         "columns": _PRIOR + "x,1,0.5\n",
@@ -313,6 +315,7 @@ LOADER_CORPUS = {
         "valid": _TABLE + "0,0\n0.5,0.25\n1,1\n",
         "blank-lines": _TABLE + "\n0,0\n\n1,1\n\n",
         "quoted": _TABLE + '"0.5","0.25"\n',
+        "byte-order-mark": "\ufeff" + _TABLE + "0,0\n1,1\n",
         "header-only": _TABLE,
         "empty-file": "",
         "bad-header": "t,F\n0,0\n",

@@ -40,7 +40,6 @@ from .errors import NotEstimableError
 __all__ = [
     "DiscreteCdf",
     "BetaStacyProcess",
-    "BetaShape",
     "dp_prior",
     "posterior_update",
     "mean",
@@ -185,31 +184,6 @@ class BetaStacyProcess:
         return cls(DiscreteCdf(empty, empty), empty)
 
 
-@dataclass(frozen=True)
-class BetaShape:
-    """Shape pair (a, b) of a beta distribution, both strictly positive."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
-        if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
-            raise ValueError("beta shapes must be finite and strictly positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
-
-    @property
-    def second_moment(self) -> float:
-        s = self.a + self.b
-        return self.a * (self.a + 1.0) / (s * (s + 1.0))
-
-
 def dp_prior(grid, cdf_values, precision_const: float) -> BetaStacyProcess:
     """Dirichlet-process prior: a discrete base CDF with constant precision.
 
@@ -347,8 +321,8 @@ def second_moment(process: BetaStacyProcess, t: float) -> float:
     return surv_sq - 1.0 + 2.0 * g_t
 
 
-def beta_match(mean_value: float, second_moment_value: float) -> BetaShape:
-    """Beta shape pair whose first two moments match the given values.
+def beta_match(mean_value: float, second_moment_value: float) -> tuple[float, float]:
+    """Beta shape pair ``(a, b)`` whose first two moments match the given values.
 
     With ``v = s - m^2`` the shapes are ``a = m (m(1-m)/v - 1)`` and
     ``b = (1-m) (m(1-m)/v - 1)``.  Requires ``0 < m < 1`` and
@@ -365,7 +339,10 @@ def beta_match(mean_value: float, second_moment_value: float) -> BetaShape:
     if v >= m * (1.0 - m):
         raise ValueError("variance at or above Bernoulli bound: moments admit no beta")
     k = m * (1.0 - m) / v - 1.0
-    return BetaShape(m * k, (1.0 - m) * k)
+    a, b = m * k, (1.0 - m) * k
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
+        raise ValueError("beta shapes must be finite and strictly positive")
+    return a, b
 
 
 def _check_level(level) -> float:
@@ -396,10 +373,8 @@ def _beta_bands(mean, second, level) -> tuple[np.ndarray, np.ndarray]:
     m, v = m[fit], v[fit]
     k = m * (1.0 - m) / v - 1.0
     a, b = m * k, (1.0 - m) * k
-    bad = ~(np.isfinite(a) & np.isfinite(b) & (a > 0.0) & (b > 0.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        BetaShape(a[i], b[i])  # raises its ValueError
+    if not np.all(np.isfinite(a) & np.isfinite(b) & (a > 0.0) & (b > 0.0)):
+        raise ValueError("beta shapes must be finite and strictly positive")
     betaincinv = special_ufuncs().betaincinv
     tail = (1.0 - level) / 2.0
     # Extreme skew can push both quantiles past the mean; widen minimally so

@@ -125,12 +125,12 @@ def _records(source, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """``(line, row)`` for each data row of a CSV with ``header``.
 
     Each row is checked as ``csv`` reads it, so the first fault in file
-    order is the one raised.  Blank rows are dropped; ``line`` is the line
-    the row ends on.
+    order is the one raised.  A leading byte-order mark and blank rows are
+    dropped; ``line`` is the line the row ends on.
     """
     name = _source_name(source)
     text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     rows = filter(None, reader)
     try:
         if (first := next(rows, None)) is None:

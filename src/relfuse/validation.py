@@ -1,10 +1,12 @@
-"""Self-checks behind the ``validate`` command.
+"""Self-checks behind the ``validate`` command, and the replication statistics.
 
 Each check exercises one estimation route against an independent reference:
 closed-form worked examples, the Kaplan-Meier product limit, Monte Carlo
-path and fusion sampling, and the exact three-beta product density.  Checks
-are seeded; Monte Carlo comparisons use a four-standard-error tolerance so
-they pass for any seed.
+path and fusion sampling, and the exact three-beta product density.  The
+estimates checked are the moment curves a fit exports.  Checks are seeded;
+Monte Carlo comparisons use a four-standard-error tolerance so they pass
+for any seed.  ``shared_band_widths`` and ``covers_truth`` are the
+statistics of replication studies, read from ``CurveExport``s.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsp import (
-    BetaStacyProcess,
-    DiscreteCdf,
-    beta_match,
-    dp_prior,
-    mean,
-    posterior_update,
-    second_moment,
-)
+from .bsp import BetaStacyProcess, DiscreteCdf, beta_match, dp_prior, posterior_update
 from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
 from .oracle import (
     exact_three_beta_product_pdf,
@@ -33,7 +27,7 @@ from .oracle import (
     three_beta_product_cdf_grid,
 )
 
-__all__ = ["CheckResult", "run_checks", "format_report"]
+__all__ = ["CheckResult", "run_checks", "format_report", "shared_band_widths", "covers_truth"]
 
 _EXACT_TOL = 1e-12
 _ROUNDTRIP_TOL = 1e-9
@@ -91,23 +85,45 @@ def _prior_only_error(prior: BetaStacyProcess) -> float:
 
 
 def _kaplan_meier_error(times, events) -> float:
-    """Largest gap between the zero-precision posterior mean and the product-limit estimate."""
+    """Largest gap between the zero-precision posterior's mean curve and the product-limit estimate."""
     km = kaplan_meier(times, events)
     post = posterior_update(BetaStacyProcess.noninformative(), times, events)
-    est = np.array([mean(post, float(t)) for t in km.grid])
-    return _worst(np.abs(est - km.values))
+    return _worst(np.abs(post.base.at(km.grid) - km.values))
 
 
 def _moment_z(process: BetaStacyProcess, n_paths: int, seed: int) -> float:
-    """Worst |z| of the closed-form moments against simulated paths; inf if a zero-SE point differs."""
+    """Worst |z| of the moment curve against simulated paths; inf if a zero-SE point differs."""
     ps = simulate_bsp_paths(process, n_paths, seed)
-    closed = np.array([(mean(process, t), second_moment(process, t)) for t in map(float, process.grid)])
+    curve = moments_of(process)
+    closed = np.column_stack((curve.first, curve.second))
     emp = np.column_stack((ps.mean, ps.second_moment))
     se = np.column_stack((ps.mean_se, ps.second_moment_se))
     zero = se == 0.0
     if np.any(emp[zero] != closed[zero]):
         return math.inf
     return _worst(np.abs(emp - closed)[~zero] / se[~zero])
+
+
+def shared_band_widths(hier, sysonly) -> tuple[float, float]:
+    """Mean band widths of two exports, each over the grid times both share.
+
+    ``hier`` and ``sysonly`` are ``CurveExport``s, as of the hierarchical and
+    the system-only fit of one dataset.
+    """
+    shared = np.intersect1d(hier.t, sysonly.t)
+    widths = [(c.upper - c.lower)[np.searchsorted(c.t, shared)] for c in (hier, sysonly)]
+    return float(np.mean(widths[0])), float(np.mean(widths[1]))
+
+
+def covers_truth(curve, true_cdf, percent: int = 50) -> bool:
+    """Whether the band of the export ``curve`` holds ``true_cdf`` at a grid quantile.
+
+    The quantile's row is ``len * percent // 100`` for ``percent`` in
+    [0, 100); the default is the median row, ``len // 2``.
+    """
+    i = curve.t.size * percent // 100
+    truth = float(true_cdf(float(curve.t[i])))
+    return bool(curve.lower[i] <= truth <= curve.upper[i])
 
 
 def check_prior_only() -> CheckResult:
@@ -244,9 +260,9 @@ def check_three_beta_product() -> CheckResult:
     mean_val, _ = integrate.quad(lambda y: y * exact_three_beta_product_pdf(y), 0.0, 1.0, limit=200)
     m = (9 / 12) * (8 / 11) * (4 / 6)
     s = (9 * 10 / (12 * 13)) * (8 * 9 / (11 * 12)) * (4 * 5 / (6 * 7))
-    shape = beta_match(m, s)
+    a, b = beta_match(m, s)
     ys, cdf = three_beta_product_cdf_grid()
-    ks = float(np.max(np.abs(betainc(shape.a, shape.b, ys) - cdf)))
+    ks = float(np.max(np.abs(betainc(a, b, ys) - cdf)))
     ok = abs(total - 1.0) <= 1e-6 and abs(mean_val - 4 / 11) <= 1e-6 and ks <= 0.05
     return CheckResult(
         "matched beta approximates the three-beta product",

@@ -17,6 +17,7 @@ from scipy import integrate, stats
 from relfuse import validation
 from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
 from relfuse.cli import EXIT_OK, main
+from relfuse.dataio import CurveExport
 from relfuse.demo import demo_config
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import MomentCurve, combine_series, moments_of, recover_precision
@@ -37,6 +38,8 @@ from relfuse.validation import (
     check_data_only,
     check_fusion_mc,
     check_series_degenerate,
+    covers_truth,
+    shared_band_widths,
 )
 
 
@@ -171,16 +174,15 @@ def test_07_beta_approximation_quality():
     assert m == pytest.approx(4 / 11, abs=1e-6)
 
     # Exact product moments: E[Y] = 4/11 and E[Y^2] = 150/1001.
-    shape = beta_match(4 / 11, 150 / 1001)
     grid, cdf = three_beta_product_cdf_grid()
-    ks = float(np.max(np.abs(stats.beta.cdf(grid, shape.a, shape.b) - cdf)))
+    ks = float(np.max(np.abs(stats.beta.cdf(grid, *beta_match(4 / 11, 150 / 1001)) - cdf)))
     assert ks <= 0.05
 
     # Same conclusion from simulated moments of the product.
     rng = np.random.default_rng(23)
     draws = rng.beta(9, 3, 200000) * rng.beta(8, 3, 200000) * rng.beta(4, 2, 200000)
     sampled = beta_match(float(draws.mean()), float((draws * draws).mean()))
-    ks_mc = float(np.max(np.abs(stats.beta.cdf(grid, sampled.a, sampled.b) - cdf)))
+    ks_mc = float(np.max(np.abs(stats.beta.cdf(grid, *sampled) - cdf)))
     assert ks_mc <= 0.05
     print(
         f"criterion 7 PASS: density integral {total:.8f}, mean {m:.8f}, "
@@ -208,6 +210,55 @@ def test_08_demo_scale_runtime(tmp_path):
     print(f"criterion 8 PASS: 13-node demo fit end to end in {elapsed*1e3:.0f} ms")
 
 
+def _export(t, lower, upper):
+    """A ``CurveExport`` on times ``t`` with the given band around its midpoint."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    mid = (lower + upper) / 2.0
+    return CurveExport(np.asarray(t, dtype=float), mid, mid, lower, upper, np.ones(mid.size))
+
+
+def test_shared_band_widths_average_the_shared_rows():
+    hier = _export([1.0, 2.0, 3.0, 4.0], [0.0] * 4, [0.125, 0.25, 0.375, 0.5])
+    sysonly = _export([2.0, 4.0, 5.0], [0.25, 0.25, 0.25], [0.75, 1.0, 1.0])
+    # Shared times 2 and 4: (0.25 + 0.5) / 2 and (0.5 + 0.75) / 2.
+    assert shared_band_widths(hier, sysonly) == (0.375, 0.625)
+    assert shared_band_widths(hier, hier) == (0.3125, 0.3125)
+
+
+def test_shared_band_widths_of_disjoint_grids_are_nan():
+    # No shared time: both means are of nothing, so neither fit wins.
+    hier = _export([1.0, 3.0], [0.0, 0.0], [0.5, 0.5])
+    sysonly = _export([2.0], [0.0], [1.0])
+    with pytest.warns(RuntimeWarning):
+        widths = shared_band_widths(hier, sysonly)
+    assert np.isnan(widths).all()
+
+
+@pytest.mark.parametrize(
+    "size, percent, row",
+    [
+        *[(5, 10, 0), (5, 25, 1), (5, 50, 2), (5, 75, 3), (5, 90, 4)],
+        *[(4, 10, 0), (4, 25, 1), (4, 50, 2), (4, 75, 3), (4, 90, 3)],
+    ],
+)
+def test_covers_truth_reads_the_grid_quantile_row(size, percent, row):
+    # Rows i have bands [i/8, i/8 + 1/16]; the truth is asked at one time only.
+    lower = np.arange(size) / 8.0
+    curve = _export(np.arange(1.0, size + 1.0), lower, lower + 1.0 / 16.0)
+    asked = []
+
+    def truth_at(value):
+        return lambda t: asked.append(t) or value
+
+    assert covers_truth(curve, truth_at(row / 8.0), percent)
+    assert covers_truth(curve, truth_at(row / 8.0 + 1.0 / 16.0), percent)
+    assert not covers_truth(curve, truth_at(row / 8.0 + 1.0 / 8.0), percent)
+    assert not covers_truth(curve, truth_at(row / 8.0 - 1.0 / 32.0), percent)
+    # By default the row is the median's, len // 2.
+    assert covers_truth(curve, truth_at(row / 8.0)) == (row == size // 2)
+    assert asked == [row + 1.0] * 4 + [size // 2 + 1.0]
+
+
 def test_09_hierarchical_bands_are_narrower():
     cfg = demo_config()
     wins = 0
@@ -217,48 +268,44 @@ def test_09_hierarchical_bands_are_narrower():
             warnings.simplefilter("ignore", PrecisionRecoveryWarning)
             hier = curve_export(fit_system(cfg.spec, datasets).posterior)
         sysonly = curve_export(fit_system_only(cfg.spec, datasets).posterior)
-        shared = np.intersect1d(hier.t, sysonly.t)
-        hi = np.searchsorted(hier.t, shared)
-        si = np.searchsorted(sysonly.t, shared)
-        hier_width = float(np.mean(hier.upper[hi] - hier.lower[hi]))
-        sys_width = float(np.mean(sysonly.upper[si] - sysonly.lower[si]))
+        hier_width, sys_width = shared_band_widths(hier, sysonly)
         wins += hier_width < sys_width
     assert wins >= 95
     print(f"criterion 9 PASS: hierarchical bands narrower in {wins}/100 replicates")
 
 
-def test_10_coverage_calibration():
+# Grid quantiles at which criteria 10 and 11 report coverage; only the
+# median's is bounded.
+COVERAGE_PERCENTS = (10, 25, 50, 75, 90)
+
+
+def _coverage(withheld=()):
+    """Per grid quantile, how many of 200 demo fits cover the true CDF; and the last fit."""
     cfg = demo_config()
-    covered = 0
+    covered = dict.fromkeys(COVERAGE_PERCENTS, 0)
     for seed in range(200):
-        datasets = cfg.simulate(seed)
+        datasets = [d for d in cfg.simulate(seed) if d.label not in withheld]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrecisionRecoveryWarning)
-            curve = curve_export(fit_system(cfg.spec, datasets).posterior)
-        i = curve.t.size // 2
-        truth = float(cfg.true_system_cdf(float(curve.t[i])))
-        covered += bool(curve.lower[i] <= truth <= curve.upper[i])
-    rate = covered / 200.0
+            result = fit_system(cfg.spec, datasets)
+        curve = curve_export(result.posterior)
+        for percent in COVERAGE_PERCENTS:
+            covered[percent] += covers_truth(curve, cfg.true_system_cdf, percent)
+    report = ", ".join(f"{p}% {n}/200" for p, n in covered.items())
+    return covered[50] / 200.0, report, result
+
+
+def test_10_coverage_calibration():
+    rate, report, _ = _coverage()
     assert 0.85 <= rate <= 0.99
-    print(f"criterion 10 PASS: coverage {covered}/200 = {rate:.3f} at the median grid time")
+    print(f"criterion 10 PASS: coverage {rate:.3f} at the median grid time ({report})")
 
 
 def test_11_coverage_with_a_component_withheld():
     # Criterion 10's loop with no data for 'gearing', a child of the system:
     # the system fits on its own data instead of treating 'gearing' as a
     # part that never fails.
-    cfg = demo_config()
-    covered = 0
-    for seed in range(200):
-        datasets = [d for d in cfg.simulate(seed) if d.label != "gearing"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PrecisionRecoveryWarning)
-            result = fit_system(cfg.spec, datasets)
-        curve = curve_export(result.posterior)
-        i = curve.t.size // 2
-        truth = float(cfg.true_system_cdf(float(curve.t[i])))
-        covered += bool(curve.lower[i] <= truth <= curve.upper[i])
-    rate = covered / 200.0
+    rate, report, result = _coverage(withheld=("gearing",))
     assert 0.85 <= rate <= 0.99
     assert result.uninformed == {"gearing": "system"}
-    print(f"criterion 11 PASS: coverage {covered}/200 = {rate:.3f} with 'gearing' withheld")
+    print(f"criterion 11 PASS: coverage {rate:.3f} at the median grid time with 'gearing' withheld ({report})")

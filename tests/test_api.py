@@ -5,9 +5,10 @@ from relfuse import bsp, dataio, errors, fusion, oracle, pipeline, rbd
 
 MODULES = (bsp, dataio, errors, fusion, oracle, pipeline, rbd)
 
-# Every name the package exported before it re-exported the modules' lists.
+# Every name the package exported before it re-exported the modules' lists,
+# but ``BetaShape``: ``beta_match`` returns a plain ``(a, b)`` pair instead.
 EARLIER_NAMES = {
-    "BetaShape", "BetaStacyProcess", "BindingError", "CurveExport", "DataFormatError", "Dataset",
+    "BetaStacyProcess", "BindingError", "CurveExport", "DataFormatError", "Dataset",
     "DiscreteCdf", "FitResult", "MomentCurve", "NotEstimableError", "PRECISION_CAP", "PathStats",
     "PrecisionRecoveryWarning", "RbdError", "RbdNode", "RbdSyntaxError", "RelfuseError", "StructuralLifetime",
     "SystemSpec", "WeibullLifetime", "__version__", "align_grids", "beta_match", "combine_parallel",

@@ -8,7 +8,6 @@ from scipy import stats
 
 import relfuse.bsp
 from relfuse.bsp import (
-    BetaShape,
     BetaStacyProcess,
     DiscreteCdf,
     NotEstimableError,
@@ -331,12 +330,8 @@ class TestMoments:
 
 class TestBetaMatch:
     def test_worked_pairs(self):
-        shape = beta_match(1 / 3, 1 / 6)
-        assert shape.a == pytest.approx(1.0, abs=1e-12)
-        assert shape.b == pytest.approx(2.0, abs=1e-12)
-        shape = beta_match(0.5, 0.3)
-        assert shape.a == pytest.approx(2.0, abs=1e-12)
-        assert shape.b == pytest.approx(2.0, abs=1e-12)
+        assert beta_match(1 / 3, 1 / 6) == pytest.approx((1.0, 2.0), abs=1e-12)
+        assert beta_match(0.5, 0.3) == pytest.approx((2.0, 2.0), abs=1e-12)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -346,13 +341,18 @@ class TestBetaMatch:
         with pytest.raises(ValueError):
             beta_match(0.0, 0.0)
 
+    def test_no_shape_for_a_nan_second_moment(self):
+        # beta_match and the array band rule raise the same error.
+        with pytest.raises(ValueError, match="beta shapes must be finite and strictly positive"):
+            beta_match(0.5, math.nan)
+        with pytest.raises(ValueError, match="beta shapes must be finite and strictly positive"):
+            relfuse.bsp._beta_bands([0.2, 0.5], [0.1, math.nan], 0.95)
+
     @given(st.floats(0.05, 50.0), st.floats(0.05, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, a, b):
-        shape = BetaShape(a, b)
-        back = beta_match(shape.mean, shape.second_moment)
-        assert back.a == pytest.approx(a, rel=1e-9)
-        assert back.b == pytest.approx(b, rel=1e-9)
+        s = a + b
+        assert beta_match(a / s, a * (a + 1.0) / (s * (s + 1.0))) == pytest.approx((a, b), rel=1e-9)
 
 
 class TestCredibleInterval:
@@ -386,8 +386,8 @@ class TestCredibleInterval:
         shape = beta_match(m, second_moment(post, 1.0))
         for level in (0.5, 0.9, 0.95, 0.99):
             tail = (1.0 - level) / 2.0
-            lo = float(stats.beta.ppf(tail, shape.a, shape.b))
-            hi = float(stats.beta.ppf(1.0 - tail, shape.a, shape.b))
+            lo = float(stats.beta.ppf(tail, *shape))
+            hi = float(stats.beta.ppf(1.0 - tail, *shape))
             assert credible_interval(post, 1.0, level) == (min(lo, m), max(hi, m))
 
     def test_degenerate_endpoints(self):

@@ -154,6 +154,38 @@ def test_oversized_field_names_the_file(tmp_path, loader, header):
         loader(path)
 
 
+def with_bom(text, tmp_path, as_path):
+    """``text`` after a UTF-8 byte-order mark, as a file path or as a stream."""
+    if not as_path:
+        return io.StringIO("\ufeff" + text)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("as_path", [True, False], ids=["path", "stream"])
+class TestByteOrderMark:
+    # Spreadsheets' "CSV UTF-8" exports start with a byte-order mark.
+    def test_lifetimes(self, tmp_path, as_path):
+        assert load_lifetimes(with_bom(LIFETIMES, tmp_path, as_path)) == load_lifetimes(io.StringIO(LIFETIMES))
+        # Only one mark is dropped.
+        with pytest.raises(DataFormatError, match="header must be node,time,event"):
+            load_lifetimes(with_bom("\ufeff" + LIFETIMES, tmp_path, as_path))
+
+    def test_prior_spec(self, tmp_path, as_path):
+        got = load_prior_spec(with_bom(PRIORS, tmp_path, as_path))
+        want = load_prior_spec(io.StringIO(PRIORS))
+        assert list(got) == list(want)
+        for label, prior in want.items():
+            np.testing.assert_array_equal(got[label].grid, prior.grid)
+            np.testing.assert_array_equal(got[label].base.values, prior.base.values)
+            np.testing.assert_array_equal(got[label].precision, prior.precision)
+
+    def test_cdf_table(self, tmp_path, as_path):
+        times, cdf = load_cdf_table(with_bom("t,cdf\n0,0\n1.5,0.25\n", tmp_path, as_path))
+        assert times.tolist() == [0.0, 1.5] and cdf.tolist() == [0.0, 0.25]
+
+
 class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError):

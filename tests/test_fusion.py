@@ -8,6 +8,7 @@ from relfuse.bsp import (
     dp_prior,
     mean,
     posterior_update,
+    second_moment,
 )
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import (
@@ -27,6 +28,11 @@ from conftest import bsp_processes, ecdf_posterior, moment_curves, rbd_trees
 
 def curve(grid, first, second):
     return MomentCurve(np.asarray(grid, float), np.asarray(first, float), np.asarray(second, float))
+
+
+def bits(values):
+    """The IEEE-754 bit patterns of ``values``, so that 0.0 and -0.0 differ and NaN equals itself."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestMomentCurve:
@@ -61,6 +67,16 @@ class TestMomentCurve:
         c = moments_of(ecdf_posterior())
         np.testing.assert_allclose(c.first, [1 / 3, 2 / 3, 1.0], atol=1e-12)
         np.testing.assert_allclose(c.second, [1 / 6, 1 / 2, 1.0], atol=1e-12)
+
+    @given(bsp_processes(min_precision=0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_moments_of_is_the_pointwise_moments_bit_for_bit(self, proc):
+        # The validator checks the curve; the pointwise functions share its
+        # checks only while both give the same bits.
+        c = moments_of(proc)
+        points = proc.grid.tolist()
+        assert bits(c.first).tolist() == bits([mean(proc, t) for t in points]).tolist()
+        assert bits(c.second).tolist() == bits([second_moment(proc, t) for t in points]).tolist()
 
     def test_moments_of_drops_nonestimable_tail(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 0.0)

@@ -205,6 +205,7 @@ def test_loader_outputs_keep_each_parse_or_error():
     assert got["loaders/lifetimes-valid/0/times"].tolist() == [120.5, 340.0, 91.0]
     assert got["loaders/priors-quoted-label/labels"].tolist() == ["pump, main"]
     assert got["loaders/table-valid/0/cdf"].tolist() == [0.0, 0.25, 1.0]
+    assert [got[f"loaders/{fmt}-byte-order-mark/labels"].tolist() for fmt in corpus] == [["motor"], ["x"], ["table"]]
     errors = [str(got[name][0]) for name in got if name.endswith("/error")]
     assert [f for f in LOADER_FAULTS if not any(f in text for text in errors)] == []
     # The first fault in file order is the one reported, csv's own errors included.

@@ -41,10 +41,10 @@ def scalar_band(m, s, level):
         return (m, m)
     if v >= m * (1.0 - m):
         return (0.0, 1.0)
-    shape = beta_match(m, s)
+    a, b = beta_match(m, s)
     tail = (1.0 - level) / 2.0
-    lo = float(special.betaincinv(shape.a, shape.b, tail))
-    hi = float(special.betaincinv(shape.a, shape.b, 1.0 - tail))
+    lo = float(special.betaincinv(a, b, tail))
+    hi = float(special.betaincinv(a, b, 1.0 - tail))
     return (min(lo, m), max(hi, m))
 
 
@@ -760,10 +760,10 @@ def test_bands_are_scipy_special_quantiles(tmp_path):
         f"ex = curve_export(fit_system(spec, load_lifetimes({str(data)!r})).posterior)\n"
         # The first row whose band the mean did not widen: both ends are quantiles.
         "i = np.flatnonzero((0 < ex.lower) & (ex.lower < ex.mean) & (ex.mean < ex.upper) & (ex.upper < 1))[0]\n"
-        "shape = beta_match(float(ex.mean[i]), float(ex.second_moment[i]))\n"
+        "a, b = beta_match(float(ex.mean[i]), float(ex.second_moment[i]))\n"
         "tail = (1.0 - 0.95) / 2.0\n"
-        "lo = float(scipy.special.betaincinv(shape.a, shape.b, tail))\n"
-        "hi = float(scipy.special.betaincinv(shape.a, shape.b, 1.0 - tail))\n"
+        "lo = float(scipy.special.betaincinv(a, b, tail))\n"
+        "hi = float(scipy.special.betaincinv(a, b, 1.0 - tail))\n"
         "print(code, loaded, ex.lower[i] == lo, ex.upper[i] == hi)"
     )
     assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True True"

@@ -6,7 +6,8 @@ third of a second and 22 MB for a ufunc that lives in one extension, and
 ``scipy.integrate`` pulls in scipy.optimize, sparse, linalg and special for
 its QUADPACK routines.  Here each extension is found in its subpackage's
 directory, executed alone and registered under its full name, so a later
-``import scipy.special`` or ``import scipy.integrate`` reuses it.
+``import scipy.special`` or ``import scipy.integrate`` reuses it.  Code that
+needs the ``scipy.integrate`` package itself gets it from ``integrate()``.
 """
 
 from __future__ import annotations
@@ -74,3 +75,8 @@ def special_ufuncs() -> ModuleType:
 def quadpack() -> ModuleType:
     """``scipy.integrate._quadpack``: the compiled QUADPACK routines behind ``quad``."""
     return _load("integrate", ("_quadpack",))
+
+
+def integrate() -> ModuleType:
+    """The ``scipy.integrate`` package, imported under the import lock on first use."""
+    return importlib.import_module("scipy.integrate")

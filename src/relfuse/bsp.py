@@ -338,9 +338,17 @@ def beta_match(mean_value: float, second_moment_value: float) -> tuple[float, fl
         raise ValueError("zero or negative variance: moments admit no beta")
     if v >= m * (1.0 - m):
         raise ValueError("variance at or above Bernoulli bound: moments admit no beta")
+    return _beta_shapes(m, v)
+
+
+def _beta_shapes(m, v):
+    """The shapes of ``beta_match`` for means ``m`` and variances ``v``, floats or arrays.
+
+    Raises ``ValueError`` unless every shape is finite and strictly positive.
+    """
     k = m * (1.0 - m) / v - 1.0
     a, b = m * k, (1.0 - m) * k
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
+    if not np.all((0.0 < a) & (a < math.inf) & (0.0 < b) & (b < math.inf)):
         raise ValueError("beta shapes must be finite and strictly positive")
     return a, b
 
@@ -371,10 +379,7 @@ def _beta_bands(mean, second, level) -> tuple[np.ndarray, np.ndarray]:
     upper = np.select(degenerate, [0.0, 1.0, m, 1.0])
     fit = ~np.logical_or.reduce(degenerate)
     m, v = m[fit], v[fit]
-    k = m * (1.0 - m) / v - 1.0
-    a, b = m * k, (1.0 - m) * k
-    if not np.all(np.isfinite(a) & np.isfinite(b) & (a > 0.0) & (b > 0.0)):
-        raise ValueError("beta shapes must be finite and strictly positive")
+    a, b = _beta_shapes(m, v)
     betaincinv = special_ufuncs().betaincinv
     tail = (1.0 - level) / 2.0
     # Extreme skew can push both quantiles past the mean; widen minimally so

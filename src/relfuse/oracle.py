@@ -10,15 +10,13 @@ between these routes and the estimation code is what the test suite and the
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import quadpack
+from . import _scipy
 from .bsp import BetaStacyProcess, DiscreteCdf, _check_lifetimes
 from .dataio import Dataset
 from .rbd import RbdNode
@@ -38,30 +36,12 @@ __all__ = [
 MAX_SEED = 2**64 - 1
 
 
-def _lazy_module(name: str):
-    """The module ``name``, executed at its first attribute access.
-
-    A module that is already imported is returned as it is.  Binding the
-    name does not import it: ``from scipy import integrate`` or ``import
-    scipy.integrate`` would.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# scipy.integrate pulls in scipy.optimize, sparse, linalg and special, which
-# ``relfuse`` never uses: imported up front it would cost more than the rest
-# of the CLI's import time.  Only the quadrature checks of ``validate`` and
-# their tests load it; the censoring calibration calls QUADPACK's extension
-# directly (see ``_quad_to_inf``), so ``relfuse simulate`` does not load it
-# either.
-integrate = _lazy_module("scipy.integrate")
+def __getattr__(name: str):
+    # ``oracle.integrate`` is read, and replaced while tracing, only by
+    # perfbench/tracing.py; relfuse itself calls ``_scipy.integrate()``.
+    if name == "integrate":
+        return _scipy.integrate()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _quad_to_inf(func) -> tuple[float, int]:
@@ -71,7 +51,7 @@ def _quad_to_inf(func) -> tuple[float, int]:
     passes to QAGI, so the value is the same to the last bit; only its
     warning for a non-zero ``ier`` is left to the caller.
     """
-    value, _, ier = quadpack()._qagie(func, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 200)
+    value, _, ier = _scipy.quadpack()._qagie(func, 0.0, 1, (), 0, 1.49e-8, 1.49e-8, 200)
     return value, ier
 
 
@@ -195,7 +175,7 @@ def exact_three_beta_product_pdf(y) -> np.ndarray:
 def three_beta_product_cdf_grid() -> tuple[np.ndarray, np.ndarray]:
     """Exact CDF of the three-beta product on 4001 uniform points, by quadrature."""
     ys = np.linspace(0.0, 1.0, 4001)
-    cdf = integrate.cumulative_trapezoid(exact_three_beta_product_pdf(ys), ys, initial=0.0)
+    cdf = _scipy.integrate().cumulative_trapezoid(exact_three_beta_product_pdf(ys), ys, initial=0.0)
     return ys, cdf
 
 
@@ -328,7 +308,7 @@ def censoring_rate(sampler, censor_fraction: float) -> float:
     reached, ier = _quad_to_inf(share_in_censoring_time)
     if ier:
         # Rare: repeat it through quad, whose IntegrationWarning says what QUADPACK met.
-        reached, _ = integrate.quad(share_in_censoring_time, 0.0, np.inf, limit=200)
+        reached, _ = _scipy.integrate().quad(share_in_censoring_time, 0.0, np.inf, limit=200)
     if abs(reached - censor_fraction) > 1e-6:
         raise ValueError(
             f"censoring rate {rate:g} reaches a censored share of {reached:g}, "

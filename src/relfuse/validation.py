@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scipy
 from .bsp import BetaStacyProcess, DiscreteCdf, beta_match, dp_prior, posterior_update
 from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
 from .oracle import (
     exact_three_beta_product_pdf,
-    integrate,
     kaplan_meier,
     simulate_bsp_paths,
     three_beta_product_cdf_grid,
@@ -254,8 +254,7 @@ def check_three_beta_product() -> CheckResult:
     beta CDF must stay within Kolmogorov-Smirnov distance 0.05 of the exact
     CDF computed by quadrature.
     """
-    from scipy.special import betainc
-
+    integrate, betainc = _scipy.integrate(), _scipy.special_ufuncs().betainc
     total, _ = integrate.quad(exact_three_beta_product_pdf, 0.0, 1.0, limit=200)
     mean_val, _ = integrate.quad(lambda y: y * exact_three_beta_product_pdf(y), 0.0, 1.0, limit=200)
     m = (9 / 12) * (8 / 11) * (4 / 6)

@@ -255,6 +255,22 @@ class TestPosteriorUpdate:
         with pytest.raises(NotEstimableError):
             second_moment(post, 3.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the precision carried past a censoring time still counts the units censored there",
+    )
+    def test_two_batches_give_the_one_batch_posterior(self):
+        # Batch A is one unit censored at 1.0, batch B one failure at 1.5.
+        # In one batch the base at 1.5 is 0.475 with precision 2.857; A then
+        # B gives 0.375 with precision 4.0.
+        prior = dp_prior(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.25, 0.5, 0.75, 1.0]), 2.0)
+        batch = posterior_update(prior, [1.0, 1.5], [0, 1])
+        sequential = posterior_update(posterior_update(prior, [1.0], [0]), [1.5], [1])
+        np.testing.assert_array_equal(sequential.grid, batch.grid)
+        np.testing.assert_allclose(sequential.base.values, batch.base.values, atol=1e-12)
+        np.testing.assert_allclose(sequential.precision, batch.precision, atol=1e-12)
+        assert sequential.horizon == batch.horizon
+
     def test_query_beyond_grid_holds_last_value(self):
         post = ecdf_posterior()
         assert mean(post, 100.0) == 1.0

@@ -267,7 +267,6 @@ def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess
 
     with np.errstate(invalid="ignore", divide="ignore"):
         prec_star = (alpha * (1.0 - g) + m_at - j_at) / (1.0 - g_star)
-    prec_star = np.where(g_star >= 1.0, np.nan, prec_star)
 
     horizon = union[cut] if cut < union.size else math.inf
     return BetaStacyProcess(DiscreteCdf(union[:cut], g_star[:cut]), prec_star[:cut], horizon)

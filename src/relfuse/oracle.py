@@ -88,8 +88,8 @@ def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> Pa
     precision, otherwise the beta shapes degenerate.
     """
     n_paths = int(n_paths)
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2, so that standard errors exist")
     seed = _check_seed(seed)
     grid = process.grid
     if grid.size == 0:

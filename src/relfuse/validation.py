@@ -104,6 +104,13 @@ def _moment_z(process: BetaStacyProcess, n_paths: int, seed: int) -> float:
     return _worst(np.abs(emp - closed)[~zero] / se[~zero])
 
 
+def _roundtrip_error(process: BetaStacyProcess) -> float:
+    """Largest change that recovering a process from ``process``'s moment curve makes to that curve."""
+    curve = moments_of(process)
+    back = moments_of(recover_precision(curve))
+    return _worst(np.abs(np.concatenate((back.first - curve.first, back.second - curve.second))))
+
+
 def shared_band_widths(hier, sysonly) -> tuple[float, float]:
     """Mean band widths of two exports, each over the grid times both share.
 
@@ -121,6 +128,8 @@ def covers_truth(curve, true_cdf, percent: int = 50) -> bool:
     The quantile's row is ``len * percent // 100`` for ``percent`` in
     [0, 100); the default is the median row, ``len // 2``.
     """
+    if not (0 <= percent < 100 and curve.t.size):
+        raise ValueError(f"no grid quantile row at {percent}% of an export with {curve.t.size} rows")
     i = curve.t.size * percent // 100
     truth = float(true_cdf(float(curve.t[i])))
     return bool(curve.lower[i] <= truth <= curve.upper[i])
@@ -229,17 +238,9 @@ def check_series_degenerate() -> CheckResult:
 def check_roundtrip(seed: int) -> CheckResult:
     """Moment curves survive recovery to a process and back."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(_ROUNDTRIP_CURVES):
-            curve = moments_of(_random_bsp(rng))
-            back = moments_of(recover_precision(curve))
-            worst = max(
-                worst,
-                _worst(np.abs(back.first - curve.first)),
-                _worst(np.abs(back.second - curve.second)),
-            )
+        worst = max(_roundtrip_error(_random_bsp(rng)) for _ in range(_ROUNDTRIP_CURVES))
     return CheckResult(
         f"moment curves round-trip through recovery ({_ROUNDTRIP_CURVES} curves)",
         worst <= _ROUNDTRIP_TOL,

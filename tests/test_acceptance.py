@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from relfuse import validation
 from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
@@ -20,13 +20,7 @@ from relfuse.cli import EXIT_OK, main
 from relfuse.dataio import CurveExport
 from relfuse.demo import demo_config
 from relfuse.errors import PrecisionRecoveryWarning
-from relfuse.fusion import MomentCurve, combine_series, moments_of, recover_precision
-from relfuse.oracle import (
-    exact_three_beta_product_pdf,
-    kaplan_meier,
-    simulate_bsp_paths,
-    three_beta_product_cdf_grid,
-)
+from relfuse.oracle import kaplan_meier, simulate_bsp_paths, three_beta_product_cdf_grid
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.validation import (
     _kaplan_meier_error,
@@ -34,10 +28,11 @@ from relfuse.validation import (
     _prior_only_error,
     _random_bsp,
     _random_censored_samples,
-    _worst,
+    _roundtrip_error,
     check_data_only,
     check_fusion_mc,
     check_series_degenerate,
+    check_three_beta_product,
     covers_truth,
     shared_band_widths,
 )
@@ -134,60 +129,35 @@ def test_nan_errors_are_never_dropped(monkeypatch):
 def test_05_fusion_against_monte_carlo():
     result = check_fusion_mc(seed=13, n_cases=100)
     assert result.passed, result.detail
-
     degenerate = check_series_degenerate()
     assert degenerate.passed, degenerate.detail
-    zero = MomentCurve(np.array([1.0]), np.zeros(1), np.zeros(1))
-    fused = combine_series(zero, zero)
-    assert fused.second[0] == 0.0
-    # Expanding the cross term through the means instead of the survival
-    # moments evaluates to 2 on this pair; the implementation must not.
-    wrong = 1.0 * 1.0 + 1.0 - 2.0 * 0.0 * 0.0
-    assert wrong == 2.0
     print(f"criterion 5 PASS: fusion vs Monte Carlo on 100 cases ({result.detail}); "
-          f"degenerate series second moment 0, rejected form gives {wrong:g}")
+          f"degenerate series pair ({degenerate.detail})")
 
 
 def test_06_moment_match_roundtrip():
     rng = np.random.default_rng(17)
-    worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(100):
-            proc = _random_bsp(rng, max_points=12)
-            curve = moments_of(posterior_update(proc, [], []))
-            back = recover_precision(curve)
-            again = moments_of(posterior_update(back, [], []))
-            worst = max(
-                worst,
-                _worst(np.abs(again.first - curve.first)),
-                _worst(np.abs(again.second - curve.second)),
-            )
+        worst = max(_roundtrip_error(_random_bsp(rng, max_points=12)) for _ in range(100))
     assert worst <= 1e-9
     print(f"criterion 6 PASS: moment roundtrip on 100 curves, sup error {worst:.2e}")
 
 
 def test_07_beta_approximation_quality():
-    total, _ = integrate.quad(lambda y: float(exact_three_beta_product_pdf(y)), 0.0, 1.0)
-    assert total == pytest.approx(1.0, abs=1e-6)
-    m, _ = integrate.quad(lambda y: y * float(exact_three_beta_product_pdf(y)), 0.0, 1.0)
-    assert m == pytest.approx(4 / 11, abs=1e-6)
-
-    # Exact product moments: E[Y] = 4/11 and E[Y^2] = 150/1001.
-    grid, cdf = three_beta_product_cdf_grid()
-    ks = float(np.max(np.abs(stats.beta.cdf(grid, *beta_match(4 / 11, 150 / 1001)) - cdf)))
-    assert ks <= 0.05
+    # Density integral and mean within 1e-6, and the beta matched to the
+    # exact product moments within KS 0.05 of the exact CDF.
+    result = check_three_beta_product()
+    assert result.passed, result.detail
 
     # Same conclusion from simulated moments of the product.
+    grid, cdf = three_beta_product_cdf_grid()
     rng = np.random.default_rng(23)
     draws = rng.beta(9, 3, 200000) * rng.beta(8, 3, 200000) * rng.beta(4, 2, 200000)
     sampled = beta_match(float(draws.mean()), float((draws * draws).mean()))
     ks_mc = float(np.max(np.abs(stats.beta.cdf(grid, *sampled) - cdf)))
     assert ks_mc <= 0.05
-    print(
-        f"criterion 7 PASS: density integral {total:.8f}, mean {m:.8f}, "
-        f"KS {ks:.4f} (exact moments) / {ks_mc:.4f} (sampled moments)"
-    )
+    print(f"criterion 7 PASS: {result.detail} (exact moments), KS {ks_mc:.4f} (sampled moments)")
 
 
 def test_08_demo_scale_runtime(tmp_path):
@@ -257,6 +227,17 @@ def test_covers_truth_reads_the_grid_quantile_row(size, percent, row):
     # By default the row is the median's, len // 2.
     assert covers_truth(curve, truth_at(row / 8.0)) == (row == size // 2)
     assert asked == [row + 1.0] * 4 + [size // 2 + 1.0]
+
+
+@pytest.mark.parametrize(
+    "size, percent", [(3, 100), (3, 150), (3, -50), (0, 50)], ids=["100", "150", "-50", "empty"]
+)
+def test_covers_truth_rejects_a_row_outside_the_export(size, percent):
+    # A percent outside [0, 100) would index past the end, or count rows
+    # from it; an empty export has no row at all.
+    curve = _export(np.arange(1.0, size + 1.0), np.zeros(size), np.ones(size))
+    with pytest.raises(ValueError, match="no grid quantile row"):
+        covers_truth(curve, lambda t: 0.5, percent)
 
 
 def test_09_hierarchical_bands_are_narrower():

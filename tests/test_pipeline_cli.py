@@ -27,7 +27,7 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import bsp_processes, nested_series_dsl, nested_series_json, priors_fit_args, run_fresh
+from conftest import bsp_processes, nested_series_dsl, nested_series_json, run_fresh
 
 
 def scalar_band(m, s, level):
@@ -715,9 +715,6 @@ def test_cli_import_skips_scipy_stats(entry_run):
 
 # scipy.special is imported inside the functions that draw a band or check
 # the matched beta, so neither the import nor a rejected input loads it.
-SPECIAL_LOADED = "any(m.startswith('scipy.special') for m in sys.modules)"
-
-
 @pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
 def test_import_leaves_scipy_special_unloaded(entry_run, module):
     assert not loads(entry_run(f"import {module}"), "scipy.special")
@@ -747,33 +744,6 @@ def test_fit_leaves_scipy_integrate_unloaded(entry_run):
     run = entry_run(FIT)
     assert run.codes == [EXIT_OK] and not loads(run, "scipy.integrate.")
     assert (run.tmp / "fit" / "system_cdf.svg").exists()
-
-
-def test_bands_are_scipy_special_quantiles(tmp_path):
-    args = priors_fit_args(tmp_path)
-    rbd, data = tmp_path / "sim" / "system.rbd", tmp_path / "sim" / "lifetimes.csv"
-    code = (
-        "import sys, warnings, relfuse.cli\n"
-        "import numpy as np\n"
-        "from relfuse.bsp import beta_match\n"
-        "from relfuse.dataio import load_lifetimes\n"
-        "from relfuse.pipeline import curve_export, fit_system\n"
-        "from relfuse.rbd import load_system_source\n"
-        "warnings.simplefilter('ignore')\n"
-        f"code = relfuse.cli.main({args!r})\n"
-        f"loaded = {SPECIAL_LOADED}\n"
-        "import scipy.special\n"
-        f"spec = load_system_source(open({str(rbd)!r}).read())\n"
-        f"ex = curve_export(fit_system(spec, load_lifetimes({str(data)!r})).posterior)\n"
-        # The first row whose band the mean did not widen: both ends are quantiles.
-        "i = np.flatnonzero((0 < ex.lower) & (ex.lower < ex.mean) & (ex.mean < ex.upper) & (ex.upper < 1))[0]\n"
-        "a, b = beta_match(float(ex.mean[i]), float(ex.second_moment[i]))\n"
-        "tail = (1.0 - 0.95) / 2.0\n"
-        "lo = float(scipy.special.betaincinv(a, b, tail))\n"
-        "hi = float(scipy.special.betaincinv(a, b, 1.0 - tail))\n"
-        "print(code, loaded, ex.lower[i] == lo, ex.upper[i] == hi)"
-    )
-    assert run_fresh(code).splitlines()[-1] == f"{EXIT_OK} True True True"
 
 
 # What ``import scipy.special`` loads besides the compiled ufuncs: the package

@@ -273,7 +273,9 @@ def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess
 
 
 def _check_estimable(process: BetaStacyProcess, t: float) -> None:
-    if t >= process.horizon:
+    if not t < process.horizon:  # NaN takes this branch too
+        if math.isnan(t):
+            raise ValueError("query time must not be NaN")
         raise NotEstimableError(
             f"query at t={t:g} is beyond the estimable range (ends before t={process.horizon:g})"
         )

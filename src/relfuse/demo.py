@@ -11,6 +11,7 @@ measurements of any real hardware.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,7 +74,7 @@ class DemoConfig:
         missing = {c.id for c in self.spec.root.iter_components()} - self.components.keys()
         if missing:
             raise ValueError(f"no Weibull parameters for: {', '.join(sorted(missing))}")
-        if not (0 < self.n_per_node <= MAX_N_PER_NODE):
+        if not (0 < operator.index(self.n_per_node) <= MAX_N_PER_NODE):
             raise ValueError(f"n_per_node must lie in [1, {MAX_N_PER_NODE:,}]")
         if not (0.0 <= self.censor_fraction < 1.0):
             raise ValueError("censor_fraction must lie in [0, 1)")

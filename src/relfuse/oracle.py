@@ -11,6 +11,7 @@ between these routes and the estimation code is what the test suite and the
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ def _quad_to_inf(func) -> tuple[float, int]:
 
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
+    seed = operator.index(seed)
     if not (0 <= seed <= MAX_SEED):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
@@ -87,7 +88,7 @@ def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> Pa
     contributes W_j = 1.  Positive-mass jumps require strictly positive
     precision, otherwise the beta shapes degenerate.
     """
-    n_paths = int(n_paths)
+    n_paths = operator.index(n_paths)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2, so that standard errors exist")
     seed = _check_seed(seed)
@@ -132,12 +133,11 @@ def kaplan_meier(times, events) -> DiscreteCdf:
     times, events = _check_lifetimes(times, events)
     if not times.size:
         raise ValueError("Kaplan-Meier needs at least one sample")
-    fail_times = np.unique(times[events == 1])
+    fail_times, deaths = np.unique(times[events], return_counts=True)
     if fail_times.size == 0:
         raise ValueError("Kaplan-Meier needs at least one observed failure")
     sorted_times = np.sort(times)
     at_risk = times.size - np.searchsorted(sorted_times, fail_times, side="left")
-    deaths = np.array([np.sum((times == t) & (events == 1)) for t in fail_times], dtype=np.float64)
     surv = np.cumprod(1.0 - deaths / at_risk)
     return DiscreteCdf(fail_times, 1.0 - surv)
 
@@ -332,7 +332,7 @@ def simulate_lifetimes(
     deterministically from the seed per sorted node label, so identical
     seeds give byte-identical datasets regardless of mapping order.
     """
-    n_per_node = int(n_per_node)
+    n_per_node = operator.index(n_per_node)
     if n_per_node <= 0:
         raise ValueError("n_per_node must be positive")
     for label in samplers:

@@ -12,6 +12,7 @@ statistics of replication studies, read from ``CurveExport``s.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -144,8 +145,7 @@ def check_prior_only() -> CheckResult:
 def check_data_only() -> CheckResult:
     """Zero-precision prior: posterior is the empirical CDF with precision n."""
     post = posterior_update(BetaStacyProcess.noninformative(), [1.0, 2.0, 3.0], [1, 1, 1])
-    err = float(np.max(np.abs(post.base.values - np.array([1 / 3, 2 / 3, 1.0]))))
-    err = max(err, float(np.max(np.abs(post.precision[:2] - 3.0))))
+    err = _worst(np.abs(np.concatenate((post.base.values - [1 / 3, 2 / 3, 1.0], post.precision[:2] - 3.0))))
     ok = err <= _EXACT_TOL and np.isnan(post.precision[2])
     return CheckResult("zero-precision posterior is the empirical CDF", ok, f"max error {err:.3e}")
 
@@ -272,7 +272,7 @@ def check_three_beta_product() -> CheckResult:
 
 
 def run_checks(seed: int = 0) -> list[CheckResult]:
-    seed = int(seed)
+    seed = operator.index(seed)
     return [
         check_prior_only(),
         check_data_only(),

@@ -123,7 +123,13 @@ def test_nan_errors_are_never_dropped(monkeypatch):
     nan_mean = np.where(np.arange(paths.mean.size) == last_spread, np.nan, paths.mean)
     monkeypatch.setattr(validation, "simulate_bsp_paths", lambda *args: replace(paths, mean=nan_mean))
     errors.append(_moment_z(proc, 1000, 0))
-    assert errors == [math.inf] * 3
+    monkeypatch.undo()
+
+    empirical = SimpleNamespace(base=SimpleNamespace(values=np.array([1 / 3, 2 / 3, 1.0])),
+                                precision=np.array([np.nan, 3.0, np.nan]))
+    monkeypatch.setattr(validation, "posterior_update", lambda *args: empirical)
+    data_only = check_data_only()
+    assert errors == [math.inf] * 3 and (data_only.passed, data_only.detail) == (False, "max error inf")
 
 
 def test_05_fusion_against_monte_carlo():
@@ -238,6 +244,12 @@ def test_covers_truth_rejects_a_row_outside_the_export(size, percent):
     curve = _export(np.arange(1.0, size + 1.0), np.zeros(size), np.ones(size))
     with pytest.raises(ValueError, match="no grid quantile row"):
         covers_truth(curve, lambda t: 0.5, percent)
+
+
+def test_run_checks_takes_an_integer_seed():
+    # int() would run seed 0's checks for 0.5.
+    with pytest.raises(TypeError):
+        validation.run_checks(0.5)
 
 
 def test_09_hierarchical_bands_are_narrower():

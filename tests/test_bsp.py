@@ -107,6 +107,13 @@ class TestHorizon:
             with pytest.raises(NotEstimableError):
                 second_moment(post, post.horizon)
 
+    @pytest.mark.parametrize("query", [mean, second_moment, credible_interval])
+    def test_nan_time_is_rejected(self, query):
+        # searchsorted puts NaN past the grid, where the last value would be read.
+        post = posterior_update(dp_prior([1.0, 2.0, 3.0], [0.3, 0.7, 1.0], 2.0), [1.4, 2.1], [1, 0])
+        with pytest.raises(ValueError, match="NaN"):
+            query(post, math.nan)
+
 
 # Everything that takes lifetime columns checks them the same way.
 LIFETIME_TAKERS = {

@@ -79,6 +79,12 @@ class TestPathSimulation:
         with pytest.raises(ValueError, match="n_paths must be at least 2"):
             simulate_bsp_paths(prior, 1, seed=1)
 
+    @pytest.mark.parametrize("n_paths, seed", [(10.5, 1), (10, 1.5)], ids=["n_paths", "seed"])
+    def test_counts_and_seeds_must_be_integers(self, n_paths, seed):
+        prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 3.0)
+        with pytest.raises(TypeError):
+            simulate_bsp_paths(prior, n_paths, seed)
+
 
 class TestThreeBetaProduct:
     def test_density_endpoints(self):
@@ -293,6 +299,11 @@ class TestSimulateLifetimes:
         for rates in ({}, {"b": 0.1}, {"a": -0.1}, {"a": np.inf}, {"a": np.nan}):
             with pytest.raises(ValueError, match="censoring rate"):
                 simulate_lifetimes(sampler, 5, rates, seed=1)
+        for n, seed in ((2.5, 1), (5, 0.9)):
+            with pytest.raises(TypeError):
+                simulate_lifetimes(sampler, n, {"a": 0.1}, seed=seed)
+        numpy_ints = simulate_lifetimes(sampler, np.int64(5), {"a": 0.1}, seed=np.uint64(1))
+        assert numpy_ints == simulate_lifetimes(sampler, 5, {"a": 0.1}, seed=1)
 
 
 class TestDemoCalibration:

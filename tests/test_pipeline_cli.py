@@ -1,3 +1,4 @@
+import fnmatch
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -27,7 +28,7 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import bsp_processes, nested_series_dsl, nested_series_json, run_fresh
+from conftest import ENTRY_POINTS, bsp_processes, nested_series_dsl, nested_series_json, run_fresh
 
 
 def scalar_band(m, s, level):
@@ -284,6 +285,11 @@ class TestDemoConfig:
         datasets = demo_config().simulate(3)
         assert len(datasets) == 13
         assert all(len(d) == 30 for d in datasets)
+
+    def test_n_per_node_must_be_an_integer(self):
+        base = demo_config()
+        with pytest.raises(TypeError):
+            DemoConfig(base.rbd_source, base.components, n_per_node=2.5)
 
     def test_load_sim_config_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "sim.json"
@@ -699,65 +705,57 @@ class TestCliHostileInputs:
         assert capsys.readouterr().err.startswith("error:")
 
 
-# What each entry point loads, read from one new interpreter per entry point
-# (``conftest.ENTRY_POINTS``).
-FIT = "relfuse fit --priors --svg"
+# What each entry point of ``conftest.ENTRY_POINTS`` does in a new
+# interpreter: its exit codes, the modules it must load (exact names) and must
+# not load (``fnmatch`` patterns), the ``reuse`` checks that must hold, and the
+# paths under its scratch directory that it writes, or must not create.
+FOOTPRINT = {
+    # relfuse reaches scipy only through relfuse._scipy, when a function first
+    # needs it: importing relfuse loads not even the scipy package (scipy.stats
+    # alone would be the bulk of every CLI start's import time).
+    "import relfuse": {"codes": [], "unloaded": ["scipy", "scipy.*"]},
+    "import relfuse.cli": {"codes": [], "unloaded": ["scipy", "scipy.*"]},
+    # scipy.special is imported inside the functions that draw a band or check
+    # the matched beta, so a rejected input neither loads it nor writes.
+    "rejected inputs": {"codes": [EXIT_INPUT, EXIT_INPUT], "unloaded": ["scipy.special", "scipy.special.*"],
+                        "absent": ["sim", "fit"]},
+    # The calibration loads QUADPACK's extension alone, not the scipy.integrate
+    # package and the subpackages it imports; a later import of the package
+    # reuses the extension and is ``relfuse.oracle.integrate``, which
+    # perfbench's tracing reads and replaces.  The median of the leaf scales
+    # does without np.median, which imports numpy.ma.
+    "relfuse simulate": {
+        "codes": [EXIT_OK],
+        "loaded": ["scipy.integrate._quadpack"],
+        "unloaded": ["scipy.integrate._quadpack_py", "scipy.optimize", "scipy.sparse", "scipy.special",
+                     "scipy.linalg", "numpy.ma"],
+        "reuse": ["quadpack", "integrate"],
+        "writes": ["system.rbd", "lifetimes.csv", "true_system_cdf.csv"],
+    },
+    # The bands load the compiled special ufuncs alone, not the scipy.special
+    # package and, through its array-API backends, numpy.testing and f2py; a
+    # later import of the package reuses them.  The fit integrates nothing, and
+    # its grid unions do without np.union1d, which imports numpy.ma.
+    "relfuse fit --priors --svg": {
+        "codes": [EXIT_OK],
+        "loaded": ["scipy.special._ufuncs"],
+        "unloaded": ["scipy.special", "scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing",
+                     "scipy.integrate.*", "numpy.ma"],
+        "reuse": ["ufuncs"],
+        "writes": ["fit/system_cdf.csv", "fit/system_cdf.svg"],
+    },
+}
 
 
-def loads(run, prefix: str) -> bool:
-    return any(m.startswith(prefix) for m in run.loaded)
-
-
-def test_cli_import_skips_scipy_stats(entry_run):
-    # scipy.stats would be the bulk of every CLI start's import time.
-    assert "scipy.stats" not in entry_run("import relfuse.cli").loaded
-
-
-# scipy.special is imported inside the functions that draw a band or check
-# the matched beta, so neither the import nor a rejected input loads it.
-@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
-def test_import_leaves_scipy_special_unloaded(entry_run, module):
-    assert not loads(entry_run(f"import {module}"), "scipy.special")
-
-
-def test_input_errors_leave_scipy_special_unloaded(entry_run):
-    run = entry_run("rejected inputs")
-    assert run.codes == [EXIT_INPUT, EXIT_INPUT] and not loads(run, "scipy.special")
-    assert not (run.tmp / "sim").exists() and not (run.tmp / "fit").exists()
-
-
-# relfuse reaches scipy only through relfuse._scipy, when a function first
-# needs it: importing relfuse loads not even the scipy package.
-@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
-def test_import_loads_no_scipy(entry_run, module):
-    assert not loads(entry_run(f"import {module}"), "scipy")
-
-
-# scipy.integrate is imported by the functions that integrate, so neither
-# the package nor any of its submodules is loaded by the import.
-@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
-def test_import_leaves_scipy_integrate_unloaded(entry_run, module):
-    assert not loads(entry_run(f"import {module}"), "scipy.integrate.")
-
-
-def test_fit_leaves_scipy_integrate_unloaded(entry_run):
-    run = entry_run(FIT)
-    assert run.codes == [EXIT_OK] and not loads(run, "scipy.integrate.")
-    assert (run.tmp / "fit" / "system_cdf.svg").exists()
-
-
-# What ``import scipy.special`` loads besides the compiled ufuncs: the package
-# __init__ and, through its array-API backends, numpy.testing and f2py.
-SPECIAL_PACKAGE = ["scipy.special", "scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing"]
-
-
-def test_fit_loads_the_special_ufuncs_alone(entry_run):
-    run = entry_run(FIT)
-    assert run.codes == [EXIT_OK] and "scipy.special._ufuncs" in run.loaded
-    assert [m for m in SPECIAL_PACKAGE if m in run.loaded] == []
-    # A later ``import scipy.special`` reuses the loaded ufuncs.
-    assert run.reuse["ufuncs"]
-    assert (run.tmp / "fit" / "system_cdf.svg").exists()
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_footprint(entry_run, entry):
+    row, run = FOOTPRINT[entry], entry_run(entry)
+    assert run.codes == row["codes"]
+    assert [m for m in row.get("loaded", []) if m not in run.loaded] == []
+    assert [m for pattern in row["unloaded"] for m in fnmatch.filter(sorted(run.loaded), pattern)] == []
+    assert [key for key in row.get("reuse", []) if not run.reuse[key]] == []
+    assert [f for f in row.get("writes", []) if not (run.tmp / f).is_file()] == []
+    assert [d for d in row.get("absent", []) if (run.tmp / d).exists()] == []
 
 
 # The finder misses one extension, the list names an extension this scipy
@@ -880,26 +878,6 @@ def test_concurrent_first_use_of_scipy_integrate():
     assert run_fresh(code).splitlines()[-1] == "False False [] True True"
 
 
-def test_simulate_skips_the_scipy_integrate_package(entry_run):
-    # The calibration loads QUADPACK's extension alone: the package __init__
-    # and the subpackages it imports stay unloaded.  A later import of the
-    # package reuses the extension module.
-    skipped = [
-        "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg", "scipy.integrate._quadpack_py"
-    ]
-    run = entry_run("relfuse simulate")
-    assert run.codes == [EXIT_OK] and "scipy.integrate._quadpack" in run.loaded
-    assert [m for m in skipped if m in run.loaded] == []
-    assert run.reuse["quadpack"]
-
-
-def test_simulate_loads_the_bound_module(entry_run):
-    # ``relfuse.oracle.integrate``, which perfbench's tracing reads and
-    # replaces, is the package a later ``import scipy.integrate`` returns.
-    run = entry_run("relfuse simulate")
-    assert run.codes == [EXIT_OK] and run.reuse["integrate"]
-
-
 @pytest.mark.parametrize("fit", [fit_system, fit_system_only])
 @pytest.mark.parametrize(
     "extra_data, extra_prior, message",
@@ -922,16 +900,3 @@ def test_unmatched_labels_are_rejected(fit, extra_data, extra_prior, message):
     with pytest.raises(BindingError) as info:
         fit(parse_rbd("sys@series(a, b)"), datasets, priors)
     assert str(info.value) == message
-
-
-def test_simulate_leaves_numpy_ma_unloaded(entry_run):
-    # np.median imports numpy.ma; the median of the leaf scales does not need it.
-    run = entry_run("relfuse simulate")
-    assert run.codes == [EXIT_OK] and "numpy.ma" not in run.loaded
-
-
-def test_fit_leaves_numpy_ma_unloaded(entry_run):
-    # np.union1d imports numpy.ma; the fit's grid unions do not need it.
-    run = entry_run(FIT)
-    assert run.codes == [EXIT_OK] and "numpy.ma" not in run.loaded
-    assert (run.tmp / "fit" / "system_cdf.svg").exists()

@@ -28,7 +28,7 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import ENTRY_POINTS, bsp_processes, nested_series_dsl, nested_series_json, run_fresh
+from conftest import bsp_processes, nested_series_dsl, nested_series_json, run_fresh
 
 
 def scalar_band(m, s, level):
@@ -708,7 +708,9 @@ class TestCliHostileInputs:
 # What each entry point of ``conftest.ENTRY_POINTS`` does in a new
 # interpreter: its exit codes, the modules it must load (exact names) and must
 # not load (``fnmatch`` patterns), the ``reuse`` checks that must hold, and the
-# paths under its scratch directory that it writes, or must not create.
+# paths under its scratch directory that it writes, or must not create.  Each
+# test below checks one row, or one row's module facts on a single package.
+FIT = "relfuse fit --priors --svg"
 FOOTPRINT = {
     # relfuse reaches scipy only through relfuse._scipy, when a function first
     # needs it: importing relfuse loads not even the scipy package (scipy.stats
@@ -736,7 +738,7 @@ FOOTPRINT = {
     # package and, through its array-API backends, numpy.testing and f2py; a
     # later import of the package reuses them.  The fit integrates nothing, and
     # its grid unions do without np.union1d, which imports numpy.ma.
-    "relfuse fit --priors --svg": {
+    FIT: {
         "codes": [EXIT_OK],
         "loaded": ["scipy.special._ufuncs"],
         "unloaded": ["scipy.special", "scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing",
@@ -747,15 +749,68 @@ FOOTPRINT = {
 }
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_entry_point_footprint(entry_run, entry):
+def footprint_violations(entry_run, entry: str, package: str = "") -> list[str]:
+    """The facts of ``FOOTPRINT[entry]`` that its run breaks; with ``package``, its module facts on that package alone."""
     row, run = FOOTPRINT[entry], entry_run(entry)
-    assert run.codes == row["codes"]
-    assert [m for m in row.get("loaded", []) if m not in run.loaded] == []
-    assert [m for pattern in row["unloaded"] for m in fnmatch.filter(sorted(run.loaded), pattern)] == []
-    assert [key for key in row.get("reuse", []) if not run.reuse[key]] == []
-    assert [f for f in row.get("writes", []) if not (run.tmp / f).is_file()] == []
-    assert [d for d in row.get("absent", []) if (run.tmp / d).exists()] == []
+
+    def on_package(module: str) -> bool:
+        return not package or module == package or module.startswith(package + ".")
+
+    broken = [f"exit codes {run.codes}"] if run.codes != row["codes"] else []
+    broken += [f"{m} not loaded" for m in row.get("loaded", []) if on_package(m) and m not in run.loaded]
+    broken += [f"{m} loaded" for pattern in row["unloaded"]
+               for m in fnmatch.filter(sorted(run.loaded), pattern) if on_package(m)]
+    broken += [f"reuse {key} fails" for key in row.get("reuse", []) if not run.reuse[key]]
+    broken += [f"{f} not written" for f in row.get("writes", []) if not (run.tmp / f).is_file()]
+    broken += [f"{d} created" for d in row.get("absent", []) if (run.tmp / d).exists()]
+    return broken
+
+
+@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
+def test_import_loads_no_scipy(entry_run, module):
+    assert footprint_violations(entry_run, f"import {module}", "scipy") == []
+
+
+@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
+def test_import_leaves_scipy_special_unloaded(entry_run, module):
+    assert footprint_violations(entry_run, f"import {module}", "scipy.special") == []
+
+
+@pytest.mark.parametrize("module", ["relfuse", "relfuse.cli"])
+def test_import_leaves_scipy_integrate_unloaded(entry_run, module):
+    assert footprint_violations(entry_run, f"import {module}", "scipy.integrate") == []
+
+
+def test_cli_import_skips_scipy_stats(entry_run):
+    assert footprint_violations(entry_run, "import relfuse.cli", "scipy.stats") == []
+
+
+def test_input_errors_leave_scipy_special_unloaded(entry_run):
+    assert footprint_violations(entry_run, "rejected inputs") == []
+
+
+def test_simulate_skips_the_scipy_integrate_package(entry_run):
+    assert footprint_violations(entry_run, "relfuse simulate", "scipy") == []
+
+
+def test_simulate_loads_the_bound_module(entry_run):
+    assert footprint_violations(entry_run, "relfuse simulate", "scipy.integrate") == []
+
+
+def test_simulate_leaves_numpy_ma_unloaded(entry_run):
+    assert footprint_violations(entry_run, "relfuse simulate", "numpy.ma") == []
+
+
+def test_fit_loads_the_special_ufuncs_alone(entry_run):
+    assert footprint_violations(entry_run, FIT) == []
+
+
+def test_fit_leaves_scipy_integrate_unloaded(entry_run):
+    assert footprint_violations(entry_run, FIT, "scipy.integrate") == []
+
+
+def test_fit_leaves_numpy_ma_unloaded(entry_run):
+    assert footprint_violations(entry_run, FIT, "numpy.ma") == []
 
 
 # The finder misses one extension, the list names an extension this scipy

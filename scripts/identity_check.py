@@ -1,6 +1,6 @@
 """Check that the working tree fits and exports exactly what a parent revision does.
 
-Each side runs a fixed matrix of 182 cases in its own child interpreter:
+Each side runs a fixed matrix of 234 cases in its own child interpreter:
 demo seeds 0-9 at 30 observations per node and 0-2 at 300, each with and
 without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
@@ -35,6 +35,11 @@ keeps the arrays each parses or its ``DataFormatError`` text, so a change in
 how rows are read or which fault is reported first shows up per text.
 Two arrays match when their dtype, shape, values and float sign bits agree,
 NaN matching NaN.
+
+Two more variants, fitted on the same seeds, put the nine demo components
+in one ``system@series`` group, with and without the ``system`` prior, so
+that one combine folds nine children where the demo's widest group has
+four.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -80,14 +85,36 @@ CLI_SEEDS = (0, 3)
 CLI_FILES = (
     "sim/system.rbd", "sim/lifetimes.csv", "sim/true_system_cdf.csv", "fit/system_cdf.csv", "fit/system_cdf.svg"
 )
-# Demo diagram variants: the label prefixes cut from its source, the labels
-# whose data is withheld, and the labels given a DP prior.
+
+
+def _cut(*texts: str):
+    """An edit of a diagram source that deletes each of ``texts``."""
+
+    def edit(source: str) -> str:
+        for text in texts:
+            source = source.replace(text, "")
+        return source
+
+    return edit
+
+
+def _flat_series(source: str) -> str:
+    """Every component of the diagram ``source``, in order, as the children of one ``system@series`` group."""
+    from relfuse.rbd import parse_rbd
+
+    return f"system@series({', '.join(c.id for c in parse_rbd(source).root.iter_components())})\n"
+
+
+# Demo diagram variants: the edit of its source, the labels whose data is
+# withheld, and the labels given a DP prior.
 VARIANTS = {
-    "unlabelled-groups": (("propulsion@", "gas@"), (), ()),
-    "group-prior-no-data": ((), ("electric",), ("electric",)),
-    "component-prior": ((), (), ("batteries",)),
-    "unlabelled-root": (("system@",), (), ()),
-    "withheld-gearing": ((), ("gearing",), ()),
+    "unlabelled-groups": (_cut("propulsion@", "gas@"), (), ()),
+    "group-prior-no-data": (_cut(), ("electric",), ("electric",)),
+    "component-prior": (_cut(), (), ("batteries",)),
+    "unlabelled-root": (_cut("system@"), (), ()),
+    "withheld-gearing": (_cut(), ("gearing",), ()),
+    "flat-series": (_flat_series, (), ()),
+    "flat-series-dp": (_flat_series, (), ("system",)),
 }
 
 
@@ -115,11 +142,8 @@ def variants(cfg) -> dict:
     from relfuse.rbd import parse_rbd
 
     out = {}
-    for name, (cut, withheld, prior_labels) in VARIANTS.items():
-        source = cfg.rbd_source
-        for text in cut:
-            source = source.replace(text, "")
-        out[name] = (parse_rbd(source), withheld, _dp_priors(cfg, prior_labels) or None)
+    for name, (edit, withheld, prior_labels) in VARIANTS.items():
+        out[name] = (parse_rbd(edit(cfg.rbd_source)), withheld, _dp_priors(cfg, prior_labels) or None)
     return out
 
 

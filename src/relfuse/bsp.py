@@ -92,9 +92,9 @@ def _check_lifetimes(times, events) -> tuple[np.ndarray, np.ndarray]:
     return times, events.astype(bool)
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.union1d(a, b)`` without the ``numpy.ma`` import: the first value of each sorted run."""
-    values = np.sort(np.concatenate((a, b)))
+def _union(*arrays: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``arrays``, as ``np.union1d`` gives for two, without the ``numpy.ma`` import."""
+    values = np.sort(np.concatenate(arrays))
     first = np.ones(values.shape, dtype=bool)
     first[1:] = values[1:] != values[:-1]
     return values[first]
@@ -135,8 +135,10 @@ class DiscreteCdf:
         return self.grid.size
 
     def at(self, t):
-        """CDF value at ``t`` (scalar or array), right-continuous."""
+        """CDF value at ``t`` (scalar or array), right-continuous; a NaN time raises ``ValueError``."""
         out = _carry(self.grid, self.values, t, 0.0)
+        if np.isnan(t).any():
+            raise ValueError("query time must not be NaN")
         return float(out) if out.ndim == 0 else out
 
 

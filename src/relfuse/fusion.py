@@ -1,13 +1,14 @@
 """Fusing lifetime uncertainty through a block diagram via moment algebra.
 
 A fitted node is summarized by its pointwise first and second moments
-(``MomentCurve``).  Independent children combine in closed form:
+(``MomentCurve``).  The k independent children of a group combine in closed
+form, one product over all of them on their union grid:
 
 * parallel (fails when the last child fails):
-  ``first = fa * fb`` and ``second = sa * sb``;
+  ``first = f_1 ... f_k`` and ``second = s_1 ... s_k``;
 * series (fails when the first child fails), in terms of the survival
   moments ``E[R] = 1 - first`` and ``E[R^2] = second + 1 - 2 first``:
-  ``E[R_s] = E[R_a] E[R_b]`` and ``E[R_s^2] = E[R_a^2] E[R_b^2]``.
+  ``E[R] = E[R_1] ... E[R_k]`` and ``E[R^2] = E[R_1^2] ... E[R_k^2]``.
 
 The combined curve is generally not the moment curve of any beta-Stacy
 process, but one can be fitted to it: ``recover_precision`` inverts the
@@ -96,47 +97,44 @@ def moments_of(process: BetaStacyProcess) -> MomentCurve:
     return MomentCurve(process.grid, process.base.values, second)
 
 
-def _extend_curve(curve: MomentCurve, grid: np.ndarray) -> MomentCurve:
-    return MomentCurve(
-        grid, _carry(curve.grid, curve.first, grid, 0.0), _carry(curve.grid, curve.second, grid, 0.0)
-    )
+def align_grids(*curves: MomentCurve) -> tuple[MomentCurve, ...]:
+    """Carry one or more curves onto their union grid: right-continuous, 0 before a curve's first point."""
+    union = _union(*(c.grid for c in curves))
+    return tuple(MomentCurve(union, *(_carry(c.grid, m, union, 0.0) for m in (c.first, c.second))) for c in curves)
 
 
-def align_grids(a: MomentCurve, b: MomentCurve) -> tuple[MomentCurve, MomentCurve]:
-    """Extend both curves to their union grid by right-continuous carry.
+def combine_parallel(*curves: MomentCurve) -> MomentCurve:
+    """Moments of the lifetime of one or more independent blocks in parallel.
 
-    Before a curve's first grid point both moments are 0 (no mass yet).
+    The group fails once all k children have failed, so the CDF is the
+    product ``F_1 ... F_k`` and independence gives ``first = f_1 ... f_k``,
+    ``second = s_1 ... s_k``.  The children are first aligned on their union grid.
     """
-    union = _union(a.grid, b.grid)
-    return _extend_curve(a, union), _extend_curve(b, union)
+    head, *rest = align_grids(*curves)
+    first, second = head.first, head.second
+    for c in rest:
+        first, second = first * c.first, second * c.second
+    return MomentCurve(head.grid, first, second)
 
 
-def combine_parallel(a: MomentCurve, b: MomentCurve) -> MomentCurve:
-    """Moments of the lifetime of two independent blocks in parallel.
+def combine_series(*curves: MomentCurve) -> MomentCurve:
+    """Moments of the lifetime of one or more independent blocks in series.
 
-    The pair fails once both children have failed, so the CDF is the product
-    ``Fa * Fb`` and independence gives ``first = fa * fb``,
-    ``second = sa * sb``.  Both curves are first aligned on their union grid.
+    The group fails with its first child failure, so survival multiplies:
+    with ``r_i = E[1-F_i]`` and ``u_i = E[(1-F_i)^2]`` per child,
+    ``first = 1 - r_1 ... r_k`` and ``second = u_1 ... u_k + 1 - 2 r_1 ... r_k``.
+    Expanding the second moment through the means alone is wrong (a fully
+    degenerate pair would come out with second moment 2 instead of 0).  After
+    alignment each step rebuilds the running ``u`` from ``(first, second)``,
+    so the result is bit for bit the left fold of pairs.
     """
-    a, b = align_grids(a, b)
-    return MomentCurve(a.grid, a.first * b.first, a.second * b.second)
-
-
-def combine_series(a: MomentCurve, b: MomentCurve) -> MomentCurve:
-    """Moments of the lifetime of two independent blocks in series.
-
-    The pair fails with its first child failure, so survival multiplies:
-    with ``u = E[(1-F)^2]`` and ``r = E[1-F]`` per child,
-    ``first = 1 - ra * rb`` and ``second = ua * ub + 1 - 2 ra rb``.  The
-    second moment is computed from the survival moments; expanding it
-    through the means alone is wrong (a fully degenerate pair would come
-    out with second moment 2 instead of 0).  Both curves are first aligned.
-    """
-    a, b = align_grids(a, b)
-    surv_prod = (1.0 - a.first) * (1.0 - b.first)
-    first = 1.0 - surv_prod
-    second = a.survival_second * b.survival_second + 1.0 - 2.0 * surv_prod
-    return MomentCurve(a.grid, first, second)
+    head, *rest = align_grids(*curves)
+    first, second = head.first, head.second
+    for c in rest:
+        surv_prod = (1.0 - first) * (1.0 - c.first)
+        second = (second + 1.0 - 2.0 * first) * c.survival_second + 1.0 - 2.0 * surv_prod
+        first = 1.0 - surv_prod
+    return MomentCurve(head.grid, first, second)
 
 
 # Each clamp kind, in the order they are tried: the clamped precision and

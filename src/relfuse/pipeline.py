@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -115,7 +114,7 @@ def fit_system(
             below = (n.binding_label for child in node.children for n in child.iter_nodes())
             dropped[label] = tuple(name for name in below if name in informed)
         combine = combine_series if node.kind == "series" else combine_parallel
-        fused = reduce(combine, results) if results and not missing else None
+        fused = combine(*results) if results and not missing else None
         # A group below the root with nothing of its own skips recovery.
         if fused is not None and ds is None and prior is None and not root:
             return fused

@@ -44,6 +44,20 @@ class TestDiscreteCdf:
         assert cdf.at(123.0) == 0.0
 
     @pytest.mark.parametrize(
+        "cdf, t",
+        [
+            (DiscreteCdf([1.0, 2.0, 3.0], [0.3, 0.7, 1.0]), math.nan),
+            (DiscreteCdf([1.0, 2.0, 3.0], [0.3, 0.7, 1.0]), [1.5, math.nan]),
+            (kaplan_meier([1.0, 2.0, 3.0], [1, 1, 0]), math.nan),
+        ],
+        ids=["scalar", "array", "kaplan_meier"],
+    )
+    def test_nan_time_is_rejected(self, cdf, t):
+        # searchsorted puts NaN past the grid, where the last value would be read.
+        with pytest.raises(ValueError, match="NaN"):
+            cdf.at(t)
+
+    @pytest.mark.parametrize(
         "grid, values, t, expected",
         [
             ([], [], [0.5, 7.0], [-1.0, -1.0]),

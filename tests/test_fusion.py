@@ -23,7 +23,7 @@ from relfuse.fusion import (
 )
 from relfuse.oracle import StructuralLifetime, WeibullLifetime
 
-from conftest import bsp_processes, ecdf_posterior, moment_curves, rbd_trees
+from conftest import bsp_processes, ecdf_posterior, grids, moment_curves, rbd_trees
 
 
 def curve(grid, first, second):
@@ -89,11 +89,15 @@ class TestAlignment:
     def test_union_with_carry_and_zero_head(self):
         a = curve([2.0, 4.0], [0.3, 0.6], [0.12, 0.4])
         b = curve([1.0, 4.0], [0.2, 0.5], [0.05, 0.3])
-        ea, eb = align_grids(a, b)
-        np.testing.assert_array_equal(ea.grid, [1.0, 2.0, 4.0])
-        np.testing.assert_allclose(ea.first, [0.0, 0.3, 0.6])
-        np.testing.assert_allclose(ea.second, [0.0, 0.12, 0.4])
-        np.testing.assert_allclose(eb.first, [0.2, 0.2, 0.5])
+        c = curve([3.0], [0.1], [0.02])
+        ea, eb, ec = align_grids(a, b, c)
+        for e in (ea, eb, ec):
+            np.testing.assert_array_equal(e.grid, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_allclose(ea.first, [0.0, 0.3, 0.3, 0.6])
+        np.testing.assert_allclose(ea.second, [0.0, 0.12, 0.12, 0.4])
+        np.testing.assert_allclose(eb.first, [0.2, 0.2, 0.2, 0.5])
+        np.testing.assert_allclose(ec.first, [0.0, 0.0, 0.1, 0.1])
+        np.testing.assert_allclose(ec.second, [0.0, 0.0, 0.02, 0.02])
 
     def test_empty_curve_extends_to_zero(self):
         a = curve([1.0], [0.4], [0.2])
@@ -194,10 +198,7 @@ class TestRandomTrees:
                 first = leaves[node.id].cdf(self.GRID)
                 return MomentCurve(self.GRID, first, first**2)
             combine = combine_series if node.kind == "series" else combine_parallel
-            fused = fold(node.children[0])
-            for child in node.children[1:]:
-                fused = combine(*align_grids(fused, fold(child)))
-            return fused
+            return combine(*(fold(child) for child in node.children))
 
         fused = fold(tree)
         oracle = StructuralLifetime(tree, leaves)
@@ -313,10 +314,62 @@ class TestMergePriors:
 
 
 class TestCombinersAlign:
-    @given(moment_curves(), moment_curves())
+    @given(moment_curves(), moment_curves(), moment_curves())
     @settings(max_examples=60, deadline=None)
-    def test_unaligned_inputs_are_aligned_first(self, a, b):
+    def test_unaligned_inputs_are_aligned_first(self, a, b, c):
         for combine in (combine_series, combine_parallel):
-            got, want = combine(a, b), combine(*align_grids(a, b))
+            got, want = combine(a, b, c), combine(*align_grids(a, b, c))
             for name in ("grid", "first", "second"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@st.composite
+def curve_groups(draw):
+    """One to five moment curves, each on its own grid, on a prefix of a grid they share, or on no grid."""
+    shared = draw(grids())
+    group = []
+    for _ in range(draw(st.integers(1, 5))):
+        where = draw(st.sampled_from(["own", "shared", "empty"]))
+        c = draw(moment_curves())
+        n = {"own": len(c), "shared": min(len(c), shared.size), "empty": 0}[where]
+        grid = shared[:n] if where == "shared" else c.grid[:n]
+        group.append(MomentCurve(grid, c.first[:n], c.second[:n]))
+    return group
+
+
+def pairwise_fold(kind, curves):
+    """The left fold of two-child combines, written out: the reference a k-child combine must match in bits."""
+    fused, *rest = curves
+    for c in rest:
+        a, b = align_grids(fused, c)
+        if kind == "parallel":
+            fused = MomentCurve(a.grid, a.first * b.first, a.second * b.second)
+        else:
+            surv_prod = (1.0 - a.first) * (1.0 - b.first)
+            second = a.survival_second * b.survival_second + 1.0 - 2.0 * surv_prod
+            fused = MomentCurve(a.grid, 1.0 - surv_prod, second)
+    return fused
+
+
+class TestKChildCombine:
+    @given(curve_groups())
+    @settings(max_examples=200, deadline=None)
+    def test_one_combine_is_the_pairwise_fold_bit_for_bit(self, group):
+        for kind, combine in (("series", combine_series), ("parallel", combine_parallel)):
+            got, want = combine(*group), pairwise_fold(kind, group)
+            for name in ("grid", "first", "second"):
+                np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(want, name)), err_msg=kind)
+
+    @given(curve_groups())
+    @settings(max_examples=100, deadline=None)
+    def test_every_aligned_grid_is_the_union_grid(self, group):
+        aligned = align_grids(*group)
+        assert len(aligned) == len(group)
+        union = np.unique(np.concatenate([c.grid for c in group]))
+        for c in aligned:
+            np.testing.assert_array_equal(c.grid, union)
+
+    @pytest.mark.parametrize("take", [align_grids, combine_series, combine_parallel])
+    def test_no_curves_raise(self, take):
+        with pytest.raises(ValueError):
+            take()

@@ -144,12 +144,15 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
     everything = {d.label for d in datasets}
     demo_branches = fold_branches(cfg.spec, everything, identity_check.PRIOR_NODES)
     cases = identity_check.variant_cases(identity_check.variants(cfg), datasets, "n30-seed0")
+    # The flat series reaches no new branch; it widens the group one combine folds.
     want = {
         "unlabelled-groups": "group-pass-up",
         "group-prior-no-data": "group-prior-no-data",
         "component-prior": "component-prior",
         "unlabelled-root": "unlabelled-root-no-data",
         "withheld-gearing": "component-uninformed",
+        "flat-series": None,
+        "flat-series-dp": None,
     }
     assert want.keys() == identity_check.VARIANTS.keys()
     for name, branch in want.items():
@@ -158,7 +161,8 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
         # Only labels the variant has are bound, so a parent that ignores
         # unmatched labels fits the same inputs.
         assert data_labels <= spec.labels.keys() and prior_labels <= spec.labels.keys()
-        assert branch in fold_branches(spec, data_labels, prior_labels) - demo_branches, name
+        if branch is not None:
+            assert branch in fold_branches(spec, data_labels, prior_labels) - demo_branches, name
         # Every node keeps a posterior but a group that passes its curve up
         # and a component with neither data nor a prior.
         kept = {
@@ -171,6 +175,24 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
             assert set(fit_system(spec, bound, priors).node_posteriors) == kept, name
     with pytest.raises(BindingError, match="binding label on the root"):
         fit_system_only(*cases["unlabelled-root-n30-seed0"])
+
+
+def test_flat_series_folds_the_nine_demo_components_in_one_group():
+    cfg = demo_config()
+    datasets = cfg.simulate(0)
+    cases = identity_check.variant_cases(identity_check.variants(cfg), datasets, "n30-seed0")
+    components = [c.id for c in cfg.spec.root.iter_components()]
+    assert len(components) == 9
+    widest = max(len(n.children) for n in cfg.spec.root.iter_nodes())
+    for name, prior_labels in (("flat-series", set()), ("flat-series-dp", {"system"})):
+        spec, bound, priors = cases[f"{name}-n30-seed0"]
+        root = spec.root
+        assert (root.kind, root.binding_label) == ("series", "system"), name
+        assert [c.id for c in root.children] == components, name
+        assert len(root.children) > widest
+        # The same seed's data for every node the flat diagram has.
+        assert {d.label for d in bound} == {"system", *components}
+        assert set(priors or ()) == prior_labels, name
 
 
 def test_cli_outputs_keep_the_bytes_of_every_written_file():

@@ -14,8 +14,10 @@ spread, and no more failed runs on the change's side than on the parent's.
 A pair in which either side has no value for the metric counts as run and
 not won.  The metric has regressed when the change's median is worse than
 the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``,
-taken relative to the parent's median.  Every run lasts
-``BENCHMARK.json``'s ``run_seconds``.
+taken relative to the parent's median.  It is unresolved when the parent's
+quartile spread is wider than that bound, so the runs cannot tell a
+regression from noise, unless every run of the change is better than every
+run of the parent.  Every run lasts ``BENCHMARK.json``'s ``run_seconds``.
 
 Usage:
     python3 scripts/bench_pairs.py --parent HEAD~1 --pr 8 \\
@@ -134,7 +136,9 @@ def compare(pairs: list[dict], name: str, unit: str, better: str, bound: float) 
     """The pair rule for one metric: wins, medians, and whether a gain may be claimed.
 
     ``regressed`` is set when the change's median is worse than the parent's
-    by more than ``bound`` times the parent's median.
+    by more than ``bound`` times the parent's median; ``unresolved`` when the
+    parent's quartile spread exceeds that margin and some change run is not
+    better than every parent run.
     """
     got = [(metric_value(p["parent"], name), metric_value(p["change"], name)) for p in pairs]
     complete = [(a, b) for a, b in got if a is not None and b is not None]
@@ -153,6 +157,7 @@ def compare(pairs: list[dict], name: str, unit: str, better: str, bound: float) 
         "failed_runs": failures,
         "gain_claimable": False,
         "regressed": False,
+        "unresolved": False,
     }
     parent_values = [a for a, _ in got if a is not None]
     change_values = [b for _, b in got if b is not None]
@@ -174,6 +179,10 @@ def compare(pairs: list[dict], name: str, unit: str, better: str, bound: float) 
             and failures["change"] <= failures["parent"]
         ),
         regressed=-gap > bound * abs(parent["median"]),
+        unresolved=(
+            spread > bound * abs(parent["median"])
+            and not all(sign * (a - b) > 0 for a in parent_values for b in change_values)
+        ),
     )
     return out
 
@@ -217,7 +226,9 @@ def main(argv=None) -> int:
             "9/10 of them (a tie or a pair missing the metric is not a win), the median gain "
             "exceeds the parent's quartile spread, and the change has no more failed runs "
             "than the parent; a metric regressed when the change's median is worse than the "
-            "parent's by more than its bound times the parent's median",
+            "parent's by more than its bound times the parent's median, and is unresolved when "
+            "the parent's quartile spread exceeds that margin, unless every change run is better "
+            "than every parent run",
             "workloads": {},
             "traced": {},
         }
@@ -260,7 +271,7 @@ def main(argv=None) -> int:
                         f"[{c['parent']['q1']:.4g}, {c['parent']['q3']:.4g}]  change "
                         f"{c['change']['median']:.4g} [{c['change']['q1']:.4g}, {c['change']['q3']:.4g}]  "
                         f"wins {c['wins']}/{c['pairs']}  claimable {c['gain_claimable']}  "
-                        f"regressed {c['regressed']}"
+                        f"regressed {c['regressed']}  unresolved {c['unresolved']}"
                     )
         return 0
     finally:

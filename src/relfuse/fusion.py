@@ -14,8 +14,9 @@ The combined curve is generally not the moment curve of any beta-Stacy
 process, but one can be fitted to it: ``recover_precision`` inverts the
 second-moment product one grid increment at a time, giving a process whose
 mean is the fused first moment and whose second moment reproduces the fused
-one wherever the increments are consistent.  That process then serves as
-the prior for the parent node's own lifetime data.
+one wherever the increments are consistent.  ``merge_priors`` mixes two
+priors for one node into a moment curve too; ``recover_precision`` is the
+one way back to a process, the prior for the node's own lifetime data.
 """
 
 from __future__ import annotations
@@ -183,19 +184,18 @@ def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
     for i in np.flatnonzero(jump & (kind >= 0)):
         warnings.warn(_CLAMPS[kind[i]][1].format(curve.grid[i]), PrecisionRecoveryWarning, stacklevel=2)
     # A flat point takes the last jump's precision, 0 before the first jump.
-    last = np.maximum.accumulate(np.where(jump, np.arange(len(curve)), -1))
-    alpha = np.where(last >= 0, value[last], 0.0)
+    alpha = _carry(curve.grid[jump], value[jump], curve.grid, 0.0)
     return BetaStacyProcess(DiscreteCdf(curve.grid, g), alpha)
 
 
-def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> BetaStacyProcess:
-    """Blend two priors for the same node into one.
+def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> MomentCurve:
+    """Blend two priors for the same node into one moment curve.
 
     On the union grid the two pointwise laws are mixed with weights
     proportional to the two precision functions (a terminal point counts as
-    maximal precision; two zero precisions mix equally), the mixture's first
-    and second moments are taken, and a process is fitted back to them.  If
-    the varying weights make the mixed mean locally decreasing it is
+    maximal precision; two zero precisions mix equally), and the mixture's
+    first and second moments are returned for ``recover_precision`` to fit.
+    If the varying weights make the mixed mean locally decreasing it is
     monotonized, with a warning when the adjustment is more than cosmetic.
     This rule is intentionally confined here so it can be swapped out.
     """
@@ -221,4 +221,4 @@ def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> BetaStacyProcess:
         )
     first = np.minimum(mono, 1.0)
     second = np.clip(second, first * first, first)
-    return recover_precision(MomentCurve(union, first, second))
+    return MomentCurve(union, first, second)

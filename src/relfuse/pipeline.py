@@ -120,7 +120,7 @@ def fit_system(
             return fused
         if fused is not None:
             recovered = recover_precision(fused)
-            prior = recovered if prior is None else merge_priors(recovered, prior)
+            prior = recovered if prior is None else recover_precision(merge_priors(recovered, prior))
         post = _update(prior, ds)
         posteriors[label if label is not None else "<root>"] = post
         return post if root else moments_of(post)

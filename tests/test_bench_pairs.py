@@ -1,6 +1,7 @@
 """The pair rule of scripts/bench_pairs.py: when a gain may be claimed."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,43 @@ def test_regression_past_the_bound_is_flagged(factor, better, regressed):
     parent = [run(v) for v in PARENT[:3]]
     change = [run(v * factor) for v in PARENT[:3]]
     assert claim(pairs(parent, change), better)["regressed"] is regressed
+
+
+WIDE = [80.0, 90.0] * 5  # quartile spread 10 around a median of 85: wider than a 5% bound
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, unresolved",
+    [
+        (WIDE, WIDE, "lower", True),
+        (WIDE, [79.0] * 10, "lower", False),
+        (WIDE, [80.0] * 10, "lower", True),
+        (WIDE, [91.0] * 10, "higher", False),
+        (WIDE, [79.0] * 10, "higher", True),
+        (PARENT, PARENT, "lower", False),
+    ],
+    ids=["same_runs", "all_better", "one_tie", "higher_all_better", "higher_all_worse", "narrow_spread"],
+)
+def test_parent_spread_past_the_bound_is_unresolved(parent, change, better, unresolved):
+    out = claim(pairs([run(v) for v in parent], [run(v) for v in change]), better)
+    assert out["unresolved"] is unresolved
+
+
+def test_unresolved_leaves_regressed_as_it_was():
+    parent = [run(v) for v in WIDE]
+    out = claim(pairs(parent, [run(v * 1.04) for v in WIDE]))
+    assert (out["unresolved"], out["regressed"]) == (True, False)
+    out = claim(pairs(parent, [run(v * 1.06) for v in WIDE]))
+    assert (out["unresolved"], out["regressed"]) == (True, True)
+
+
+@pytest.mark.parametrize(
+    "record, workload",
+    [("BENCH_26.json", "fit-n1000"), ("BENCH_25.json", "cli-priors-n300")],
+)
+def test_committed_setup_noise_reads_unresolved(record, workload):
+    # Both parents' setup_s quartiles spanned more than the 25% bound (45% and 27%).
+    runs = json.loads((bench_pairs.ROOT / record).read_text())["workloads"][workload]["runs"]
+    [bound] = [m["bound"] for m in json.loads(bench_pairs.BENCH.read_text())["end_to_end"] if m["name"] == "setup_s"]
+    out = bench_pairs.compare(runs, "setup_s", "s", "lower", bound)
+    assert (out["regressed"], out["unresolved"]) == (False, True)

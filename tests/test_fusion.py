@@ -291,21 +291,19 @@ class TestMergePriors:
     def test_identical_priors_pass_through(self):
         p = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 5.0)
         merged = merge_priors(p, p)
-        np.testing.assert_allclose(merged.base.values, [0.4, 1.0], atol=1e-9)
+        np.testing.assert_allclose(merged.first, [0.4, 1.0], atol=1e-9)
 
     def test_weighting_favors_precise_prior(self):
         sharp = dp_prior(np.array([1.0, 2.0]), np.array([0.2, 1.0]), 100.0)
         vague = dp_prior(np.array([1.0, 2.0]), np.array([0.8, 1.0]), 1.0)
-        merged = merge_priors(sharp, vague)
-        m = mean(posterior_update(merged, [], []), 1.0)
+        m = merge_priors(sharp, vague).first[0]
         assert abs(m - 0.2) < abs(m - 0.8)
         assert m == pytest.approx((100 * 0.2 + 1 * 0.8) / 101, abs=1e-9)
 
     def test_zero_precision_pair_mixes_equally(self):
         a = dp_prior(np.array([1.0, 2.0]), np.array([0.2, 1.0]), 0.0)
         b = dp_prior(np.array([1.0, 2.0]), np.array([0.6, 1.0]), 0.0)
-        merged = merge_priors(a, b)
-        assert mean(posterior_update(merged, [], []), 1.0) == pytest.approx(0.4, abs=1e-9)
+        assert merge_priors(a, b).first[0] == pytest.approx(0.4, abs=1e-9)
 
     def test_empty_pair_rejected(self):
         nothing = BetaStacyProcess.noninformative()

@@ -15,7 +15,7 @@ from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
 from relfuse.demo import MAX_N_PER_NODE, DemoConfig, demo_config, load_sim_config
-from relfuse.errors import BindingError
+from relfuse.errors import BindingError, PrecisionRecoveryWarning
 from relfuse.fusion import (
     align_grids,
     combine_parallel,
@@ -28,7 +28,7 @@ from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.rbd import MAX_DEPTH, parse_rbd
 
-from conftest import bsp_processes, nested_series_dsl, nested_series_json, run_fresh
+from conftest import bsp_processes, nested_series_dsl, nested_series_json, priors_fit_args, run_fresh
 
 
 def scalar_band(m, s, level):
@@ -153,7 +153,7 @@ class TestFitSystem:
             times, events = sub_data.times, sub_data.events
         result = fit_system(spec, datasets, {"sub": elicited})
         ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
-        sub = posterior_update(merge_priors(recover_precision(ab), elicited), times, events)
+        sub = posterior_update(recover_precision(merge_priors(recover_precision(ab), elicited)), times, events)
         fused = combine_series(*align_grids(moments_of(sub), leaf_curve("c")))
         want = posterior_update(recover_precision(fused), SYS_DATA.times, SYS_DATA.events)
         assert set(result.node_posteriors) == {"a", "b", "c", "sub", "sys"}
@@ -366,6 +366,16 @@ class TestCliRoundTrip:
         hi = np.searchsorted(ht, shared)
         si = np.searchsorted(st_, shared)
         assert hw[hi].mean() < sw[si].mean()
+
+    def test_precision_clamps_name_the_fit(self, tmp_path):
+        # Every clamp, the merged prior's included, is raised from the fold in pipeline.py.
+        args = priors_fit_args(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", PrecisionRecoveryWarning)
+            assert main(args) == EXIT_OK
+        files = [w.filename for w in caught if issubclass(w.category, PrecisionRecoveryWarning)]
+        assert files
+        assert all(f.endswith("relfuse/pipeline.py") for f in files), set(files)
 
     def test_simulate_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

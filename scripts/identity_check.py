@@ -41,6 +41,15 @@ in one ``system@series`` group, with and without the ``system`` prior, so
 that one combine folds nine children where the demo's widest group has
 four.
 
+It also feeds a fixed corpus of diagram texts, in both the text and the
+JSON form, to ``load_system_source`` and keeps the ``format_rbd`` text and
+the labels of each diagram it reads, or the type and message of its error.
+The corpus reaches every fault message of both grammars, comments at the
+end of input, CRLF line endings, tabs, no-break spaces, names that start
+with a numeral, label chains, the depth limit and one level past it, JSON
+after blank lines, byte-order marks and a series of 1,000 labelled
+parallel pairs.
+
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
 
@@ -57,6 +66,7 @@ import argparse
 import contextlib
 import io
 import itertools
+import json
 import os
 import shutil
 import subprocess
@@ -362,6 +372,140 @@ LOADER_CORPUS = {
 }
 
 
+def _component(name: str, **fields) -> dict:
+    """A JSON component node."""
+    return {"type": "component", "id": name, **fields}
+
+
+def _group(kind: str, *children, **fields) -> dict:
+    """A JSON group node."""
+    return {"type": kind, **fields, "children": list(children)}
+
+
+def _nested(depth: int) -> str:
+    """Diagram text of ``depth`` series groups, each nested in the next."""
+    return "series(" * depth + "a" + "".join(f", b{k})" for k in range(depth))
+
+
+def _nested_json(depth: int) -> str:
+    """JSON text of the same diagram as ``_nested(depth)``."""
+    node = _component("a")
+    for k in range(depth):
+        node = _group("series", node, _component(f"b{k}"))
+    return json.dumps(node)
+
+
+def _pairs(count: int) -> tuple[str, str]:
+    """Text and JSON of ``system@series`` over ``count`` labelled parallel pairs: the paper's scale."""
+    text = ",\n".join(f"  pair{i}@parallel(a{i}, b{i})" for i in range(count))
+    pairs = [_group("parallel", _component(f"a{i}"), _component(f"b{i}"), label=f"pair{i}") for i in range(count)]
+    return f"system@series(\n{text}\n)\n", json.dumps(_group("series", *pairs, label="system"))
+
+
+_AB = (_component("a"), _component("b"))
+_PAPER_TEXT, _PAPER_JSON = _pairs(1000)
+# Diagram texts in both forms; the module docstring lists what they reach.
+DIAGRAM_CORPUS = {
+    "component": "pump",
+    "labelled-groups": "sys@series(a, parallel(b, spare@c))",
+    "names": "series(_m1.x-2, a², x-Ⅷ, Sub_3@é)",
+    "comments": "# head\nseries(a, # inline note\n b) # tail\n",
+    "crlf": "system@series(\r\n    a,\r\n    b\r\n)\r\n",
+    "tabs-and-no-break-spaces": "series(\ta,\xa0b,\x0bc\u2028)",
+    "crlf-fault": "series(a,\r\n\t$)",
+    "no-break-space-fault": "series(a,\xa0\n\xa0 3)",
+    "empty": "",
+    "blank": " \t\n",
+    "comment-only": "# nothing here",
+    "trailing-comment": "series(a, # note",
+    "trailing-comment-line": "series(a,\n  # note",
+    "trailing-comment-after-name": "series(a, b # note",
+    "digit-start": "series(a, 3b)",
+    "superscript-two-start": "²a",
+    "roman-eight-start": "series(a, Ⅷ)",
+    "dot-start": "x@.a",
+    "dash-start": "series(-a, b)",
+    "dollar": "series(a, b $",
+    "bad-character-after-parse-error": "xor(a)\n$",
+    "open-group": "series(a",
+    "missing-child": "series(a,",
+    "empty-group": "series()",
+    "missing-comma": "series(a b)",
+    "one-child": "series(a)",
+    "trailing-comma": "series(a, b,)",
+    "unknown-keyword": "xor(a, b)",
+    "keyword-component": "series(a, parallel)",
+    "keyword-label": "series@a",
+    "label-twice": "x@@a",
+    "label-missing-node": "x@",
+    "label-chain": "x@y@a",
+    "label-chain-on-keyword": "x@series@a",
+    "label-chain-long": "x@" * 1200 + "a",
+    "trailing-paren": "series(a, b))",
+    "trailing-name": "series(a, b) extra",
+    "duplicate-id": "series(a, a)",
+    "duplicate-label": "x@series(a, x@parallel(b, c))",
+    "label-shadows-id": "series(a, a@b)",
+    "depth-limit": _nested(100),
+    "depth-past-limit": _nested(101),
+    "json": json.dumps(_group("series", _component("c", label="spare"), _group("parallel", *_AB), label="sys")),
+    "json-blank-lines": "\n\n  " + json.dumps(_component("a")),
+    "json-blank-lines-fault": '\n\n  {"type": "component", "id": 1x}',
+    "json-no-break-space": "\xa0\x0c" + json.dumps(_component("a")),
+    "json-no-break-space-fault": '\xa0\n\t{"type": 1x}',
+    "json-property-name": '{"type": "series",}',
+    "json-colon": '{"type" 1}',
+    "json-extra-data": '{"type": "component", "id": "a"} a',
+    "json-unterminated": '{"type": "a',
+    "json-control-character": '{"type": "\x01"}',
+    "json-escape": '{"type": "\\q"}',
+    "json-value": '{"type": tru}',
+    "json-nested-too-deeply": '{"a": ' * 3000 + "1" + "}" * 3000,
+    "json-not-an-object": json.dumps(_group("series", 1, 2)),
+    "json-id-number": json.dumps(_component(5)),
+    "json-label-list": json.dumps(_group("series", *_AB, label=["g"])),
+    "json-id-missing": json.dumps({"type": "component"}),
+    "json-id-digit-start": json.dumps(_component("1a")),
+    "json-id-superscript-two-start": json.dumps(_component("²a")),
+    "json-id-roman-eight-start": json.dumps(_component("Ⅷ")),
+    "json-id-keyword": json.dumps(_component("series")),
+    "json-id-empty": json.dumps(_component("")),
+    "json-label-space": json.dumps(_component("a", label="sub system")),
+    "json-label-comment": json.dumps(_component("a", label="#x")),
+    "json-no-children": json.dumps({"type": "series"}),
+    "json-one-child": json.dumps(_group("parallel", _component("a"))),
+    "json-unknown-type": json.dumps(_group("loop", *_AB)),
+    "json-duplicate-id": json.dumps(_group("series", _component("a"), _component("a"))),
+    "json-duplicate-label": json.dumps(_group("series", *_AB, label="a")),
+    "json-depth-limit": _nested_json(100),
+    "json-depth-past-limit": _nested_json(101),
+    "byte-order-mark": "\ufeffseries(a, b)",
+    "byte-order-mark-fault": "\ufeffseries(a",
+    "byte-order-mark-json": "\ufeff" + json.dumps(_group("series", *_AB)),
+    "byte-order-mark-twice": "\ufeff\ufeffa",
+    "byte-order-mark-after-blank": " \ufeffa",
+    "paper-scale": _PAPER_TEXT,
+    "paper-scale-json": _PAPER_JSON,
+}
+
+
+def diagram_outputs(corpus=DIAGRAM_CORPUS) -> dict:
+    """Per corpus text, the ``format_rbd`` text and labels ``load_system_source`` reads, or its error."""
+    from relfuse.errors import RbdError
+    from relfuse.rbd import format_rbd, load_system_source
+
+    out = {}
+    for case, text in corpus.items():
+        try:
+            spec = load_system_source(text)
+        except RbdError as exc:
+            out[f"diagrams/{case}/error"] = np.array([f"{type(exc).__name__}: {exc}"], dtype=str)
+            continue
+        out[f"diagrams/{case}/text"] = np.array([format_rbd(spec.root)], dtype=str)
+        out[f"diagrams/{case}/labels"] = np.array(list(spec.labels), dtype=str)
+    return out
+
+
 def loader_outputs(corpus=LOADER_CORPUS) -> dict:
     """Per corpus text, the arrays its loader parses from a stream, or its ``DataFormatError`` text."""
     from relfuse.dataio import load_cdf_table, load_lifetimes, load_prior_spec
@@ -443,6 +587,7 @@ def record(src: str, out: str) -> None:
     arrays.update(validator_reports())
     arrays.update(cli_outputs())
     arrays.update(loader_outputs())
+    arrays.update(diagram_outputs())
     np.savez(out, **arrays)
 
 
@@ -475,6 +620,27 @@ def by_case(names: list[str]) -> list[str]:
     return [f"  {case}: {len(rest)} ({', '.join(rest)})" for case, rest in groups.items()]
 
 
+def summary(commit: str, change: dict, bad: list[str]) -> str:
+    """The one line that counts what the working tree's arrays cover and how many differ."""
+    families = {"bands", "calibration", "cli", "datasets", "diagrams", "loaders", "validate"}
+    cases = {name.split("/")[0] for name in change} - families
+    n_calibrations = sum(name.startswith("calibration/") for name in change)
+    n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
+    n_datasets = sum(name.startswith("datasets/") for name in change)
+    n_reports = sum(name.startswith("validate/") for name in change)
+    n_cli = sum(name.startswith("cli/") for name in change)
+    n_loaders = len({name.split("/")[1] for name in change if name.startswith("loaders/")})
+    n_diagrams = len({name.split("/")[1] for name in change if name.startswith("diagrams/")})
+    n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
+    return (
+        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
+        f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
+        f"{n_cli} CLI files, {n_loaders} loader texts, {n_diagrams} diagram texts, "
+        f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
+        + (f" ({', '.join(bad[:5])})" if bad else "")
+    )
+
+
 def run_side(tree: Path, out: Path) -> dict:
     """The arrays ``record`` saves for the source tree ``tree``, run in a child interpreter."""
     src = tree / "src"
@@ -499,21 +665,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     bad = mismatches(parent, change)
-    cases = {name.split("/")[0] for name in change} - {"bands", "calibration", "cli", "datasets", "loaders", "validate"}
-    n_calibrations = sum(name.startswith("calibration/") for name in change)
-    n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
-    n_datasets = sum(name.startswith("datasets/") for name in change)
-    n_reports = sum(name.startswith("validate/") for name in change)
-    n_cli = sum(name.startswith("cli/") for name in change)
-    n_loaders = len({name.split("/")[1] for name in change if name.startswith("loaders/")})
-    n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
-    print(
-        f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
-        f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
-        f"{n_cli} CLI files, {n_loaders} loader texts, "
-        f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
-        + (f" ({', '.join(bad[:5])})" if bad else "")
-    )
+    print(summary(commit, change, bad))
     for line in by_case(bad):
         print(line)
     return 0 if not bad else 1

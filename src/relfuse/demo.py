@@ -113,7 +113,7 @@ def demo_config() -> DemoConfig:
 
 
 def load_sim_config(path) -> DemoConfig:
-    """Read a simulation configuration from JSON.
+    """Read a simulation configuration from JSON; one leading byte-order mark is dropped.
 
     Expected keys: ``rbd`` (diagram source text), ``components`` (map of
     component id to ``{"shape": ..., "scale": ...}``, both finite and
@@ -122,7 +122,7 @@ def load_sim_config(path) -> DemoConfig:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:

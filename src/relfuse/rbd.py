@@ -16,8 +16,9 @@ nest groups at most ``MAX_DEPTH`` levels deep.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import RbdError, RbdSyntaxError
 
@@ -129,112 +130,35 @@ class SystemSpec:
         object.__setattr__(self, "labels", _validate_tree(self.root))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "(", ")", ",", "@", "eof"
-    text: str
-    line: int
-    col: int
+# The text form's scanner: a newline, other blanks, a comment, a mark, a word
+# or any other character.  ``\s`` and ``\w`` match ``str.isspace`` and ``str.isalnum`` or ``_``.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[^\S\n]+)|(?P<comment>#.*)|(?P<mark>[(),@])|(?P<word>[\w.-]+)|(?P<other>.)"
+)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+def _is_name(text: str) -> bool:
+    """Whether ``text`` is one word of ``_TOKEN`` that starts with a letter or ``_`` (``re`` has no letter class)."""
+    match = _TOKEN.fullmatch(text)
+    return match is not None and match.lastgroup == "word" and (text[0].isalpha() or text[0] == "_")
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_-."
+def _tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, column)`` of each name and mark, then of the end of ``source``.
 
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif c in "(),@":
-            tokens.append(_Token(c, c, line, col))
-            col += 1
-            i += 1
-        elif _is_ident_start(c):
-            start = i
-            start_col = col
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", source[start:i], line, start_col))
-        else:
-            raise RbdSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    Scanning all of it first reports a bad character ahead of any parse error.
+    """
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN.finditer(source):
+        kind, text, col = match.lastgroup, match.group(), match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "mark" or kind == "word" and _is_name(text):
+            tokens.append(("name" if kind == "word" else text, text, line, col))
+        elif kind in ("word", "other"):
+            raise RbdSyntaxError(f"unexpected character {text[0]!r}", line, col)
+    tokens.append(("eof", "", line, len(source) - line_start + 1))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise RbdSyntaxError(f"expected {what}, found {found}", tok.line, tok.col)
-        return self.advance()
-
-    def parse_node(self, depth: int = 0) -> RbdNode:
-        tok = self.expect("ident", "component name or group keyword")
-        if self.peek().kind != "@":
-            return self.parse_unlabeled(tok, depth)
-        if tok.text in _KEYWORDS:
-            raise RbdSyntaxError(f"'{tok.text}' is reserved and cannot be a label", tok.line, tok.col)
-        self.advance()
-        inner = self.expect("ident", "component name or group keyword")
-        if self.peek().kind == "@":
-            raise RbdSyntaxError(f"node already labeled '{inner.text}'", tok.line, tok.col)
-        return replace(self.parse_unlabeled(inner, depth), label=tok.text)
-
-    def parse_unlabeled(self, tok: _Token, depth: int) -> RbdNode:
-        name = tok.text
-        if self.peek().kind == "(":
-            if name not in _KEYWORDS:
-                raise RbdSyntaxError(f"unknown keyword '{name}'", tok.line, tok.col)
-            if depth >= MAX_DEPTH:
-                raise RbdSyntaxError(
-                    f"groups nest more than {MAX_DEPTH} levels deep", tok.line, tok.col
-                )
-            self.advance()
-            children = [self.parse_node(depth + 1)]
-            while self.peek().kind == ",":
-                self.advance()
-                children.append(self.parse_node(depth + 1))
-            closing = self.expect(")", "',' or ')'")
-            if len(children) < 2:
-                raise RbdSyntaxError(
-                    f"'{name}' group needs at least 2 children", closing.line, closing.col
-                )
-            return RbdNode(name, children=tuple(children))
-        if name in _KEYWORDS:
-            raise RbdSyntaxError(
-                f"'{name}' is reserved and cannot be a component name", tok.line, tok.col
-            )
-        return RbdNode("component", id=name)
 
 
 def parse_rbd(source: str) -> SystemSpec:
@@ -244,13 +168,48 @@ def parse_rbd(source: str) -> SystemSpec:
     unbalanced parentheses and trailing input) and ``RbdError`` on duplicate
     ids or labels.
     """
-    parser = _Parser(_tokenize(source))
-    root = parser.parse_node()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise RbdSyntaxError(
-            f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col
-        )
+    tokens, pos = _tokenize(source), 0
+
+    def take(kind: str = "name", what: str = "component name or group keyword") -> tuple[str, int, int]:
+        nonlocal pos
+        found, text, line, col = tokens[pos]
+        if found != kind:
+            found = "end of input" if found == "eof" else repr(text)
+            raise RbdSyntaxError(f"expected {what}, found {found}", line, col)
+        pos += 1
+        return text, line, col
+
+    def node(depth: int, label: str | None = None, label_at: tuple[int, ...] = ()) -> RbdNode:
+        nonlocal pos
+        name, line, col = take()
+        if tokens[pos][0] == "@":
+            if label is not None:
+                raise RbdSyntaxError(f"node already labeled '{name}'", *label_at)
+            if name in _KEYWORDS:
+                raise RbdSyntaxError(f"'{name}' is reserved and cannot be a label", line, col)
+            pos += 1
+            return node(depth, name, (line, col))
+        if tokens[pos][0] != "(":
+            if name in _KEYWORDS:
+                raise RbdSyntaxError(f"'{name}' is reserved and cannot be a component name", line, col)
+            return RbdNode("component", id=name, label=label)
+        if name not in _KEYWORDS:
+            raise RbdSyntaxError(f"unknown keyword '{name}'", line, col)
+        if depth >= MAX_DEPTH:
+            raise RbdSyntaxError(f"groups nest more than {MAX_DEPTH} levels deep", line, col)
+        children = []
+        while not children or tokens[pos][0] == ",":  # "(" before the first child, "," before each other
+            pos += 1
+            children.append(node(depth + 1))
+        _, line, col = take(")", "',' or ')'")
+        if len(children) < 2:
+            raise RbdSyntaxError(f"'{name}' group needs at least 2 children", line, col)
+        return RbdNode(name, label=label, children=children)
+
+    root = node(0)
+    kind, text, line, col = tokens[pos]
+    if kind != "eof":
+        raise RbdSyntaxError(f"unexpected trailing input {text!r}", line, col)
     return SystemSpec(root)
 
 
@@ -264,12 +223,7 @@ def _json_name(data: dict, key: str, what: str) -> str:
     name = data.get(key)
     if not isinstance(name, str):
         raise RbdError(f"{what} must be a string, not {type(name).__name__}")
-    if (
-        not name
-        or not _is_ident_start(name[0])
-        or not all(map(_is_ident_char, name[1:]))
-        or name in _KEYWORDS
-    ):
+    if not _is_name(name) or name in _KEYWORDS:
         raise RbdError(f"{what} {name!r} is not a valid name")
     return name
 
@@ -280,18 +234,15 @@ def _node_from_json(data, depth: int) -> RbdNode:
     kind = data.get("type")
     label = _json_name(data, "label", "node label") if data.get("label") is not None else None
     if kind == "component":
-        node = RbdNode("component", id=_json_name(data, "id", "component id"), label=label)
-    elif kind in _KEYWORDS:
-        children = data.get("children")
-        if not isinstance(children, list):
-            raise RbdError(f"'{kind}' node needs a children array")
-        if depth >= MAX_DEPTH:
-            raise RbdError(f"groups nest more than {MAX_DEPTH} levels deep")
-        children = tuple(_node_from_json(c, depth + 1) for c in children)
-        node = RbdNode(kind, label=label, children=children)
-    else:
+        return RbdNode("component", id=_json_name(data, "id", "component id"), label=label)
+    if kind not in _KEYWORDS:
         raise RbdError(f"unknown node type {kind!r}")
-    return node
+    children = data.get("children")
+    if not isinstance(children, list):
+        raise RbdError(f"'{kind}' node needs a children array")
+    if depth >= MAX_DEPTH:
+        raise RbdError(f"groups nest more than {MAX_DEPTH} levels deep")
+    return RbdNode(kind, label=label, children=[_node_from_json(c, depth + 1) for c in children])
 
 
 def format_rbd(node: RbdNode) -> str:
@@ -304,11 +255,14 @@ def format_rbd(node: RbdNode) -> str:
 
 
 def load_system_source(source: str) -> SystemSpec:
-    """Parse either grammar: JSON when the text starts with '{', else the DSL."""
-    stripped = source.lstrip()
-    if stripped.startswith("{"):
+    """Parse either grammar, after one leading byte-order mark: JSON when the text starts with '{', else the DSL."""
+    source = source.removeprefix("\ufeff")
+    body = source.lstrip()
+    if body.startswith("{"):
+        # json.loads skips only four kinds of blank; spaces in their place keep every position.
+        lead = re.sub(r"[^\n]", " ", source[: len(source) - len(body)])
         try:
-            data = json.loads(stripped)
+            data = json.loads(lead + body)
         except json.JSONDecodeError as exc:
             raise RbdSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
         except RecursionError:

@@ -236,3 +236,62 @@ def test_loader_outputs_keep_each_parse_or_error():
             [before] = got[f"loaders/{fmt}-bad-row-then-{csv_fault}/error"].tolist()
             [after] = got[f"loaders/{fmt}-{csv_fault}-then-bad-row/error"].tolist()
             assert before.startswith("<stream> row 2") and after.startswith(f"<stream>: {message}"), fmt
+
+
+# One fragment of each fault message of the two diagram grammars; the depth
+# limit is named by both.
+DIAGRAM_FAULTS = (
+    "RbdSyntaxError: line 1, column 11: unexpected character", "expected component name or group keyword, found",
+    "expected ',' or ')', found", "is reserved and cannot be a label", "node already labeled",
+    "unknown keyword", "RbdSyntaxError: line 1, column 701: groups nest more than 100 levels deep",
+    "'series' group needs at least 2 children", "is reserved and cannot be a component name",
+    "unexpected trailing input", "duplicate component id", "duplicate binding label", "invalid JSON: Expecting",
+    "invalid JSON: Extra data", "invalid JSON: nested too deeply", "RbdError: JSON diagram nodes must be objects",
+    "must be a string, not", "is not a valid name", "node needs a children array", "unknown node type",
+    "RbdError: groups nest more than 100 levels deep", "RbdError: 'parallel' group needs at least 2 children",
+)
+
+
+def test_diagram_outputs_keep_each_parse_or_error():
+    got = identity_check.diagram_outputs()
+    for case in identity_check.DIAGRAM_CORPUS:
+        arrays = {name.split("/", 2)[2] for name in got if name.startswith(f"diagrams/{case}/")}
+        assert arrays in ({"error"}, {"text", "labels"}), case
+    errors = [str(got[name][0]) for name in got if name.endswith("/error")]
+    assert [f for f in DIAGRAM_FAULTS if not any(f in text for text in errors)] == []
+
+    def error(case):
+        [text] = got[f"diagrams/{case}/error"].tolist()
+        return text
+
+    # End of input is one past the last character, comment included.
+    assert error("trailing-comment").startswith("RbdSyntaxError: line 1, column 17: expected component name")
+    assert error("json-blank-lines-fault") == "RbdSyntaxError: line 3, column 32: invalid JSON: Expecting ',' delimiter"
+    assert error("superscript-two-start") == "RbdSyntaxError: line 1, column 1: unexpected character '²'"
+    assert error("bad-character-after-parse-error").endswith("unexpected character '$'")
+    assert "levels deep" not in error("label-chain-long")
+    for case in ("depth-limit", "json-depth-limit", "byte-order-mark", "byte-order-mark-json", "crlf", "names"):
+        assert f"diagrams/{case}/text" in got, case
+    assert got["diagrams/paper-scale/text"].tolist() == got["diagrams/paper-scale-json/text"].tolist()
+    assert got["diagrams/paper-scale/labels"].size == 3001
+
+
+def test_summary_counts_each_family():
+    change = {
+        **BASE,
+        "n30-seed0-dp-fit_system/warnings": BASE["case/warnings"],
+        "calibration/weibull-1-0.5-0.15": np.array(["0x1p-1"], dtype=str),
+        "bands/skew-0.9/lower": np.zeros(2),
+        "bands/skew-0.9/upper": np.ones(2),
+        "cli/seed0/sim/system.rbd": np.zeros(3, dtype=np.uint8),
+        "loaders/lifetimes-valid/labels": np.array(["motor"], dtype=str),
+        "loaders/lifetimes-valid/0/times": np.ones(1),
+        "diagrams/crlf/text": np.array(["system@series(a, b)"], dtype=str),
+        "diagrams/crlf/labels": np.array(["system", "a", "b"], dtype=str),
+        "diagrams/empty/error": np.array(["RbdSyntaxError: ..."], dtype=str),
+    }
+    assert identity_check.summary("0123456789abcdef", change, ["case/t"]) == (
+        "identity 0123456789ab -> working tree: 2 cases, 1 datasets, 1 calibrations, 1 band probes, "
+        "1 validator reports, 1 CLI files, 1 loader texts, 2 diagram texts, 16 arrays, 4 warnings, "
+        "1 mismatches (case/t)"
+    )

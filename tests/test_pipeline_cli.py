@@ -377,6 +377,25 @@ class TestCliRoundTrip:
         assert files
         assert all(f.endswith("relfuse/pipeline.py") for f in files), set(files)
 
+    def test_fit_reads_a_diagram_with_a_byte_order_mark(self, tmp_path):
+        (tmp_path / "d.csv").write_text("node,time,event\na,1,1\nb,2,0\nsys,1.5,1\n")
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            (tmp_path / f"{name}.rbd").write_text(mark + "sys@series(a, b)\n", encoding="utf-8")
+            args = ["fit", "--rbd", str(tmp_path / f"{name}.rbd"), "--data", str(tmp_path / "d.csv")]
+            assert main([*args, "--out", str(tmp_path / name)]) == EXIT_OK
+        marked, plain = (tmp_path / name / "system_cdf.csv" for name in ("marked", "plain"))
+        assert marked.read_bytes() == plain.read_bytes()
+
+    def test_simulate_reads_a_config_with_a_byte_order_mark(self, tmp_path):
+        components = {"a": {"shape": 2.0, "scale": 100.0}, "b": {"shape": 1.5, "scale": 80.0}}
+        config = {"rbd": "sys@series(a, b)", "components": components}
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            (tmp_path / f"{name}.json").write_text(mark + json.dumps(config), encoding="utf-8")
+            args = ["simulate", "--config", str(tmp_path / f"{name}.json"), "--seed", "4"]
+            assert main([*args, "--out", str(tmp_path / name)]) == EXIT_OK
+        marked, plain = (tmp_path / name / "lifetimes.csv" for name in ("marked", "plain"))
+        assert marked.read_bytes() == plain.read_bytes()
+
     def test_simulate_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--seed", "11", "--out", str(a)])

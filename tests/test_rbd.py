@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,39 @@ class TestParseErrors:
         assert err.value.line == 2
         assert "column" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "source, line, col",
+        [
+            ("series(a, # note", 1, 17),
+            ("series(a,\n  # note", 2, 9),
+            ("series(a,\r\n\t\xa0b", 2, 4),
+            ("", 1, 1),
+        ],
+        ids=["trailing_comment", "comment_line", "crlf_tab_nbsp", "empty"],
+    )
+    def test_end_of_input_is_one_past_the_last_character(self, source, line, col):
+        # Columns count characters, comment characters included.
+        with pytest.raises(RbdSyntaxError, match="found end of input") as err:
+            parse_rbd(source)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "source, char, line, col",
+        [("series(a, ²b)", "²", 1, 11), ("a\n Ⅷ", "Ⅷ", 2, 2), ("x@.a", ".", 1, 3), ("series(a, b $", "$", 1, 13)],
+        ids=["superscript_two", "roman_eight", "dot", "dollar"],
+    )
+    def test_a_name_starts_with_a_letter_or_underscore(self, source, char, line, col):
+        with pytest.raises(RbdSyntaxError, match=re.escape(f"unexpected character '{char}'")) as err:
+            parse_rbd(source)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_numerals_may_follow_the_first_character(self):
+        assert parse_rbd("series(a², x-Ⅷ, _1.b)").labels.keys() == {"a²", "x-Ⅷ", "_1.b"}
+
+    def test_a_bad_character_is_reported_before_a_parse_error(self):
+        with pytest.raises(RbdSyntaxError, match=re.escape("unexpected character '$'")):
+            parse_rbd("xor(a)\n$")
+
     def test_duplicate_component_ids(self):
         with pytest.raises(RbdError, match="duplicate"):
             parse_rbd("series(a, a)")
@@ -147,6 +181,19 @@ class TestJson:
     def test_bad_json_reports_position(self):
         with pytest.raises(RbdSyntaxError, match="invalid JSON"):
             load_system_source('{"type": "series",}')
+
+    @pytest.mark.parametrize(
+        "source, line, col",
+        [('\n\n  {"type": "component", "id": 1x}', 3, 32), ('\xa0\n\t{"type": 1x}', 2, 12)],
+        ids=["blank_lines", "no_break_space"],
+    )
+    def test_json_positions_count_the_blanks_before_it(self, source, line, col):
+        with pytest.raises(RbdSyntaxError, match="invalid JSON: Expecting ',' delimiter") as err:
+            load_system_source(source)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_blanks_json_does_not_know_are_skipped(self):
+        assert load_system_source('\xa0\x0c{"type": "component", "id": "a"}').root == component("a")
 
     def test_unknown_type_rejected(self):
         with pytest.raises(RbdError, match="unknown node type"):
@@ -206,6 +253,47 @@ class TestJson:
         assert rbd_from_json(json.loads(nested_series_json(MAX_DEPTH))).kind == "series"
         with pytest.raises(RbdError, match="levels deep"):
             rbd_from_json(json.loads(nested_series_json(MAX_DEPTH + 1)))
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "source",
+        ["series(a, b)", json.dumps({"type": "series", "children": [{"type": "component", "id": i} for i in "ab"]})],
+        ids=["text", "json"],
+    )
+    def test_one_leading_mark_is_dropped(self, source):
+        assert load_system_source("\ufeff" + source).root == series(component("a"), component("b"))
+        with pytest.raises(RbdSyntaxError, match=re.escape("line 1, column 1: unexpected character '\\ufeff'")):
+            load_system_source("\ufeff\ufeff" + source)
+
+    def test_positions_count_from_the_text_after_the_mark(self):
+        message = "line 1, column 9: expected ',' or ')', found end of input"
+        with pytest.raises(RbdSyntaxError, match=re.escape(message)):
+            load_system_source("\ufeffseries(a")
+
+
+class TestPaperScale:
+    """A series of 1,000 labelled parallel pairs: 2,000 components, as in the paper's large systems."""
+
+    PAIRS = 1000
+
+    def test_text_and_json_forms_agree(self):
+        lines = ",\n".join(f"  pair{i}@parallel(a{i}, b{i})" for i in range(self.PAIRS))
+        spec = load_system_source(f"system@series(\n{lines}\n)\n")
+        pairs = [
+            {"type": "parallel", "label": f"pair{i}", "children": [
+                {"type": "component", "id": f"a{i}"},
+                {"type": "component", "id": f"b{i}"},
+            ]}
+            for i in range(self.PAIRS)
+        ]
+        data = {"type": "series", "label": "system", "children": pairs}
+        assert load_system_source(json.dumps(data)).root == spec.root
+        assert len(list(spec.root.iter_components())) == 2 * self.PAIRS
+        assert len(spec.labels) == 3 * self.PAIRS + 1
+        assert parse_rbd(format_rbd(spec.root)).root == spec.root
+        components = [c.id for c in spec.root.iter_components()]
+        assert validate_bindings(spec, ["system", *components], [f"pair{i}" for i in range(self.PAIRS)]) == []
 
 
 class TestFormat:

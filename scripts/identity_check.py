@@ -33,6 +33,10 @@ five files they write.  It also feeds a fixed corpus of ``node,time,event``,
 ``node,time,cdf,precision`` and ``t,cdf`` texts to the three loaders and
 keeps the arrays each parses or its ``DataFormatError`` text, so a change in
 how rows are read or which fault is reported first shows up per text.
+Those loaders and ``load_sim_config`` also read byte-level files by path
+(CRLF and lone CR line ends, byte-order marks, a byte that is not UTF-8),
+and the child keeps the arrays each parses or the type and text of
+whatever it raises, so a change in how files are decoded shows up too.
 Two arrays match when their dtype, shape, values and float sign bits agree,
 NaN matching NaN.
 
@@ -506,9 +510,38 @@ def diagram_outputs(corpus=DIAGRAM_CORPUS) -> dict:
     return out
 
 
+def _load(fmt: str, source) -> dict:
+    """Per label, the columns that the ``fmt`` loader reads from ``source``."""
+    from relfuse.dataio import load_cdf_table, load_lifetimes, load_prior_spec
+    from relfuse.demo import load_sim_config
+
+    if fmt == "lifetimes":
+        return {d.label: {"times": d.times, "events": d.events} for d in load_lifetimes(source)}
+    if fmt == "priors":
+        return {
+            label: {"grid": p.grid, "cdf": p.base.values, "precision": p.precision, "horizon": p.horizon}
+            for label, p in load_prior_spec(source).items()
+        }
+    if fmt == "table":
+        return {"table": dict(zip(("t", "cdf"), load_cdf_table(source)))}
+    cfg = load_sim_config(source)
+    laws = cfg.components.values()
+    return {"config": {
+        "rbd": np.array([cfg.rbd_source], dtype=str), "components": np.array(list(cfg.components), dtype=str),
+        "shape": np.array([w.shape for w in laws]), "scale": np.array([w.scale for w in laws]),
+        "n_per_node": np.array([cfg.n_per_node]), "censor_fraction": np.array([cfg.censor_fraction]),
+    }}
+
+
+def _parsed_arrays(name: str, parsed: dict) -> dict:
+    out = {f"{name}/labels": np.array(list(parsed), dtype=str)}
+    for i, columns in enumerate(parsed.values()):
+        out.update({f"{name}/{i}/{column}": np.asarray(v) for column, v in columns.items()})
+    return out
+
+
 def loader_outputs(corpus=LOADER_CORPUS) -> dict:
     """Per corpus text, the arrays its loader parses from a stream, or its ``DataFormatError`` text."""
-    from relfuse.dataio import load_cdf_table, load_lifetimes, load_prior_spec
     from relfuse.errors import DataFormatError
 
     out = {}
@@ -516,22 +549,65 @@ def loader_outputs(corpus=LOADER_CORPUS) -> dict:
         for case, text in cases.items():
             name = f"loaders/{fmt}-{case}"
             try:
-                if fmt == "lifetimes":
-                    datasets = load_lifetimes(io.StringIO(text))
-                    parsed = {d.label: {"times": d.times, "events": d.events} for d in datasets}
-                elif fmt == "priors":
-                    parsed = {
-                        label: {"grid": p.grid, "cdf": p.base.values, "precision": p.precision, "horizon": p.horizon}
-                        for label, p in load_prior_spec(io.StringIO(text)).items()
-                    }
-                else:
-                    parsed = {"table": dict(zip(("t", "cdf"), load_cdf_table(io.StringIO(text))))}
+                out.update(_parsed_arrays(name, _load(fmt, io.StringIO(text))))
             except DataFormatError as exc:
                 out[f"{name}/error"] = np.array([str(exc)], dtype=str)
-                continue
-            out[f"{name}/labels"] = np.array(list(parsed), dtype=str)
-            for i, columns in enumerate(parsed.values()):
-                out.update({f"{name}/{i}/{column}": np.asarray(v) for column, v in columns.items()})
+    return out
+
+
+def _byte_files(text: str) -> dict:
+    """The byte-level files made from ``text``, a valid input of at least three LF-ended lines."""
+    lines = text.splitlines(keepends=True)
+    # NUL marks where the bad byte goes: line 3, column 3.
+    marked = "".join(lines[:2]) + lines[2][:2] + "\0" + "".join([lines[2][2:], *lines[3:]])
+
+    def encode(text: str, end: bytes = b"\n") -> bytes:
+        return text.encode("utf-8").replace(b"\n", end).replace(b"\0", b"\xff")
+
+    return {
+        "bad-byte-line-3": encode(marked),
+        "crlf": encode(text, b"\r\n"),
+        "crlf-bad-byte-line-3": encode(marked, b"\r\n"),
+        "lone-cr": encode(text, b"\r"),
+        "lone-cr-bad-byte-line-3": encode(marked, b"\r"),
+        "byte-order-mark-crlf": b"\xef\xbb\xbf" + encode(text, b"\r\n"),
+        "byte-order-mark-bad-byte": b"\xef\xbb\xbf\x80" + encode(text),
+    }
+
+
+_CONFIG = {
+    "rbd": "sys@series(a, sub@parallel(b, c))",
+    "components": {"a": {"shape": 2.5, "scale": 90.0}, "b": {"shape": 1.5, "scale": 40.0},
+                   "c": {"shape": 0.8, "scale": 120.0}},
+    "n_per_node": 12,
+    "censor_fraction": 0.2,
+}
+# Per loader, files read by path: a bad byte on line 3 after LF, CRLF or lone
+# CR line ends, valid CRLF and lone CR rows, a byte-order mark before CRLF
+# rows and a mark before a bad byte.
+FILE_CORPUS = {
+    **{fmt: _byte_files(LOADER_CORPUS[fmt]["valid"]) for fmt in ("lifetimes", "priors", "table")},
+    "config": _byte_files(json.dumps(_CONFIG, indent=1) + "\n"),
+}
+
+
+def file_outputs(corpus=FILE_CORPUS) -> dict:
+    """Per corpus file, the arrays its loader parses from the path, or the type and text of any exception.
+
+    Messages name the file without its temporary directory, so that both sides agree.
+    """
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, cases in corpus.items():
+            for case, data in cases.items():
+                name = f"files/{fmt}-{case}"
+                path = Path(tmp) / f"{fmt}-{case}"
+                path.write_bytes(data)
+                try:
+                    out.update(_parsed_arrays(name, _load(fmt, path)))
+                except Exception as exc:  # the parent may raise UnicodeDecodeError
+                    text = f"{type(exc).__name__}: {exc}".replace(f"{tmp}{os.sep}", "")
+                    out[f"{name}/error"] = np.array([text], dtype=str)
     return out
 
 
@@ -587,6 +663,7 @@ def record(src: str, out: str) -> None:
     arrays.update(validator_reports())
     arrays.update(cli_outputs())
     arrays.update(loader_outputs())
+    arrays.update(file_outputs())
     arrays.update(diagram_outputs())
     np.savez(out, **arrays)
 
@@ -622,7 +699,7 @@ def by_case(names: list[str]) -> list[str]:
 
 def summary(commit: str, change: dict, bad: list[str]) -> str:
     """The one line that counts what the working tree's arrays cover and how many differ."""
-    families = {"bands", "calibration", "cli", "datasets", "diagrams", "loaders", "validate"}
+    families = {"bands", "calibration", "cli", "datasets", "diagrams", "files", "loaders", "validate"}
     cases = {name.split("/")[0] for name in change} - families
     n_calibrations = sum(name.startswith("calibration/") for name in change)
     n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
@@ -630,12 +707,13 @@ def summary(commit: str, change: dict, bad: list[str]) -> str:
     n_reports = sum(name.startswith("validate/") for name in change)
     n_cli = sum(name.startswith("cli/") for name in change)
     n_loaders = len({name.split("/")[1] for name in change if name.startswith("loaders/")})
+    n_files = len({name.split("/")[1] for name in change if name.startswith("files/")})
     n_diagrams = len({name.split("/")[1] for name in change if name.startswith("diagrams/")})
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     return (
         f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
         f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
-        f"{n_cli} CLI files, {n_loaders} loader texts, {n_diagrams} diagram texts, "
+        f"{n_cli} CLI files, {n_loaders} loader texts, {n_files} byte files, {n_diagrams} diagram texts, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    export_curves, load_cdf_table, load_lifetimes, load_prior_spec, save_cdf_table, save_lifetimes,
+    export_curves, load_cdf_table, load_lifetimes, load_prior_spec, read_text, save_cdf_table,
+    save_lifetimes,
 )
 from .demo import demo_config, load_sim_config
-from .errors import DataFormatError, NotEstimableError, RelfuseError
+from .errors import DataFormatError, NotEstimableError, RbdError, RelfuseError
 from .oracle import MAX_SEED
 from .pipeline import curve_export, fit_system, fit_system_only
 from .rbd import load_system_source
@@ -43,7 +44,10 @@ _DROPPED = ", so '{}' uses none of the data or priors of {}"
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    spec = load_system_source(args.rbd.read_text(encoding="utf-8"))
+    try:
+        spec = load_system_source(read_text(args.rbd))
+    except RbdError as exc:
+        raise RbdError(f"{args.rbd}: {exc}") from None
     datasets = load_lifetimes(args.data)
     priors = load_prior_spec(args.priors) if args.priors else {}
     if not (0.0 < args.level < 1.0):

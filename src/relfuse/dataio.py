@@ -11,6 +11,9 @@ Input formats, both with a required header row:
 * true CDF: ``t,cdf`` with one row per point, as ``relfuse simulate`` writes
   it; times finite and nonnegative, cdf values in [0, 1], at least one row.
 
+Every input file is read by ``read_text``: UTF-8, one leading byte-order
+mark dropped, and a byte that is not UTF-8 reported by file, line and column.
+
 Exports carry rows of ``t,mean,second_moment,lower,upper,precision,flags``
 with 12 significant digits.  The SVG export draws right-continuous step
 functions: the mean solid, the credible band dotted, and optionally a true
@@ -42,6 +45,7 @@ __all__ = [
     "load_cdf_table",
     "save_cdf_table",
     "export_curves",
+    "read_text",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +125,37 @@ def _where(source, line: int) -> str:
     return f"{_source_name(source)} row {line}"
 
 
+def read_text(source) -> str:
+    """The text of an input file, after one leading byte-order mark.
+
+    A path is read as UTF-8 in text mode, so a CRLF or a lone CR ends a line
+    as LF does; a text stream is read as it is.  A byte that is not UTF-8
+    raises ``DataFormatError`` naming the file and the byte's line and
+    column, counted in characters from 1 after the mark.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            # The whole file is decoded at once, so the offsets count from its first byte.
+            head = exc.object[: exc.start].decode("utf-8").removeprefix("\ufeff")
+            lines = head.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            where = f"{_source_name(source)} line {len(lines)}, column {len(lines[-1]) + 1}"
+            raise DataFormatError(f"{where}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
+    return text.removeprefix("\ufeff")
+
+
 def _records(source, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """``(line, row)`` for each data row of a CSV with ``header``.
 
     Each row is checked as ``csv`` reads it, so the first fault in file
-    order is the one raised.  A leading byte-order mark and blank rows are
-    dropped; ``line`` is the line the row ends on.
+    order is the one raised.  Blank rows are dropped; ``line`` is the line
+    the row ends on.
     """
     name = _source_name(source)
-    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    reader = csv.reader(io.StringIO(read_text(source)))
     rows = filter(None, reader)
     try:
         if (first := next(rows, None)) is None:

@@ -18,8 +18,8 @@ from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
-from .dataio import Dataset
-from .errors import DataFormatError
+from .dataio import Dataset, read_text
+from .errors import DataFormatError, RbdError
 from .oracle import StructuralLifetime, WeibullLifetime, censoring_rate, simulate_lifetimes
 from .rbd import SystemSpec, parse_rbd
 
@@ -113,7 +113,7 @@ def demo_config() -> DemoConfig:
 
 
 def load_sim_config(path) -> DemoConfig:
-    """Read a simulation configuration from JSON; one leading byte-order mark is dropped.
+    """Read a simulation configuration from a JSON file, through ``dataio.read_text``.
 
     Expected keys: ``rbd`` (diagram source text), ``components`` (map of
     component id to ``{"shape": ..., "scale": ...}``, both finite and
@@ -122,7 +122,7 @@ def load_sim_config(path) -> DemoConfig:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
@@ -168,5 +168,7 @@ def load_sim_config(path) -> DemoConfig:
             n_per_node=n_per_node,
             censor_fraction=number("censor_fraction", data.get("censor_fraction", 0.15)),
         )
+    except RbdError as exc:
+        raise DataFormatError(f"{path}: rbd: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -255,8 +255,10 @@ def format_rbd(node: RbdNode) -> str:
 
 
 def load_system_source(source: str) -> SystemSpec:
-    """Parse either grammar, after one leading byte-order mark: JSON when the text starts with '{', else the DSL."""
-    source = source.removeprefix("\ufeff")
+    """Parse either grammar: JSON when the text starts with '{', else the DSL.
+
+    ``source`` is text, so a byte-order mark is the file reader's to drop (``dataio.read_text``).
+    """
     body = source.lstrip()
     if body.startswith("{"):
         # json.loads skips only four kinds of blank; spaces in their place keep every position.

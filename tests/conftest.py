@@ -43,13 +43,19 @@ def priors_fit_args(tmp_path) -> list[str]:
 
 
 def rejected_inputs_args(tmp_path) -> list[list[str]]:
-    """A ``relfuse simulate`` with a bad seed and a ``relfuse fit`` on a CSV with a bad time."""
+    """A ``relfuse simulate`` with a bad seed, a ``relfuse fit`` on a CSV with a bad time, and
+    a ``relfuse fit`` and a ``relfuse simulate --config`` on files that are not UTF-8."""
     (tmp_path / "sys.rbd").write_text("sys")
     (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,x,1\n")
+    (tmp_path / "bad.rbd").write_bytes(b"sys@series(a,\xff b)")
+    (tmp_path / "bad.json").write_bytes(b'{"rbd": "sys\xff", "components": {}}')
     simulate = ["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")]
     fit = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"),
            "--out", str(tmp_path / "fit")]
-    return [simulate, fit]
+    fit_bytes = ["fit", "--rbd", str(tmp_path / "bad.rbd"), "--data", str(tmp_path / "d.csv"),
+                 "--out", str(tmp_path / "fit")]
+    simulate_bytes = ["simulate", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "sim")]
+    return [simulate, fit, fit_bytes, simulate_bytes]
 
 
 # Per entry point, the module a new interpreter imports and the ``main``
@@ -231,3 +237,19 @@ _ROWS = st.lists(st.lists(_CELLS, max_size=5).map(",".join), max_size=6)
 def csv_texts(header):
     """Arbitrary text, or a header line followed by rows of likely and unlikely cells."""
     return st.text() | _ROWS.map(lambda rows: "\n".join([header, *rows]))
+
+
+@st.composite
+def _spliced(draw, texts):
+    data = draw(texts).encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+def file_bytes(texts):
+    """Arbitrary bytes, or one of ``texts`` in UTF-8 with a byte from 0x80-0xff spliced in.
+
+    One byte of 0x80-0xff added to valid UTF-8 never leaves it valid: a lead
+    byte lacks its continuation bytes, and a continuation byte has no lead.
+    """
+    return st.binary() | _spliced(texts)

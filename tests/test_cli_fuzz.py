@@ -3,7 +3,8 @@
 Each example writes fuzzed input files to a fresh directory and runs
 ``relfuse fit`` or ``relfuse simulate`` on them.  Whatever the input, the
 call must end in exit code 0, 1 or 2; an exception escaping ``main`` would
-reach the user as a traceback.
+reach the user as a traceback.  Fuzzed bytes in one input file, the others
+being good, must end in exit code 1 or 2.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from relfuse.cli import main
 
-from conftest import csv_texts, diagram_nodes, json_values
+from conftest import csv_texts, diagram_nodes, file_bytes, json_values
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -83,10 +84,10 @@ _SIM_CONFIGS = (
 )
 
 
-def _run(argv):
+def _run(argv, err=None):
     with (
         contextlib.redirect_stdout(io.StringIO()),
-        contextlib.redirect_stderr(io.StringIO()),
+        contextlib.redirect_stderr(err or io.StringIO()),
         warnings.catch_warnings(),
     ):
         warnings.simplefilter("ignore")
@@ -128,3 +129,41 @@ def test_simulate_returns_an_exit_code(config, seed):
         (tmp / "sim.json").write_text(json.dumps(config), encoding="utf-8")
         argv = ["simulate", "--config", str(tmp / "sim.json"), "--seed", str(seed), "--out", str(tmp / "sim")]
         assert _run(argv) in (0, 1, 2)
+
+
+# Per flag, the file it names and the texts that bytes are spliced into.
+_BYTE_INPUTS = {
+    "--rbd": ("system.rbd", _DIAGRAMS),
+    "--data": ("lifetimes.csv", _LIFETIMES),
+    "--priors": ("priors.csv", _PRIORS),
+    "--config": ("sim.json", _SIM_CONFIGS.map(json.dumps)),
+}
+_GOOD_FILES = {
+    "system.rbd": _GOOD_DIAGRAMS[0],
+    "lifetimes.csv": "node,time,event\nsys,1,1\nsys,2.5,0\na,2,1\nb,7,1\nc,0.5,1\n",
+    "priors.csv": "node,time,cdf,precision\nsys,1,0.2,5\nsys,12,1,5\n",
+}
+
+
+@given(flag=st.sampled_from(list(_BYTE_INPUTS)), data=st.data())
+@FUZZ
+def test_bytes_in_one_input_file_end_in_exit_one_or_two(flag, data):
+    name, texts = _BYTE_INPUTS[flag]
+    raw = data.draw(file_bytes(texts))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for good, text in _GOOD_FILES.items():
+            (tmp / good).write_text(text, encoding="utf-8")
+        (tmp / name).write_bytes(raw)
+        if flag == "--config":
+            argv = ["simulate", "--config", str(tmp / name), "--out", str(tmp / "out")]
+        else:
+            argv = ["fit", *(f"{f}={tmp / n}" for f, (n, _) in _BYTE_INPUTS.items() if f != "--config")]
+            argv += ["--out", str(tmp / "out")]
+        assert _run(argv, err) in (1, 2)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"error: {tmp / name} line ") and "not UTF-8 text" in line, line

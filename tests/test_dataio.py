@@ -13,6 +13,7 @@ from relfuse.dataio import (
     load_cdf_table,
     load_lifetimes,
     load_prior_spec,
+    read_text,
     save_cdf_table,
     save_lifetimes,
 )
@@ -184,6 +185,35 @@ class TestByteOrderMark:
     def test_cdf_table(self, tmp_path, as_path):
         times, cdf = load_cdf_table(with_bom("t,cdf\n0,0\n1.5,0.25\n", tmp_path, as_path))
         assert times.tolist() == [0.0, 1.5] and cdf.tolist() == [0.0, 0.25]
+
+
+class TestReadText:
+    def test_a_path_ends_lines_as_text_mode_does(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xef\xbb\xbfa\r\nb\rc\n\xc3\xa9")
+        assert read_text(path) == read_text(str(path)) == "a\nb\nc\n\u00e9"
+
+    def test_a_stream_loses_one_mark_and_nothing_else(self):
+        assert read_text(io.StringIO("\ufeff\ufeffa\r\nb\r")) == "\ufeffa\r\nb\r"
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"node,time,event\nx,1\xff,1\n", "line 2, column 4: not UTF-8 text (byte 0xff)"),
+            (b"\xef\xbb\xbfab\xfe", "line 1, column 3: not UTF-8 text (byte 0xfe)"),
+            (b"\xef\xbb\xbf\xef\xbb\xbf\x80", "line 1, column 2: not UTF-8 text (byte 0x80)"),
+            # A lone CR ends a line; a character of several bytes is one column.
+            (b"a\r\n\r\xc3\xa9\xe2\x82\xac\x80", "line 3, column 3: not UTF-8 text (byte 0x80)"),
+            # The byte reported is the first of a sequence cut short.
+            (b"ab\n\xe2\x82x", "line 2, column 1: not UTF-8 text (byte 0xe2)"),
+        ],
+        ids=["example", "after-mark", "after-two-marks", "line-ends", "cut-short"],
+    )
+    def test_a_bad_byte_is_named_by_file_line_and_column(self, tmp_path, data, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path} {where}')}$"):
+            read_text(path)
 
 
 class TestDataset:

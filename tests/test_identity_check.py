@@ -270,10 +270,41 @@ def test_diagram_outputs_keep_each_parse_or_error():
     assert error("superscript-two-start") == "RbdSyntaxError: line 1, column 1: unexpected character '²'"
     assert error("bad-character-after-parse-error").endswith("unexpected character '$'")
     assert "levels deep" not in error("label-chain-long")
-    for case in ("depth-limit", "json-depth-limit", "byte-order-mark", "byte-order-mark-json", "crlf", "names"):
+    for case in ("depth-limit", "json-depth-limit", "crlf", "names"):
         assert f"diagrams/{case}/text" in got, case
+    # A byte-order mark is dropped by the file reader, not by the diagram reader.
+    for case in ("byte-order-mark", "byte-order-mark-json", "byte-order-mark-fault"):
+        assert error(case) == "RbdSyntaxError: line 1, column 1: unexpected character '\\ufeff'", case
     assert got["diagrams/paper-scale/text"].tolist() == got["diagrams/paper-scale-json/text"].tolist()
     assert got["diagrams/paper-scale/labels"].size == 3001
+
+
+def test_file_outputs_keep_each_parse_or_error():
+    got = identity_check.file_outputs()
+    streams = identity_check.loader_outputs()
+    for fmt, cases in identity_check.FILE_CORPUS.items():
+        for case in cases:
+            arrays = {name.split("/", 2)[2] for name in got if name.startswith(f"files/{fmt}-{case}/")}
+            if "bad-byte" not in case:
+                assert "labels" in arrays and "error" not in arrays, (fmt, case)
+                continue
+            assert arrays == {"error"}, (fmt, case)
+            where = "line 1, column 1" if case.startswith("byte-order-mark") else "line 3, column 3"
+            byte = "0x80" if case.startswith("byte-order-mark") else "0xff"
+            assert got[f"files/{fmt}-{case}/error"].tolist() == [
+                f"DataFormatError: {fmt}-{case} {where}: not UTF-8 text (byte {byte})"
+            ]
+        # Every line end and a leading mark read as the LF text read from a stream.
+        if fmt != "config":
+            valid = {name.split("/", 2)[2]: arr for name, arr in streams.items() if name.startswith(f"loaders/{fmt}-valid/")}
+            for case in ("crlf", "lone-cr", "byte-order-mark-crlf"):
+                read = {name.split("/", 2)[2]: arr for name, arr in got.items() if name.startswith(f"files/{fmt}-{case}/")}
+                assert identity_check.mismatches(valid, read) == [], (fmt, case)
+    config = {name.split("/", 3)[3]: arr.tolist() for name, arr in got.items() if name.startswith("files/config-crlf/0/")}
+    assert config == {
+        "rbd": ["sys@series(a, sub@parallel(b, c))"], "components": ["a", "b", "c"], "shape": [2.5, 1.5, 0.8],
+        "scale": [90.0, 40.0, 120.0], "n_per_node": [12], "censor_fraction": [0.2],
+    }
 
 
 def test_summary_counts_each_family():
@@ -286,12 +317,14 @@ def test_summary_counts_each_family():
         "cli/seed0/sim/system.rbd": np.zeros(3, dtype=np.uint8),
         "loaders/lifetimes-valid/labels": np.array(["motor"], dtype=str),
         "loaders/lifetimes-valid/0/times": np.ones(1),
+        "files/table-crlf/labels": np.array(["table"], dtype=str),
+        "files/table-bad-byte-line-3/error": np.array(["DataFormatError: ..."], dtype=str),
         "diagrams/crlf/text": np.array(["system@series(a, b)"], dtype=str),
         "diagrams/crlf/labels": np.array(["system", "a", "b"], dtype=str),
         "diagrams/empty/error": np.array(["RbdSyntaxError: ..."], dtype=str),
     }
     assert identity_check.summary("0123456789abcdef", change, ["case/t"]) == (
         "identity 0123456789ab -> working tree: 2 cases, 1 datasets, 1 calibrations, 1 band probes, "
-        "1 validator reports, 1 CLI files, 1 loader texts, 2 diagram texts, 16 arrays, 4 warnings, "
+        "1 validator reports, 1 CLI files, 1 loader texts, 2 byte files, 2 diagram texts, 18 arrays, 4 warnings, "
         "1 mismatches (case/t)"
     )

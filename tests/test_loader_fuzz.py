@@ -1,19 +1,25 @@
-"""Fuzzing of the three input loaders: any input ends in the loader's own error type.
+"""Fuzzing of the input loaders: any input ends in the loader's own error type.
 
-A diagram loader may raise only ``RbdError`` and the CSV loaders only
+A diagram loader may raise only ``RbdError`` and the file loaders only
 ``DataFormatError``; anything else would reach the CLI as a traceback.
+The file loaders are also given bytes, read from a file by path.
 """
 
 import io
 import json
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relfuse.dataio import load_lifetimes, load_prior_spec
+from relfuse.dataio import load_cdf_table, load_lifetimes, load_prior_spec
+from relfuse.demo import load_sim_config
 from relfuse.errors import DataFormatError, RbdError
 from relfuse.rbd import format_rbd, load_system_source, parse_rbd
 
-from conftest import csv_texts, diagram_nodes, json_values
+from conftest import csv_texts, diagram_nodes, file_bytes, json_values
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -54,3 +60,35 @@ def test_load_prior_spec_raises_only_format_errors(text):
         load_prior_spec(io.StringIO(text))
     except DataFormatError:
         pass
+
+
+_CONFIG = json.dumps({"rbd": "sys@series(a, b)", "components": {c: {"shape": 2, "scale": 9} for c in "ab"}})
+# Per file loader, the texts that bytes are spliced into.
+FILE_LOADERS = {
+    "load_lifetimes": (load_lifetimes, csv_texts("node,time,event")),
+    "load_prior_spec": (load_prior_spec, csv_texts("node,time,cdf,precision")),
+    "load_cdf_table": (load_cdf_table, csv_texts("t,cdf")),
+    "load_sim_config": (load_sim_config, json_values.map(json.dumps) | st.just(_CONFIG)),
+}
+
+
+@pytest.mark.parametrize("name", FILE_LOADERS)
+@given(data=st.data())
+@FUZZ
+def test_file_loaders_raise_only_format_errors_on_any_bytes(name, data):
+    loader, texts = FILE_LOADERS[name]
+    raw = data.draw(file_bytes(texts))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(raw)
+        try:
+            loader(path)
+        except DataFormatError as exc:
+            message = str(exc)
+        else:
+            message = None
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        assert message is not None and message.startswith(f"{path} line "), message
+        assert "not UTF-8 text (byte 0x" in message

@@ -420,6 +420,50 @@ class TestCliErrors:
         assert code == EXIT_INPUT
         assert "line 1" in capsys.readouterr().err
 
+    def test_diagram_fault_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "s.rbd").write_text("series(a,\n b c)")
+        (tmp_path / "d.csv").write_text("node,time,event\na,1,1\n")
+        code = main(["fit", "--rbd", str(tmp_path / "s.rbd"), "--data", str(tmp_path / "d.csv")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {tmp_path / 's.rbd'}: line 2, column 4: expected ',' or ')', found 'c'\n"
+
+    def test_config_diagram_fault_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"rbd": "series(a", "components": {}}))
+        code = main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "sim")])
+        assert code == EXIT_INPUT and not (tmp_path / "sim").exists()
+        error = f"error: {tmp_path / 'c.json'}: rbd: line 1, column 9: expected ',' or ')', found end of input\n"
+        assert capsys.readouterr().err == error
+
+    # Per input kind, its file with one byte that is not UTF-8, and where that byte is.
+    BAD_BYTES = {
+        "diagram": ("s.rbd", b"sys@series(\n  a, \xff b)\n", "line 2, column 6: not UTF-8 text (byte 0xff)"),
+        "lifetimes": ("d.csv", b"node,time,event\na,1,1\nb,2\xfe,0\n", "line 3, column 4: not UTF-8 text (byte 0xfe)"),
+        "priors": ("p.csv", b"node,time,cdf,precision\r\nsys,1,0.5,2\r\nsys,2,1,\x802\r\n",
+                   "line 3, column 9: not UTF-8 text (byte 0x80)"),
+        "overlay": ("true_system_cdf.csv", b"\xef\xbb\xbft,cdf\r0,0\r1,1\xc3\r",
+                    "line 3, column 4: not UTF-8 text (byte 0xc3)"),
+        "config": ("c.json", b'{"rbd": "sys@series(a, b)",\n "components": {"\xe9": {}}}',
+                   "line 2, column 18: not UTF-8 text (byte 0xe9)"),
+    }
+
+    @pytest.mark.parametrize("kind", BAD_BYTES)
+    def test_a_bad_byte_names_its_file_line_and_column(self, tmp_path, capsys, kind):
+        # A CRLF or a lone CR ends a line, a leading byte-order mark is not counted.
+        (tmp_path / "s.rbd").write_text("sys@series(a, b)\n")
+        (tmp_path / "d.csv").write_text("node,time,event\na,1,1\nb,2,0\nsys,1.5,1\n")
+        (tmp_path / "p.csv").write_text("node,time,cdf,precision\nsys,1,0.5,2\nsys,2,1,2\n")
+        (tmp_path / "true_system_cdf.csv").write_text("t,cdf\n0,0\n1,1\n")
+        name, data, where = self.BAD_BYTES[kind]
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / "out"
+        if kind == "config":
+            args = ["simulate", "--config", str(tmp_path / name), "--out", str(out)]
+        else:
+            args = ["fit", "--rbd", str(tmp_path / "s.rbd"), "--data", str(tmp_path / "d.csv"),
+                    "--priors", str(tmp_path / "p.csv"), "--svg", "--out", str(out)]
+        assert main(args) == EXIT_INPUT and not out.exists()
+        assert capsys.readouterr() == ("", f"error: {tmp_path / name} {where}\n")
+
     def test_dangling_dataset_label(self, tmp_path, capsys):
         (tmp_path / "sys.rbd").write_text("sys@series(a, b)")
         (tmp_path / "d.csv").write_text("node,time,event\nzz,2,1\nghost,1,1\na,1,1\n")
@@ -747,8 +791,9 @@ FOOTPRINT = {
     "import relfuse": {"codes": [], "unloaded": ["scipy", "scipy.*"]},
     "import relfuse.cli": {"codes": [], "unloaded": ["scipy", "scipy.*"]},
     # scipy.special is imported inside the functions that draw a band or check
-    # the matched beta, so a rejected input neither loads it nor writes.
-    "rejected inputs": {"codes": [EXIT_INPUT, EXIT_INPUT], "unloaded": ["scipy.special", "scipy.special.*"],
+    # the matched beta, so a rejected input, a file that is not UTF-8 included,
+    # neither loads it nor writes.
+    "rejected inputs": {"codes": [EXIT_INPUT] * 4, "unloaded": ["scipy.special", "scipy.special.*"],
                         "absent": ["sim", "fit"]},
     # The calibration loads QUADPACK's extension alone, not the scipy.integrate
     # package and the subpackages it imports; a later import of the package

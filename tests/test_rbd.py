@@ -1,9 +1,11 @@
+import io
 import json
 import re
 
 import pytest
 from hypothesis import given, settings
 
+from relfuse.dataio import read_text
 from relfuse.errors import RbdError, RbdSyntaxError
 from relfuse.rbd import (
     MAX_DEPTH,
@@ -255,6 +257,11 @@ class TestJson:
             rbd_from_json(json.loads(nested_series_json(MAX_DEPTH + 1)))
 
 
+def read_diagram(text):
+    """The diagram of a file holding ``text``, read as ``relfuse fit`` reads one."""
+    return load_system_source(read_text(io.StringIO(text)))
+
+
 class TestByteOrderMark:
     @pytest.mark.parametrize(
         "source",
@@ -262,14 +269,14 @@ class TestByteOrderMark:
         ids=["text", "json"],
     )
     def test_one_leading_mark_is_dropped(self, source):
-        assert load_system_source("\ufeff" + source).root == series(component("a"), component("b"))
+        assert read_diagram("\ufeff" + source).root == series(component("a"), component("b"))
         with pytest.raises(RbdSyntaxError, match=re.escape("line 1, column 1: unexpected character '\\ufeff'")):
-            load_system_source("\ufeff\ufeff" + source)
+            read_diagram("\ufeff\ufeff" + source)
 
     def test_positions_count_from_the_text_after_the_mark(self):
         message = "line 1, column 9: expected ',' or ')', found end of input"
         with pytest.raises(RbdSyntaxError, match=re.escape(message)):
-            load_system_source("\ufeffseries(a")
+            read_diagram("\ufeffseries(a")
 
 
 class TestPaperScale:

@@ -23,7 +23,14 @@ through the datasets it draws.  It keeps the ``curve_export`` bands of five
 hand-built processes at levels 0.5, 0.9, 0.95 and 0.99, whose rows reach
 every branch of the band rule (zero mass, terminal, zero variance, the
 Bernoulli bound and a quantile widened to the mean), which the demo fits
-may never reach.  It keeps every ``run_checks`` result (name, pass
+may never reach.  It updates five hand-built priors (a DP prior, a
+zero-precision one, one with a zero-mass point and a flat step, one
+terminal point and two terminal points) on no data and on lifetimes before,
+between, at and past their grid points and tied, and keeps each posterior's
+precision and horizon and every ``curve_export`` column, and each prior's
+``merge_priors`` with a DP prior, or the type and text of the error, with
+the warnings raised: so a change in a process's precision off its grid
+shows up per branch.  It keeps every ``run_checks`` result (name, pass
 flag and detail) of the validator for seeds 0-2, so a changed comparison
 in ``validation`` shows up even when the check still passes.  Last, for
 demo seeds 0 and 3 it runs ``relfuse simulate`` and then ``relfuse fit
@@ -43,7 +50,8 @@ NaN matching NaN.
 Two more variants, fitted on the same seeds, put the nine demo components
 in one ``system@series`` group, with and without the ``system`` prior, so
 that one combine folds nine children where the demo's widest group has
-four.
+four.  Two last ones withhold the ``system`` data, and the data of every
+group, so that the system answers from the data below it.
 
 It also feeds a fixed corpus of diagram texts, in both the text and the
 JSON form, to ``load_system_source`` and keeps the ``format_rbd`` text and
@@ -51,8 +59,8 @@ the labels of each diagram it reads, or the type and message of its error.
 The corpus reaches every fault message of both grammars, comments at the
 end of input, CRLF line endings, tabs, no-break spaces, names that start
 with a numeral, label chains, the depth limit and one level past it, JSON
-after blank lines, byte-order marks and a series of 1,000 labelled
-parallel pairs.
+after blank lines, byte-order marks, an integer id past Python's
+4,300-digit limit and a series of 1,000 labelled parallel pairs.
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as ``bench_pairs.py`` does.
@@ -96,6 +104,7 @@ CALIBRATION_FRACTIONS = (0.05, 0.15, 0.6)
 BAND_LEVELS = (0.5, 0.9, 0.95, 0.99)
 VALIDATE_SEEDS = range(3)
 CLI_SEEDS = (0, 3)
+EXPORT_COLUMNS = ("t", "mean", "second_moment", "lower", "upper", "precision")
 CLI_FILES = (
     "sim/system.rbd", "sim/lifetimes.csv", "sim/true_system_cdf.csv", "fit/system_cdf.csv", "fit/system_cdf.svg"
 )
@@ -129,6 +138,8 @@ VARIANTS = {
     "withheld-gearing": (_cut(), ("gearing",), ()),
     "flat-series": (_flat_series, (), ()),
     "flat-series-dp": (_flat_series, (), ("system",)),
+    "components-only": (_cut(), ("system", "propulsion", "electric", "gas"), ()),
+    "no-system-data": (_cut(), ("system",), ()),
 }
 
 
@@ -236,6 +247,77 @@ def band_probes() -> dict:
             export = curve_export(process, level)
             out[f"bands/{name}-{level:g}/lower"] = export.lower
             out[f"bands/{name}-{level:g}/upper"] = export.upper
+    return out
+
+
+def precision_priors() -> dict:
+    """Priors named for the branch of the off-grid precision rule they reach, built from public names."""
+    from relfuse.bsp import BetaStacyProcess, DiscreteCdf, dp_prior
+
+    def process(grid, values, precision):
+        return BetaStacyProcess(DiscreteCdf(np.array(grid), np.array(values)), np.array(precision))
+
+    return {
+        "dp": dp_prior([1.0, 2.0, 3.0], [0.25, 0.5, 1.0], 4.0),
+        "dp-zero": dp_prior([1.0, 2.0, 3.0], [0.25, 0.5, 1.0], 0.0),
+        # No mass at t=1 and a flat step at t=3, each with its own precision.
+        "flat-step": process([1.0, 2.0, 3.0, 4.0], [0.0, 0.375, 0.375, 1.0], [2.0, 4.0, 1.0, np.nan]),
+        "one-terminal": process([2.0], [1.0], [np.nan]),
+        "two-terminal": process([1.0, 3.0], [1.0, 1.0], [np.nan, np.nan]),
+    }
+
+
+# Lifetimes against the priors' grids: failures and withdrawals before,
+# between, at and past the grid points, and failures tied with a withdrawal.
+PRECISION_DATA = {
+    "none": ((), ()),
+    "before": ((0.5, 0.75), (1, 0)),
+    "between": ((1.5, 2.5), (1, 0)),
+    "at": ((1.0, 2.0, 3.0), (1, 0, 1)),
+    "past": ((5.0, 6.0), (1, 0)),
+    "tied": ((1.5, 1.5, 1.5, 2.0), (1, 1, 0, 1)),
+}
+
+
+def _probe(name: str, fn) -> dict:
+    """The arrays ``fn()`` returns, under ``name``, or the type and text of what it raises; then its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = {f"{name}/{key}": np.asarray(value) for key, value in fn().items()}
+        except Exception as exc:
+            out = {f"{name}/error": np.array([f"{type(exc).__name__}: {exc}"], dtype=str)}
+    out[f"{name}/warnings"] = np.array([f"{w.category.__name__}: {w.message}" for w in caught], dtype=str)
+    return out
+
+
+def _export_arrays(export) -> dict:
+    """Every column and the flags of a ``curve_export``."""
+    columns = {column: getattr(export, column) for column in EXPORT_COLUMNS}
+    return {**columns, "flags": np.array(export.flags, dtype=str)}
+
+
+def precision_probes() -> dict:
+    """Per precision prior and lifetime set, the posterior and its export; per prior, its merge with a DP prior."""
+    from relfuse.bsp import dp_prior, posterior_update
+    from relfuse.fusion import merge_priors
+    from relfuse.pipeline import curve_export
+
+    dp = dp_prior([1.5, 2.5, 4.5], [0.125, 0.625, 1.0], 3.0)
+
+    def merge(prior):
+        curve = merge_priors(prior, dp)
+        return {"grid": curve.grid, "first": curve.first, "second": curve.second}
+
+    def update(prior, times, events):
+        post = posterior_update(prior, times, events)
+        return {"process_precision": post.precision, "horizon": post.horizon, **_export_arrays(curve_export(post))}
+
+    out = {}
+    for name, prior in precision_priors().items():
+        out.update(_probe(f"precision/{name}-merge", lambda: merge(prior)))
+        for data, (times, events) in PRECISION_DATA.items():
+            out.update(_probe(f"precision/{name}-{data}", lambda: update(prior, times, events)))
     return out
 
 
@@ -407,6 +489,8 @@ def _pairs(count: int) -> tuple[str, str]:
 
 
 _AB = (_component("a"), _component("b"))
+# A JSON integer one digit past the 4,300 that Python converts by default.
+_HUGE = "1" * 4301
 _PAPER_TEXT, _PAPER_JSON = _pairs(1000)
 # Diagram texts in both forms; the module docstring lists what they reach.
 DIAGRAM_CORPUS = {
@@ -490,6 +574,7 @@ DIAGRAM_CORPUS = {
     "byte-order-mark-after-blank": " \ufeffa",
     "paper-scale": _PAPER_TEXT,
     "paper-scale-json": _PAPER_JSON,
+    "json-id-past-digit-limit": f'{{"type": "component", "id": {_HUGE}}}',
 }
 
 
@@ -502,7 +587,7 @@ def diagram_outputs(corpus=DIAGRAM_CORPUS) -> dict:
     for case, text in corpus.items():
         try:
             spec = load_system_source(text)
-        except RbdError as exc:
+        except (RbdError, ValueError) as exc:  # the parent may raise ValueError
             out[f"diagrams/{case}/error"] = np.array([f"{type(exc).__name__}: {exc}"], dtype=str)
             continue
         out[f"diagrams/{case}/text"] = np.array([format_rbd(spec.root)], dtype=str)
@@ -584,10 +669,14 @@ _CONFIG = {
 }
 # Per loader, files read by path: a bad byte on line 3 after LF, CRLF or lone
 # CR line ends, valid CRLF and lone CR rows, a byte-order mark before CRLF
-# rows and a mark before a bad byte.
+# rows and a mark before a bad byte; and a configuration whose ``n_per_node``
+# is an integer past Python's 4,300-digit limit.
 FILE_CORPUS = {
     **{fmt: _byte_files(LOADER_CORPUS[fmt]["valid"]) for fmt in ("lifetimes", "priors", "table")},
-    "config": _byte_files(json.dumps(_CONFIG, indent=1) + "\n"),
+    "config": {
+        **_byte_files(json.dumps(_CONFIG, indent=1) + "\n"),
+        "n-past-digit-limit": json.dumps(_CONFIG).replace(": 12,", f": {_HUGE},").encode("utf-8"),
+    },
 }
 
 
@@ -651,15 +740,14 @@ def record(src: str, out: str) -> None:
                         except BindingError as exc:
                             arrays[f"{case}/error"] = np.array([str(exc)], dtype=str)
                     for label, curve in exports.items():
-                        for column in ("t", "mean", "second_moment", "lower", "upper", "precision"):
-                            arrays[f"{case}/{label}/{column}"] = getattr(curve, column)
-                        arrays[f"{case}/{label}/flags"] = np.array(curve.flags, dtype=str)
+                        arrays.update({f"{case}/{label}/{k}": v for k, v in _export_arrays(curve).items()})
                     arrays[f"{case}/warnings"] = np.array(
                         [str(w.message) for w in caught if issubclass(w.category, PrecisionRecoveryWarning)],
                         dtype=str,
                     )
     arrays.update(calibrate(calibration_probes(demo)))
     arrays.update(band_probes())
+    arrays.update(precision_probes())
     arrays.update(validator_reports())
     arrays.update(cli_outputs())
     arrays.update(loader_outputs())
@@ -699,11 +787,12 @@ def by_case(names: list[str]) -> list[str]:
 
 def summary(commit: str, change: dict, bad: list[str]) -> str:
     """The one line that counts what the working tree's arrays cover and how many differ."""
-    families = {"bands", "calibration", "cli", "datasets", "diagrams", "files", "loaders", "validate"}
+    families = {"bands", "calibration", "cli", "datasets", "diagrams", "files", "loaders", "precision", "validate"}
     cases = {name.split("/")[0] for name in change} - families
     n_calibrations = sum(name.startswith("calibration/") for name in change)
     n_bands = len({name.rsplit("/", 1)[0] for name in change if name.startswith("bands/")})
     n_datasets = sum(name.startswith("datasets/") for name in change)
+    n_precision = len({name.split("/")[1] for name in change if name.startswith("precision/")})
     n_reports = sum(name.startswith("validate/") for name in change)
     n_cli = sum(name.startswith("cli/") for name in change)
     n_loaders = len({name.split("/")[1] for name in change if name.startswith("loaders/")})
@@ -712,8 +801,9 @@ def summary(commit: str, change: dict, bad: list[str]) -> str:
     n_warnings = sum(change[name].size for name in change if name.endswith("/warnings"))
     return (
         f"identity {commit[:12]} -> working tree: {len(cases)} cases, {n_datasets} datasets, "
-        f"{n_calibrations} calibrations, {n_bands} band probes, {n_reports} validator reports, "
-        f"{n_cli} CLI files, {n_loaders} loader texts, {n_files} byte files, {n_diagrams} diagram texts, "
+        f"{n_calibrations} calibrations, {n_bands} band probes, {n_precision} precision probes, "
+        f"{n_reports} validator reports, {n_cli} CLI files, {n_loaders} loader texts, {n_files} byte files, "
+        f"{n_diagrams} diagram texts, "
         f"{len(change)} arrays, {n_warnings} warnings, {len(bad)} mismatches"
         + (f" ({', '.join(bad[:5])})" if bad else "")
     )

@@ -179,6 +179,21 @@ class BetaStacyProcess:
     def precision_defined(self) -> np.ndarray:
         return ~np.isnan(self.precision)
 
+    def precision_at(self, t) -> np.ndarray:
+        """Precision at each time ``t``: the one rule for times off the grid.
+
+        From the first grid point on it is the precision of the last
+        non-terminal point at or before ``t``, and before that point the first
+        point's.  A process with no non-terminal point has precision 0 before
+        its first point and NaN from there on.  A NaN time raises ``ValueError``.
+        """
+        if np.isnan(t).any():
+            raise ValueError("query time must not be NaN")
+        live = self.precision_defined
+        if not live.any():
+            return _carry(self.grid[:1], self.precision[:1], t, 0.0)
+        return _carry(self.grid[live], self.precision[live], t, self.precision[0])
+
     @classmethod
     def noninformative(cls) -> "BetaStacyProcess":
         """Empty prior: zero mass, zero precision, everywhere uninformative."""
@@ -209,21 +224,6 @@ def _proper_prior(grid, cdf_values, precision) -> BetaStacyProcess:
     return BetaStacyProcess(base, np.broadcast_to(precision, base.grid.shape))
 
 
-def _extend_precision(process: BetaStacyProcess, grid: np.ndarray) -> np.ndarray:
-    """Precision step function sampled on ``grid``.
-
-    Carries the last defined value forward and the first defined value
-    backward (a constant-precision prior stays constant off its grid).  If no
-    point carries a defined precision the result is 0 everywhere: such a
-    prior records no usable weight.
-    """
-    defined = process.precision_defined
-    if process.grid.size == 0 or not defined.any():
-        return np.zeros(grid.size)
-    src_prec = process.precision[defined]
-    return _carry(process.grid[defined], src_prec, grid, src_prec[0])
-
-
 def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess:
     """Condition a beta-Stacy prior on right-censored lifetimes.
 
@@ -248,7 +248,7 @@ def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess
 
     g = prior.base.at(union)
     g_prev = np.concatenate(([0.0], g[:-1]))
-    alpha = _extend_precision(prior, union)
+    alpha = prior.precision_at(union)
     # Units at risk at t have time >= t (a censored unit tied with a failure
     # still counts); failures count at exactly t, which is on the union grid.
     m_at = (times.size - np.searchsorted(np.sort(times), union, side="left")).astype(np.float64)

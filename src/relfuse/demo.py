@@ -121,9 +121,10 @@ def load_sim_config(path) -> DemoConfig:
     ``MAX_N_PER_NODE``) and ``censor_fraction`` (a number in [0, 1)).
     """
     path = Path(path)
+    text = read_text(path)
     try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise DataFormatError(f"{path}: invalid JSON: nested too deeply") from None

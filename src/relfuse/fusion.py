@@ -31,7 +31,6 @@ from .bsp import (
     DiscreteCdf,
     _carry,
     _check_steps,
-    _extend_precision,
     _freeze,
     _union,
     second_moment,
@@ -203,8 +202,8 @@ def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> MomentCurve:
     union = ca.grid
     if union.size == 0:
         raise ValueError("cannot merge two empty priors")
-    wa = np.where(ca.terminal, PRECISION_CAP, _extend_precision(a, union))
-    wb = np.where(cb.terminal, PRECISION_CAP, _extend_precision(b, union))
+    wa = np.where(ca.terminal, PRECISION_CAP, a.precision_at(union))
+    wb = np.where(cb.terminal, PRECISION_CAP, b.precision_at(union))
     total = wa + wb
     flat = total == 0.0
     wa = np.where(flat, 0.5, wa)

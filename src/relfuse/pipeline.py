@@ -4,8 +4,10 @@ The fit walks the diagram bottom-up.  Each component becomes a posterior
 from its own prior (elicited, or zero-precision when none is given) and its
 own data.  Each group fuses its children's moment curves, converts the
 fused curve back to a process, blends in the node's elicited prior if any,
-and conditions on the node's own data if any.  The root always ends as a
-process, so credible bands are available on the full union grid.
+and conditions on the node's own data if any; a group with no data answers
+with that prior, so component and subsystem data alone give a system answer.
+The root always ends as a process, so credible bands are available on the
+full union grid.
 
 A component with neither data nor a prior carries no information, and
 neither does a group with nothing of its own above such a child: moments
@@ -23,9 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bsp import BetaStacyProcess, _beta_bands, _carry, posterior_update
+from .bsp import BetaStacyProcess, _beta_bands, posterior_update
 from .dataio import CurveExport, Dataset
 from .errors import BindingError
 from .fusion import (
@@ -121,7 +121,9 @@ def fit_system(
         if fused is not None:
             recovered = recover_precision(fused)
             prior = recovered if prior is None else recover_precision(merge_priors(recovered, prior))
-        post = _update(prior, ds)
+        # With no data of its own a group answers with its fused prior: an
+        # update on nothing would cut the curve at its first zero precision.
+        post = prior if fused is not None and ds is None else _update(prior, ds)
         posteriors[label if label is not None else "<root>"] = post
         return post if root else moments_of(post)
 
@@ -155,7 +157,5 @@ def curve_export(process: BetaStacyProcess, level: float = 0.95) -> CurveExport:
     """
     moments = moments_of(process)
     lower, upper = _beta_bands(moments.first, moments.second, level)
-    grid = moments.grid
-    defined = process.precision_defined
-    precision = _carry(grid[defined], process.precision[defined], grid, np.nan)
-    return CurveExport(grid, moments.first, moments.second, lower, upper, precision)
+    precision = process.precision_at(moments.grid)
+    return CurveExport(moments.grid, moments.first, moments.second, lower, upper, precision)

@@ -267,6 +267,8 @@ def load_system_source(source: str) -> SystemSpec:
             data = json.loads(lead + body)
         except json.JSONDecodeError as exc:
             raise RbdSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise RbdSyntaxError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise RbdSyntaxError("invalid JSON: nested too deeply") from None
         return SystemSpec(rbd_from_json(data))

@@ -42,20 +42,31 @@ def priors_fit_args(tmp_path) -> list[str]:
     ]
 
 
+# A JSON integer one digit past the 4,300 that Python converts by default.
+HUGE_INTEGER = "1" * 4301
+HUGE_ID_DIAGRAM = f'{{"type": "component", "id": {HUGE_INTEGER}}}'
+HUGE_N_CONFIG = f'{{"rbd": "sys", "components": {{"sys": {{"shape": 2, "scale": 9}}}}, "n_per_node": {HUGE_INTEGER}}}'
+
+
 def rejected_inputs_args(tmp_path) -> list[list[str]]:
-    """A ``relfuse simulate`` with a bad seed, a ``relfuse fit`` on a CSV with a bad time, and
-    a ``relfuse fit`` and a ``relfuse simulate --config`` on files that are not UTF-8."""
+    """A ``relfuse simulate`` with a bad seed, a ``relfuse fit`` on a CSV with a bad time,
+    a ``relfuse fit`` and a ``relfuse simulate --config`` on files that are not UTF-8, and
+    the same two on JSON files holding an integer past Python's digit limit."""
     (tmp_path / "sys.rbd").write_text("sys")
     (tmp_path / "d.csv").write_text("node,time,event\nsys,1,1\nsys,x,1\n")
     (tmp_path / "bad.rbd").write_bytes(b"sys@series(a,\xff b)")
     (tmp_path / "bad.json").write_bytes(b'{"rbd": "sys\xff", "components": {}}')
-    simulate = ["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")]
-    fit = ["fit", "--rbd", str(tmp_path / "sys.rbd"), "--data", str(tmp_path / "d.csv"),
-           "--out", str(tmp_path / "fit")]
-    fit_bytes = ["fit", "--rbd", str(tmp_path / "bad.rbd"), "--data", str(tmp_path / "d.csv"),
-                 "--out", str(tmp_path / "fit")]
-    simulate_bytes = ["simulate", "--config", str(tmp_path / "bad.json"), "--out", str(tmp_path / "sim")]
-    return [simulate, fit, fit_bytes, simulate_bytes]
+    (tmp_path / "huge.rbd").write_text(HUGE_ID_DIAGRAM)
+    (tmp_path / "huge.json").write_text(HUGE_N_CONFIG)
+
+    def fit(rbd):
+        return ["fit", "--rbd", str(tmp_path / rbd), "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "fit")]
+
+    def simulate(config):
+        return ["simulate", "--config", str(tmp_path / config), "--out", str(tmp_path / "sim")]
+
+    bad_seed = ["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")]
+    return [bad_seed, fit("sys.rbd"), fit("bad.rbd"), simulate("bad.json"), fit("huge.rbd"), simulate("huge.json")]
 
 
 # Per entry point, the module a new interpreter imports and the ``main``

@@ -267,7 +267,7 @@ def test_09_hierarchical_bands_are_narrower():
     print(f"criterion 9 PASS: hierarchical bands narrower in {wins}/100 replicates")
 
 
-# Grid quantiles at which criteria 10 and 11 report coverage; only the
+# Grid quantiles at which criteria 10–12 report coverage; only the
 # median's is bounded.
 COVERAGE_PERCENTS = (10, 25, 50, 75, 90)
 
@@ -282,6 +282,7 @@ def _coverage(withheld=()):
             warnings.simplefilter("ignore", PrecisionRecoveryWarning)
             result = fit_system(cfg.spec, datasets)
         curve = curve_export(result.posterior)
+        assert len(curve) > 0, f"seed {seed}: empty export"
         for percent in COVERAGE_PERCENTS:
             covered[percent] += covers_truth(curve, cfg.true_system_cdf, percent)
     report = ", ".join(f"{p}% {n}/200" for p, n in covered.items())
@@ -302,3 +303,16 @@ def test_11_coverage_with_a_component_withheld():
     assert 0.85 <= rate <= 0.99
     assert result.uninformed == {"gearing": "system"}
     print(f"criterion 11 PASS: coverage {rate:.3f} at the median grid time with 'gearing' withheld ({report})")
+
+
+@pytest.mark.parametrize(
+    "withheld, what",
+    [(("system",), "'system' withheld"), (("system", "propulsion", "electric", "gas"), "component data alone")],
+    ids=["no-system-data", "components-only"],
+)
+def test_12_system_answer_from_component_data(withheld, what):
+    # Criterion 10's loop without the system's data, and without any group's:
+    # the system answers with the prior fused from the data below it.
+    rate, report, _ = _coverage(withheld)
+    assert 0.90 <= rate <= 0.99
+    print(f"criterion 12 PASS: coverage {rate:.3f} at the median grid time with {what} ({report})")

@@ -90,6 +90,29 @@ class TestDiscreteCdf:
             DiscreteCdf(np.asarray(grid, dtype=float), np.asarray(values, dtype=float))
 
 
+class TestPrecisionAt:
+    TIMES = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 9.0])
+
+    @pytest.mark.parametrize(
+        "values, precision, expected",
+        [
+            # The first point's precision before it, then the last non-terminal point's.
+            ([0.0, 0.5, 1.0], [2.0, 4.0, np.nan], [2.0, 2.0, 2.0, 4.0, 4.0, 4.0]),
+            ([0.25, 0.5, 0.75], [1.0, 0.0, 3.0], [1.0, 1.0, 1.0, 0.0, 3.0, 3.0]),
+            # No non-terminal point: 0 before the first point, NaN from it on.
+            ([1.0, 1.0, 1.0], [np.nan] * 3, [0.0, np.nan, np.nan, np.nan, np.nan, np.nan]),
+            ([], [], [0.0] * 6),
+        ],
+        ids=["terminal-tail", "all-live", "all-terminal", "empty"],
+    )
+    def test_rule(self, values, precision, expected):
+        grid = np.array([1.0, 2.0, 3.0][: len(values)])
+        process = BetaStacyProcess(DiscreteCdf(grid, np.array(values)), np.array(precision))
+        np.testing.assert_array_equal(process.precision_at(self.TIMES), expected)
+        with pytest.raises(ValueError, match="NaN"):
+            process.precision_at([1.0, np.nan])
+
+
 class TestHorizon:
     @pytest.mark.parametrize(
         "grid, horizon",

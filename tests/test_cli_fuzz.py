@@ -14,12 +14,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from relfuse.cli import main
 
-from conftest import csv_texts, diagram_nodes, file_bytes, json_values
+from conftest import HUGE_ID_DIAGRAM, HUGE_N_CONFIG, csv_texts, diagram_nodes, file_bytes, json_values
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -167,3 +168,24 @@ def test_bytes_in_one_input_file_end_in_exit_one_or_two(flag, data):
     except UnicodeDecodeError:
         [line] = err.getvalue().splitlines()
         assert line.startswith(f"error: {tmp / name} line ") and "not UTF-8 text" in line, line
+
+
+@pytest.mark.parametrize("flag", ["--rbd", "--config"])
+def test_json_integer_past_the_digit_limit_ends_in_exit_one(flag):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for good, text in _GOOD_FILES.items():
+            (tmp / good).write_text(text, encoding="utf-8")
+        if flag == "--config":
+            (tmp / "sim.json").write_text(HUGE_N_CONFIG, encoding="utf-8")
+            argv = ["simulate", "--config", str(tmp / "sim.json"), "--out", str(tmp / "out")]
+        else:
+            (tmp / "system.rbd").write_text(HUGE_ID_DIAGRAM, encoding="utf-8")
+            argv = ["fit", "--rbd", str(tmp / "system.rbd"), "--data", str(tmp / "lifetimes.csv")]
+            argv += ["--out", str(tmp / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        name = _BYTE_INPUTS[flag][0]
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"error: {tmp / name}: invalid JSON: Exceeds the limit (4300 digits)"), line

@@ -117,6 +117,33 @@ def test_band_probes_reach_every_branch():
             assert rows.any(), f"{name} at level {level:g}"
 
 
+def test_precision_probes_reach_every_branch():
+    arrays = identity_check.precision_probes()
+    priors = identity_check.precision_priors()
+    updates = [f"{name}-{data}" for name in priors for data in identity_check.PRECISION_DATA]
+    merges = [f"{name}-merge" for name in priors]
+    assert {name.split("/")[1] for name in arrays} == {*updates, *merges}
+    columns = {"process_precision", "horizon", *identity_check.EXPORT_COLUMNS, "flags", "warnings"}
+    for probe, keys in ((updates, columns), (merges, {"grid", "first", "second", "warnings"})):
+        for case in probe:
+            got = {name.split("/", 2)[2] for name in arrays if name.split("/")[1] == case}
+            assert got in (keys, {"error", "warnings"}), case
+
+    def export(case, column):
+        return arrays[f"precision/{case}/{column}"]
+
+    # A zero precision and no data cut the posterior at its first point.
+    assert export("dp-zero-none", "t").size == 0 and export("dp-zero-none", "horizon") == 1.0
+    # A terminal row reports the last non-terminal precision; with no such point it is NaN.
+    np.testing.assert_array_equal(export("flat-step-none", "precision"), [2.0, 4.0, 1.0, 1.0])
+    for case in ("one-terminal-none", "two-terminal-none", "two-terminal-past"):
+        assert np.isnan(export(case, "precision")).all(), case
+    # Before an all-terminal grid the prior weighs nothing: the data alone set the precision.
+    np.testing.assert_array_equal(export("two-terminal-before", "process_precision"), [2.0, 2.0, np.nan, np.nan])
+    for name in priors:
+        assert np.isin(priors[name].grid, export(f"{name}-merge", "grid")).all(), name
+
+
 def fold_branches(spec, data_labels, prior_labels) -> set[str]:
     """The branches of ``fit_system``'s fold that the nodes of ``spec`` take."""
     out = set()
@@ -127,8 +154,8 @@ def fold_branches(spec, data_labels, prior_labels) -> set[str]:
             out.add("component-prior" if has_prior else "component" if has_data else "component-uninformed")
         elif node is spec.root:
             out.add("labelled-root" if label is not None else "unlabelled-root")
-            if label is None and not has_data:
-                out.add("unlabelled-root-no-data")
+            if not has_data:
+                out.add("labelled-root-no-data" if label is not None else "unlabelled-root-no-data")
         elif not (has_data or has_prior):
             out.add("group-pass-up")
         elif not has_data:
@@ -153,6 +180,8 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
         "withheld-gearing": "component-uninformed",
         "flat-series": None,
         "flat-series-dp": None,
+        "components-only": "labelled-root-no-data",
+        "no-system-data": "labelled-root-no-data",
     }
     assert want.keys() == identity_check.VARIANTS.keys()
     for name, branch in want.items():
@@ -249,6 +278,7 @@ DIAGRAM_FAULTS = (
     "invalid JSON: Extra data", "invalid JSON: nested too deeply", "RbdError: JSON diagram nodes must be objects",
     "must be a string, not", "is not a valid name", "node needs a children array", "unknown node type",
     "RbdError: groups nest more than 100 levels deep", "RbdError: 'parallel' group needs at least 2 children",
+    "RbdSyntaxError: invalid JSON: Exceeds the limit (4300 digits)",
 )
 
 
@@ -285,6 +315,10 @@ def test_file_outputs_keep_each_parse_or_error():
     for fmt, cases in identity_check.FILE_CORPUS.items():
         for case in cases:
             arrays = {name.split("/", 2)[2] for name in got if name.startswith(f"files/{fmt}-{case}/")}
+            if "digit-limit" in case:
+                [text] = got[f"files/{fmt}-{case}/error"].tolist()
+                assert text.startswith(f"DataFormatError: {fmt}-{case}: invalid JSON: Exceeds the limit (4300 digits)")
+                continue
             if "bad-byte" not in case:
                 assert "labels" in arrays and "error" not in arrays, (fmt, case)
                 continue
@@ -314,6 +348,8 @@ def test_summary_counts_each_family():
         "calibration/weibull-1-0.5-0.15": np.array(["0x1p-1"], dtype=str),
         "bands/skew-0.9/lower": np.zeros(2),
         "bands/skew-0.9/upper": np.ones(2),
+        "precision/dp-none/t": np.ones(2),
+        "precision/dp-none/horizon": np.array(np.inf),
         "cli/seed0/sim/system.rbd": np.zeros(3, dtype=np.uint8),
         "loaders/lifetimes-valid/labels": np.array(["motor"], dtype=str),
         "loaders/lifetimes-valid/0/times": np.ones(1),
@@ -325,6 +361,6 @@ def test_summary_counts_each_family():
     }
     assert identity_check.summary("0123456789abcdef", change, ["case/t"]) == (
         "identity 0123456789ab -> working tree: 2 cases, 1 datasets, 1 calibrations, 1 band probes, "
-        "1 validator reports, 1 CLI files, 1 loader texts, 2 byte files, 2 diagram texts, 18 arrays, 4 warnings, "
-        "1 mismatches (case/t)"
+        "1 precision probes, 1 validator reports, 1 CLI files, 1 loader texts, 2 byte files, 2 diagram texts, "
+        "20 arrays, 4 warnings, 1 mismatches (case/t)"
     )

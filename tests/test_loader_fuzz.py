@@ -19,7 +19,7 @@ from relfuse.demo import load_sim_config
 from relfuse.errors import DataFormatError, RbdError
 from relfuse.rbd import format_rbd, load_system_source, parse_rbd
 
-from conftest import csv_texts, diagram_nodes, file_bytes, json_values
+from conftest import HUGE_ID_DIAGRAM, HUGE_N_CONFIG, csv_texts, diagram_nodes, file_bytes, json_values
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -31,6 +31,18 @@ def test_load_system_source_raises_only_rbd_errors(value):
         load_system_source(json.dumps(value))
     except RbdError:
         pass
+
+
+def test_json_integer_past_the_digit_limit_is_an_rbd_error():
+    with pytest.raises(RbdError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)"):
+        load_system_source(HUGE_ID_DIAGRAM)
+
+
+def test_json_integer_past_the_digit_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_N_CONFIG)
+    with pytest.raises(DataFormatError, match=r"huge\.json: invalid JSON: Exceeds the limit \(4300 digits\)"):
+        load_sim_config(path)
 
 
 @given(diagram_nodes)

@@ -26,9 +26,17 @@ from relfuse.fusion import (
 )
 from relfuse.oracle import MAX_SEED
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
-from relfuse.rbd import MAX_DEPTH, parse_rbd
+from relfuse.rbd import MAX_DEPTH, SystemSpec, parse_rbd
 
-from conftest import bsp_processes, nested_series_dsl, nested_series_json, priors_fit_args, run_fresh
+from conftest import (
+    bsp_processes,
+    censored_samples,
+    nested_series_dsl,
+    nested_series_json,
+    priors_fit_args,
+    rbd_trees,
+    run_fresh,
+)
 
 
 def scalar_band(m, s, level):
@@ -147,19 +155,30 @@ class TestFitSystem:
         spec = parse_rbd("sys@series(sub@parallel(a, b), c)")
         elicited = dp_prior(np.array([1.5, 3.0, 5.0]), np.array([0.1, 0.4, 1.0]), 2.0)
         datasets = [*LEAF_DATA.values(), SYS_DATA]
-        times, events = (), ()
-        if sub_data is not None:
-            datasets.append(sub_data)
-            times, events = sub_data.times, sub_data.events
-        result = fit_system(spec, datasets, {"sub": elicited})
+        result = fit_system(spec, datasets + ([sub_data] if sub_data else []), {"sub": elicited})
         ab = combine_parallel(*align_grids(leaf_curve("a"), leaf_curve("b")))
-        sub = posterior_update(recover_precision(merge_priors(recover_precision(ab), elicited)), times, events)
+        sub = recover_precision(merge_priors(recover_precision(ab), elicited))
+        # With no data of its own 'sub' answers with its merged prior, whole.
+        assert sub.grid.size > 0
+        if sub_data is not None:
+            sub = posterior_update(sub, sub_data.times, sub_data.events)
         fused = combine_series(*align_grids(moments_of(sub), leaf_curve("c")))
         want = posterior_update(recover_precision(fused), SYS_DATA.times, SYS_DATA.events)
         assert set(result.node_posteriors) == {"a", "b", "c", "sub", "sys"}
         assert_same_process(result.node_posteriors["sub"], sub)
         assert_same_process(result.posterior, want)
 
+
+    @given(rbd_trees(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_component_data_alone_answers_at_every_node(self, tree, data):
+        # No group has data of its own: each answers with its fused prior.
+        datasets = [Dataset(c.id, *data.draw(censored_samples(max_size=8))) for c in tree.iter_components()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionRecoveryWarning)
+            result = fit_system(SystemSpec(tree), datasets)
+        assert len(curve_export(result.posterior)) > 0
+        assert [label for label, post in result.node_posteriors.items() if not post.grid.size] == []
 
     def test_root_without_information_is_rejected(self):
         # Three failures of 'a' say nothing about 'b', so nothing informs the system.
@@ -376,6 +395,19 @@ class TestCliRoundTrip:
         files = [w.filename for w in caught if issubclass(w.category, PrecisionRecoveryWarning)]
         assert files
         assert all(f.endswith("relfuse/pipeline.py") for f in files), set(files)
+
+    def test_fit_on_component_rows_alone(self, tmp_path):
+        sim_dir = tmp_path / "sim"
+        assert main(["simulate", "--seed", "0", "--out", str(sim_dir)]) == EXIT_OK
+        components = {c.id for c in demo_config().spec.root.iter_components()}
+        header, *rows = (sim_dir / "lifetimes.csv").read_text().splitlines()
+        kept = [row for row in rows if row.split(",")[0] in components]
+        assert 0 < len(kept) < len(rows)
+        (tmp_path / "components.csv").write_text("\n".join([header, *kept]) + "\n")
+        args = ["fit", "--rbd", str(sim_dir / "system.rbd"), "--data", str(tmp_path / "components.csv")]
+        assert main([*args, "--out", str(tmp_path / "fit")]) == EXIT_OK
+        header, *rows = (tmp_path / "fit" / "system_cdf.csv").read_text().splitlines()
+        assert header.startswith("t,mean,") and rows
 
     def test_fit_reads_a_diagram_with_a_byte_order_mark(self, tmp_path):
         (tmp_path / "d.csv").write_text("node,time,event\na,1,1\nb,2,0\nsys,1.5,1\n")
@@ -791,9 +823,9 @@ FOOTPRINT = {
     "import relfuse": {"codes": [], "unloaded": ["scipy", "scipy.*"]},
     "import relfuse.cli": {"codes": [], "unloaded": ["scipy", "scipy.*"]},
     # scipy.special is imported inside the functions that draw a band or check
-    # the matched beta, so a rejected input, a file that is not UTF-8 included,
-    # neither loads it nor writes.
-    "rejected inputs": {"codes": [EXIT_INPUT] * 4, "unloaded": ["scipy.special", "scipy.special.*"],
+    # the matched beta, so a rejected input, a file that is not UTF-8 or a JSON
+    # integer past the digit limit included, neither loads it nor writes.
+    "rejected inputs": {"codes": [EXIT_INPUT] * 6, "unloaded": ["scipy.special", "scipy.special.*"],
                         "absent": ["sim", "fit"]},
     # The calibration loads QUADPACK's extension alone, not the scipy.integrate
     # package and the subpackages it imports; a later import of the package

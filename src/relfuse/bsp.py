@@ -20,8 +20,8 @@ Conventions:
   posterior's grid ends before the horizon instead of extrapolating, and
   queries at or past it raise ``NotEstimableError``.
 * Queries beyond the last grid point but before the horizon return the last
-  grid value (callers exporting curves mark such values explicitly rather
-  than erroring).
+  grid value.  An export (``pipeline.curve_export``) holds the grid rows
+  only, so no such value appears in one.
 
 All container types are immutable after construction, so values can be
 shared freely across threads.

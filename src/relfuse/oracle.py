@@ -23,8 +23,7 @@ from .dataio import Dataset
 from .rbd import RbdNode
 
 __all__ = [
-    "PathStats",
-    "simulate_bsp_paths",
+    "sample_bsp_paths",
     "kaplan_meier",
     "exact_three_beta_product_pdf",
     "three_beta_product_cdf_grid",
@@ -63,20 +62,8 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class PathStats:
-    """Per-grid-point Monte Carlo summaries of simulated CDF paths."""
-
-    grid: np.ndarray
-    mean: np.ndarray
-    second_moment: np.ndarray
-    mean_se: np.ndarray
-    second_moment_se: np.ndarray
-    n_paths: int
-
-
-def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> PathStats:
-    """Sample CDF paths from a beta-Stacy law and summarize them pointwise.
+def sample_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> np.ndarray:
+    """Sample CDF paths from a beta-Stacy law: one row per grid point, one column per path.
 
     A path is built from independent jump variables: at grid point j with
     base value G_j, left value G_{j-1}, and precision a_j,
@@ -89,8 +76,6 @@ def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> Pa
     precision, otherwise the beta shapes degenerate.
     """
     n_paths = operator.index(n_paths)
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2, so that standard errors exist")
     seed = _check_seed(seed)
     grid = process.grid
     if grid.size == 0:
@@ -115,12 +100,7 @@ def simulate_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> Pa
             w = rng.beta(a, b, size=n_paths)
         surv = surv * (1.0 - w)
         f_paths[j] = 1.0 - surv
-    mean = f_paths.mean(axis=1)
-    second = np.mean(f_paths * f_paths, axis=1)
-    root_n = math.sqrt(n_paths)
-    mean_se = f_paths.std(axis=1, ddof=1) / root_n
-    second_se = (f_paths * f_paths).std(axis=1, ddof=1) / root_n
-    return PathStats(grid.copy(), mean, second, mean_se, second_se, n_paths)
+    return f_paths
 
 
 def kaplan_meier(times, events) -> DiscreteCdf:

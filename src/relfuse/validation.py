@@ -4,15 +4,16 @@ Each check exercises one estimation route against an independent reference:
 closed-form worked examples, the Kaplan-Meier product limit, Monte Carlo
 path and fusion sampling, and the exact three-beta product density.  The
 estimates checked are the moment curves a fit exports.  Checks are seeded;
-Monte Carlo comparisons use a four-standard-error tolerance so they pass
-for any seed.  ``shared_band_widths`` and ``covers_truth`` are the
-statistics of replication studies, read from ``CurveExport``s.
+Monte Carlo comparisons use a four-standard-error tolerance, and
+``_moment_z`` alone turns draws into moments and z-scores.  That bound is
+not met for every seed: ``run_checks`` fails on 5 of seeds 0-299.
+``shared_band_widths`` and ``covers_truth`` are the statistics of
+replication studies, read from ``CurveExport``s.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -22,9 +23,10 @@ from . import _scipy
 from .bsp import BetaStacyProcess, DiscreteCdf, beta_match, dp_prior, posterior_update
 from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
 from .oracle import (
+    _check_seed,
     exact_three_beta_product_pdf,
     kaplan_meier,
-    simulate_bsp_paths,
+    sample_bsp_paths,
     three_beta_product_cdf_grid,
 )
 
@@ -92,13 +94,19 @@ def _kaplan_meier_error(times, events) -> float:
     return _worst(np.abs(post.base.at(km.grid) - km.values))
 
 
-def _moment_z(process: BetaStacyProcess, n_paths: int, seed: int) -> float:
-    """Worst |z| of the moment curve against simulated paths; inf if a zero-SE point differs."""
-    ps = simulate_bsp_paths(process, n_paths, seed)
-    curve = moments_of(process)
+def _moment_z(curve: MomentCurve, paths: np.ndarray) -> float:
+    """Worst |z| of ``curve``'s moments against draws, one row per grid point.
+
+    Standard errors take ``ddof=1``, so at least 2 draws per row are needed.
+    A row without spread must match the curve exactly, else the result is
+    inf, as it is for a NaN anywhere.
+    """
+    if paths.shape[1] < 2:
+        raise ValueError("at least 2 paths are needed, so that standard errors exist")
+    draws = (paths, paths * paths)
+    emp = np.column_stack([d.mean(axis=1) for d in draws])
+    se = np.column_stack([d.std(axis=1, ddof=1) for d in draws]) / math.sqrt(paths.shape[1])
     closed = np.column_stack((curve.first, curve.second))
-    emp = np.column_stack((ps.mean, ps.second_moment))
-    se = np.column_stack((ps.mean_se, ps.second_moment_se))
     zero = se == 0.0
     if np.any(emp[zero] != closed[zero]):
         return math.inf
@@ -164,10 +172,11 @@ def check_kaplan_meier(seed: int) -> CheckResult:
 def check_second_moment_mc(seed: int) -> CheckResult:
     """Closed-form moments sit within 4 standard errors of simulated paths."""
     rng = np.random.default_rng(seed)
-    # Arguments run left to right: the process is drawn before its path seed.
-    worst_z = max(
-        _moment_z(_random_bsp(rng), _MC_PATHS, int(rng.integers(0, 2**63))) for _ in range(_MC_PROCESSES)
-    )
+    worst_z = 0.0
+    for _ in range(_MC_PROCESSES):
+        process = _random_bsp(rng)
+        paths = sample_bsp_paths(process, _MC_PATHS, int(rng.integers(0, 2**63)))
+        worst_z = max(worst_z, _moment_z(moments_of(process), paths))
     return CheckResult(
         f"closed-form moments match simulated paths ({_MC_PROCESSES} processes)",
         worst_z <= 4.0,
@@ -201,15 +210,7 @@ def check_fusion_mc(seed: int, n_cases: int = 10) -> CheckResult:
             fa = np.column_stack([rng.beta(a, b, _FUSION_DRAWS) for a, b in shapes[0]])
             fb = np.column_stack([rng.beta(a, b, _FUSION_DRAWS) for a, b in shapes[1]])
             fs = 1.0 - (1.0 - fa) * (1.0 - fb) if kind == "series" else fa * fb
-            emp_first = fs.mean(axis=0)
-            emp_second = (fs * fs).mean(axis=0)
-            se1 = fs.std(axis=0) / np.sqrt(_FUSION_DRAWS)
-            se2 = (fs * fs).std(axis=0) / np.sqrt(_FUSION_DRAWS)
-            worst_z = max(
-                worst_z,
-                _worst(np.abs(emp_first - fused.first) / se1),
-                _worst(np.abs(emp_second - fused.second) / se2),
-            )
+            worst_z = max(worst_z, _moment_z(fused, fs.T))
     return CheckResult(
         f"fused moments match Monte Carlo ({n_cases} two-node cases)",
         worst_z <= 4.0,
@@ -272,7 +273,7 @@ def check_three_beta_product() -> CheckResult:
 
 
 def run_checks(seed: int = 0) -> list[CheckResult]:
-    seed = operator.index(seed)
+    seed = _check_seed(seed)
     return [
         check_prior_only(),
         check_data_only(),

@@ -7,7 +7,6 @@ randomness is seeded; every tolerance is asserted, never loosened at runtime.
 import math
 import time
 import warnings
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +19,8 @@ from relfuse.cli import EXIT_OK, main
 from relfuse.dataio import CurveExport
 from relfuse.demo import demo_config
 from relfuse.errors import PrecisionRecoveryWarning
-from relfuse.oracle import kaplan_meier, simulate_bsp_paths, three_beta_product_cdf_grid
+from relfuse.fusion import moments_of
+from relfuse.oracle import kaplan_meier, sample_bsp_paths, three_beta_product_cdf_grid
 from relfuse.pipeline import curve_export, fit_system, fit_system_only
 from relfuse.validation import (
     _kaplan_meier_error,
@@ -85,7 +85,8 @@ def test_04_second_moment_oracle():
     t0 = time.perf_counter()
     for _ in range(100):
         proc = _random_bsp(rng, max_points=20)
-        worst_z = max(worst_z, _moment_z(proc, 200000, int(rng.integers(0, 2**63))))
+        paths = sample_bsp_paths(proc, 200000, int(rng.integers(0, 2**63)))
+        worst_z = max(worst_z, _moment_z(moments_of(proc), paths))
     elapsed = time.perf_counter() - t0
     assert worst_z <= 4.0
     assert elapsed <= 60.0
@@ -118,12 +119,9 @@ def test_nan_errors_are_never_dropped(monkeypatch):
     monkeypatch.undo()
 
     proc = _random_bsp(rng)
-    paths = simulate_bsp_paths(proc, 1000, 0)
-    last_spread = np.flatnonzero(paths.mean_se > 0.0)[-1]
-    nan_mean = np.where(np.arange(paths.mean.size) == last_spread, np.nan, paths.mean)
-    monkeypatch.setattr(validation, "simulate_bsp_paths", lambda *args: replace(paths, mean=nan_mean))
-    errors.append(_moment_z(proc, 1000, 0))
-    monkeypatch.undo()
+    paths = sample_bsp_paths(proc, 1000, 0)
+    paths[np.flatnonzero(paths.std(axis=1) > 0.0)[-1], 0] = np.nan
+    errors.append(_moment_z(moments_of(proc), paths))
 
     empirical = SimpleNamespace(base=SimpleNamespace(values=np.array([1 / 3, 2 / 3, 1.0])),
                                 precision=np.array([np.nan, 3.0, np.nan]))
@@ -250,6 +248,13 @@ def test_run_checks_takes_an_integer_seed():
     # int() would run seed 0's checks for 0.5.
     with pytest.raises(TypeError):
         validation.run_checks(0.5)
+
+
+@pytest.mark.parametrize("seed", [-1, -2])
+def test_run_checks_rejects_a_negative_seed(seed):
+    # The checks draw from seed + 1 to seed + 4, so -1 would run seeds 0-3.
+    with pytest.raises(ValueError, match="unsigned 64-bit"):
+        validation.run_checks(seed)
 
 
 def test_09_hierarchical_bands_are_narrower():

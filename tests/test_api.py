@@ -6,17 +6,20 @@ from relfuse import bsp, dataio, errors, fusion, oracle, pipeline, rbd
 MODULES = (bsp, dataio, errors, fusion, oracle, pipeline, rbd)
 
 # Every name the package exported before it re-exported the modules' lists,
-# but ``BetaShape``: ``beta_match`` returns a plain ``(a, b)`` pair instead.
+# but three. ``BetaShape`` is gone: ``beta_match`` returns a plain ``(a, b)``
+# pair instead. ``PathStats`` and ``simulate_bsp_paths`` are gone:
+# ``sample_bsp_paths`` returns the raw paths, and ``validation._moment_z``
+# alone turns draws into moments and z-scores.
 EARLIER_NAMES = {
     "BetaStacyProcess", "BindingError", "CurveExport", "DataFormatError", "Dataset",
-    "DiscreteCdf", "FitResult", "MomentCurve", "NotEstimableError", "PRECISION_CAP", "PathStats",
+    "DiscreteCdf", "FitResult", "MomentCurve", "NotEstimableError", "PRECISION_CAP",
     "PrecisionRecoveryWarning", "RbdError", "RbdNode", "RbdSyntaxError", "RelfuseError", "StructuralLifetime",
     "SystemSpec", "WeibullLifetime", "__version__", "align_grids", "beta_match", "combine_parallel",
     "combine_series", "credible_interval", "curve_export", "dp_prior", "exact_three_beta_product_pdf",
     "export_curves", "fit_system", "fit_system_only", "format_rbd", "kaplan_meier", "load_lifetimes",
     "load_prior_spec", "load_system_source", "mean", "merge_priors", "moments_of", "parse_rbd",
     "posterior_update", "rbd_from_json", "recover_precision", "save_lifetimes", "second_moment",
-    "simulate_bsp_paths", "simulate_lifetimes", "validate_bindings",
+    "simulate_lifetimes", "validate_bindings",
 }
 
 

@@ -13,17 +13,19 @@ from relfuse.bsp import (
     dp_prior,
 )
 from relfuse.demo import demo_config
+from relfuse.fusion import moments_of
 from relfuse.oracle import (
     StructuralLifetime,
     WeibullLifetime,
     censoring_rate,
     exact_three_beta_product_pdf,
     kaplan_meier,
-    simulate_bsp_paths,
+    sample_bsp_paths,
     simulate_lifetimes,
     three_beta_product_cdf_grid,
 )
 from relfuse.rbd import component, parallel, series
+from relfuse.validation import _moment_z
 
 
 class TestKaplanMeier:
@@ -47,43 +49,56 @@ class TestKaplanMeier:
 class TestPathSimulation:
     def test_deterministic_per_seed(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 3.0)
-        a = simulate_bsp_paths(prior, 500, seed=11)
-        b = simulate_bsp_paths(prior, 500, seed=11)
-        np.testing.assert_array_equal(a.mean, b.mean)
-        c = simulate_bsp_paths(prior, 500, seed=12)
-        assert not np.array_equal(a.mean, c.mean)
+        a = sample_bsp_paths(prior, 500, seed=11)
+        np.testing.assert_array_equal(a, sample_bsp_paths(prior, 500, seed=11))
+        assert not np.array_equal(a, sample_bsp_paths(prior, 500, seed=12))
+
+    def test_paths_are_cdfs(self):
+        prior = BetaStacyProcess(
+            DiscreteCdf(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.3, 0.3, 0.8, 1.0])),
+            np.array([2.0, 2.0, 0.5, 1.0]),
+        )
+        paths = sample_bsp_paths(prior, 2000, seed=3)
+        assert paths.shape == (4, 2000)
+        assert np.all((paths >= 0.0) & (paths <= 1.0))
+        assert np.all(np.diff(paths, axis=0) >= 0.0)
 
     def test_mean_matches_base_measure(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 4.0)
-        res = simulate_bsp_paths(prior, 40000, seed=5)
-        z = np.abs(res.mean - prior.base.values) / np.maximum(res.mean_se, 1e-12)
-        assert z[:-1].max() < 4.0
-        assert res.mean[-1] == 1.0
-        assert res.mean_se[-1] == 0.0
+        assert _moment_z(moments_of(prior), sample_bsp_paths(prior, 40000, seed=5)) < 4.0
 
     def test_zero_precision_interior_jump_rejected(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 0.0)
         with pytest.raises(ValueError, match="nonpositive beta shapes"):
-            simulate_bsp_paths(prior, 10, seed=1)
+            sample_bsp_paths(prior, 10, seed=1)
 
     def test_zero_mass_jump_is_skipped(self):
         prior = BetaStacyProcess(
             DiscreteCdf(np.array([1.0, 2.0]), np.array([0.4, 0.4])),
             np.array([2.0, 2.0]),
         )
-        res = simulate_bsp_paths(prior, 2000, seed=3)
-        np.testing.assert_array_equal(res.mean[0:2][0], res.mean[1])
+        paths = sample_bsp_paths(prior, 2000, seed=3)
+        np.testing.assert_array_equal(paths[1], paths[0])
+
+    def test_paths_are_one_from_a_terminal_point_on(self):
+        prior = BetaStacyProcess(
+            DiscreteCdf(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 1.0])),
+            np.array([3.0, 1.0, 1.0]),
+        )
+        paths = sample_bsp_paths(prior, 2000, seed=4)
+        assert np.all(paths[0] < 1.0)
+        np.testing.assert_array_equal(paths[1:], 1.0)
 
     def test_standard_errors_need_two_paths(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 3.0)
-        with pytest.raises(ValueError, match="n_paths must be at least 2"):
-            simulate_bsp_paths(prior, 1, seed=1)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            _moment_z(moments_of(prior), sample_bsp_paths(prior, 1, seed=1))
 
     @pytest.mark.parametrize("n_paths, seed", [(10.5, 1), (10, 1.5)], ids=["n_paths", "seed"])
     def test_counts_and_seeds_must_be_integers(self, n_paths, seed):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 3.0)
         with pytest.raises(TypeError):
-            simulate_bsp_paths(prior, n_paths, seed)
+            sample_bsp_paths(prior, n_paths, seed)
 
 
 class TestThreeBetaProduct:

@@ -9,7 +9,8 @@ Input formats, both with a required header row:
   nondecreasing and end at exactly 1, and precisions must be finite and
   nonnegative.
 * true CDF: ``t,cdf`` with one row per point, as ``relfuse simulate`` writes
-  it; times finite and nonnegative, cdf values in [0, 1], at least one row.
+  it; times finite, nonnegative and nondecreasing (an equal time draws a
+  vertical step), cdf values in [0, 1] and nondecreasing, at least one row.
 
 Every input file is read by ``read_text``: UTF-8, one leading byte-order
 mark dropped, and a byte that is not UTF-8 reported by file, line and column.
@@ -263,6 +264,10 @@ def load_cdf_table(source) -> tuple[np.ndarray, np.ndarray]:
             raise DataFormatError(f"{_where(source, line)}: time {t_raw!r} must be finite and nonnegative")
         if not 0.0 <= cdf <= 1.0:
             raise DataFormatError(f"{_where(source, line)}: cdf {cdf_raw!r} must lie in [0, 1]")
+        if rows and t < rows[-1][0]:
+            raise DataFormatError(f"{_where(source, line)}: time {t_raw!r} is before the previous row's")
+        if rows and cdf < rows[-1][1]:
+            raise DataFormatError(f"{_where(source, line)}: cdf {cdf_raw!r} is below the previous row's")
         rows.append((t, cdf))
     if not rows:
         raise DataFormatError(f"{_source_name(source)}: no t,cdf rows")

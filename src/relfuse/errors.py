@@ -43,4 +43,8 @@ class NotEstimableError(RelfuseError):
 
 
 class PrecisionRecoveryWarning(UserWarning):
-    """A recovered precision value was clamped or capped."""
+    """Recovered precisions were clamped or capped, or a merged prior's mean was monotonized.
+
+    One warning per clamp kind per ``recover_precision`` call, and one per
+    non-monotone ``merge_priors`` call; each names how many grid points it covers.
+    """

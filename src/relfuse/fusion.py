@@ -137,15 +137,15 @@ def combine_series(*curves: MomentCurve) -> MomentCurve:
     return MomentCurve(head.grid, first, second)
 
 
-# Each clamp kind, in the order they are tried: the clamped precision and
-# the warning, a template for the grid time.  No valid curve reaches the
-# non-finite kind (|num| <= 2 and a positive den is far above 2 / max float);
-# it stays as a guard.
+# Each clamp kind, in the order they are tried: the clamped precision and its
+# one warning per recovery, a template for the kind's number of grid points and
+# their first and last time.  No valid curve reaches the non-finite kind
+# (|num| <= 2 and a positive den is far above 2 / max float); it stays as a guard.
 _CLAMPS = (
-    (PRECISION_CAP, "zero-variance increment at t={:g}: precision capped"),
-    (PRECISION_CAP, "non-finite precision at t={:g}: capped"),
-    (0.0, "negative precision at t={:g}: clamped to 0"),
-    (PRECISION_CAP, "precision above cap at t={:g}: capped"),
+    (PRECISION_CAP, "zero-variance increment at {} grid points, t={:g} to {:g}: precision capped"),
+    (PRECISION_CAP, "non-finite precision at {} grid points, t={:g} to {:g}: capped"),
+    (0.0, "negative precision at {} grid points, t={:g} to {:g}: clamped to 0"),
+    (PRECISION_CAP, "precision above cap at {} grid points, t={:g} to {:g}: capped"),
 )
 
 
@@ -164,7 +164,7 @@ def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
     later flat points carry the previous value forward.  Terminal points
     keep the undefined marker.  A zero denominator (zero-variance increment)
     is capped at ``PRECISION_CAP`` and negative or non-finite results are
-    clamped, each with a warning.
+    clamped, with one warning per kind that counts its points.
     """
     g = curve.first
     u = curve.survival_second
@@ -180,8 +180,10 @@ def recover_precision(curve: MomentCurve) -> BetaStacyProcess:
     value = np.select(kinds, [cap for cap, _ in _CLAMPS], value)
     kind = np.select(kinds, range(len(_CLAMPS)), -1)
     jump = (r != prev_r) & ~curve.terminal
-    for i in np.flatnonzero(jump & (kind >= 0)):
-        warnings.warn(_CLAMPS[kind[i]][1].format(curve.grid[i]), PrecisionRecoveryWarning, stacklevel=2)
+    for k, (_, message) in enumerate(_CLAMPS):
+        times = curve.grid[jump & (kind == k)]
+        if times.size:
+            warnings.warn(message.format(times.size, times[0], times[-1]), PrecisionRecoveryWarning, stacklevel=2)
     # A flat point takes the last jump's precision, 0 before the first jump.
     alpha = _carry(curve.grid[jump], value[jump], curve.grid, 0.0)
     return BetaStacyProcess(DiscreteCdf(curve.grid, g), alpha)
@@ -195,7 +197,8 @@ def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> MomentCurve:
     maximal precision; two zero precisions mix equally), and the mixture's
     first and second moments are returned for ``recover_precision`` to fit.
     If the varying weights make the mixed mean locally decreasing it is
-    monotonized, with a warning when the adjustment is more than cosmetic.
+    monotonized, with one warning naming how many grid points were raised
+    when the adjustment is more than cosmetic.
     This rule is intentionally confined here so it can be swapped out.
     """
     ca, cb = align_grids(moments_of(a), moments_of(b))
@@ -212,9 +215,9 @@ def merge_priors(a: BetaStacyProcess, b: BetaStacyProcess) -> MomentCurve:
     first = (wa * ca.first + wb * cb.first) / total
     second = (wa * ca.second + wb * cb.second) / total
     mono = np.maximum.accumulate(first)
-    if np.any(mono > first + 1e-12):
+    if raised := np.count_nonzero(mono > first + 1e-12):
         warnings.warn(
-            "precision-weighted mixture was not monotone; mean monotonized",
+            f"precision-weighted mixture was not monotone; mean monotonized at {raised} grid points",
             PrecisionRecoveryWarning,
             stacklevel=2,
         )

@@ -55,6 +55,13 @@ def _quad_to_inf(func) -> tuple[float, int]:
     return value, ier
 
 
+def _check_count(n: int, name: str) -> int:
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"{name} must be positive")
+    return n
+
+
 def _check_seed(seed: int) -> int:
     seed = operator.index(seed)
     if not (0 <= seed <= MAX_SEED):
@@ -75,7 +82,7 @@ def sample_bsp_paths(process: BetaStacyProcess, n_paths: int, seed: int) -> np.n
     contributes W_j = 1.  Positive-mass jumps require strictly positive
     precision, otherwise the beta shapes degenerate.
     """
-    n_paths = operator.index(n_paths)
+    n_paths = _check_count(n_paths, "n_paths")
     seed = _check_seed(seed)
     grid = process.grid
     if grid.size == 0:
@@ -312,9 +319,7 @@ def simulate_lifetimes(
     deterministically from the seed per sorted node label, so identical
     seeds give byte-identical datasets regardless of mapping order.
     """
-    n_per_node = operator.index(n_per_node)
-    if n_per_node <= 0:
-        raise ValueError("n_per_node must be positive")
+    n_per_node = _check_count(n_per_node, "n_per_node")
     for label in samplers:
         if label not in censor_rates:
             raise ValueError(f"no censoring rate for {label!r}")

@@ -23,6 +23,7 @@ from . import _scipy
 from .bsp import BetaStacyProcess, DiscreteCdf, beta_match, dp_prior, posterior_update
 from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
 from .oracle import (
+    _check_count,
     _check_seed,
     exact_three_beta_product_pdf,
     kaplan_meier,
@@ -186,6 +187,7 @@ def check_second_moment_mc(seed: int) -> CheckResult:
 
 def check_fusion_mc(seed: int, n_cases: int = 10) -> CheckResult:
     """Fused moments sit within 4 standard errors of pointwise Monte Carlo."""
+    n_cases = _check_count(n_cases, "n_cases")
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     for _ in range(n_cases):

@@ -139,6 +139,15 @@ def test_05_fusion_against_monte_carlo():
           f"degenerate series pair ({degenerate.detail})")
 
 
+@pytest.mark.parametrize("n_cases", [0, -3])
+def test_fusion_check_needs_a_case(n_cases):
+    # With no case there is nothing to compare, and the check would pass with worst |z| 0.
+    with pytest.raises(ValueError, match="n_cases must be positive"):
+        check_fusion_mc(seed=0, n_cases=n_cases)
+    with pytest.raises(TypeError):
+        check_fusion_mc(seed=0, n_cases=2.0)
+
+
 def test_06_moment_match_roundtrip():
     rng = np.random.default_rng(17)
     with warnings.catch_warnings():

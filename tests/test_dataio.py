@@ -118,10 +118,14 @@ class TestLoadLifetimes:
 class TestCdfTable:
     def test_roundtrip(self):
         out = io.StringIO()
-        save_cdf_table(np.array([0.0, 1.5, 1 / 3]), [0.0, 0.25, 1.0], out)
-        assert out.getvalue() == "t,cdf\n0,0\n1.5,0.25\n0.333333333333,1\n"
+        save_cdf_table(np.array([0.0, 1 / 3, 1.5]), [0.0, 0.25, 1.0], out)
+        assert out.getvalue() == "t,cdf\n0,0\n0.333333333333,0.25\n1.5,1\n"
         times, cdf = load_cdf_table(io.StringIO(out.getvalue()))
-        assert times.tolist() == [0.0, 1.5, 0.333333333333] and cdf.tolist() == [0.0, 0.25, 1.0]
+        assert times.tolist() == [0.0, 0.333333333333, 1.5] and cdf.tolist() == [0.0, 0.25, 1.0]
+
+    def test_equal_times_draw_a_vertical_step(self):
+        times, cdf = load_cdf_table(io.StringIO("t,cdf\n1,0.2\n1,0.7\n2,0.7\n"))
+        assert times.tolist() == [1.0, 1.0, 2.0] and cdf.tolist() == [0.2, 0.7, 0.7]
 
     @pytest.mark.parametrize(
         "body, fragment",
@@ -135,6 +139,8 @@ class TestCdfTable:
             ("t,cdf\ninf,1", "row 2: time 'inf'"),
             ("t,cdf\n1,1e308", r"row 2: cdf '1e308' must lie in \[0, 1\]"),
             ("t,cdf\n\n1,0.5\n2,nan", "row 4: cdf 'nan'"),
+            ("t,cdf\n0,0\n2000,1\n500,0.2\n1000,0.9", "row 4: time '500' is before the previous row's"),
+            ("t,cdf\n1,0.5\n2,0.4", "row 3: cdf '0.4' is below the previous row's"),
         ],
     )
     def test_errors_carry_row_numbers(self, body, fragment):

@@ -272,10 +272,18 @@ class TestRecoverPrecision:
         cap = PRECISION_CAP
         np.testing.assert_array_equal(back.precision, [0.0, 2.0, cap, cap, 0.0, cap, np.nan, np.nan])
         assert [str(w.message) for w in record] == [
-            "zero-variance increment at t=3: precision capped",
-            "negative precision at t=5: clamped to 0",
-            "precision above cap at t=6: capped",
+            "zero-variance increment at 1 grid points, t=3 to 3: precision capped",
+            "negative precision at 1 grid points, t=5 to 5: clamped to 0",
+            "precision above cap at 1 grid points, t=6 to 6: capped",
         ]
+
+    def test_one_warning_per_kind_counts_its_points(self):
+        # Negative precisions at t=2 and t=4 with a valid jump between them: one warning names both.
+        c = curve([1.0, 2.0, 3.0, 4.0], [0.25, 0.5, 0.625, 0.75], [0.125, 0.4375, 0.5, 0.75])
+        with pytest.warns(PrecisionRecoveryWarning) as record:
+            back = recover_precision(c)
+        np.testing.assert_allclose(back.precision, [2.0, 0.0, 40.0, 0.0], rtol=1e-12)
+        assert [str(w.message) for w in record] == ["negative precision at 2 grid points, t=2 to 4: clamped to 0"]
 
     @staticmethod
     def assert_roundtrip(proc):
@@ -320,6 +328,18 @@ class TestMergePriors:
         a = dp_prior(np.array([1.0, 2.0]), np.array([0.2, 1.0]), 0.0)
         b = dp_prior(np.array([1.0, 2.0]), np.array([0.6, 1.0]), 0.0)
         assert merge_priors(a, b).first[0] == pytest.approx(0.4, abs=1e-9)
+
+    def test_monotonization_counts_the_raised_points(self):
+        # The weights swap after t=1, so the mixed mean falls at t=2 and t=3 and is raised to t=1's.
+        grid = np.array([1.0, 2.0, 3.0, 4.0])
+        a = BetaStacyProcess(DiscreteCdf(grid, np.array([0.5, 0.55, 0.6, 1.0])), np.array([100.0, 1.0, 1.0, np.nan]))
+        b = BetaStacyProcess(DiscreteCdf(grid, np.array([0.1, 0.2, 0.3, 1.0])), np.array([1.0, 100.0, 100.0, np.nan]))
+        with pytest.warns(PrecisionRecoveryWarning) as record:
+            merged = merge_priors(a, b)
+        np.testing.assert_array_equal(merged.first[1:3], merged.first[0])
+        assert [str(w.message) for w in record] == [
+            "precision-weighted mixture was not monotone; mean monotonized at 2 grid points"
+        ]
 
     def test_empty_pair_rejected(self):
         nothing = BetaStacyProcess.noninformative()

@@ -100,6 +100,12 @@ class TestPathSimulation:
         with pytest.raises(TypeError):
             sample_bsp_paths(prior, n_paths, seed)
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_counts_must_be_positive(self, n_paths):
+        prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 3.0)
+        with pytest.raises(ValueError, match="n_paths must be positive"):
+            sample_bsp_paths(prior, n_paths, seed=1)
+
 
 class TestThreeBetaProduct:
     def test_density_endpoints(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import relfuse
+from relfuse import pipeline
 from relfuse._scipy import special_ufuncs
 from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
 from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
@@ -396,6 +397,47 @@ class TestCliRoundTrip:
         assert files
         assert all(f.endswith("relfuse/pipeline.py") for f in files), set(files)
 
+    @pytest.mark.parametrize(
+        "with_priors, points, merges",
+        [(True, {"negative precision": 65, "zero-variance increment": 12}, 1), (False, {"negative precision": 4}, 0)],
+        ids=["priors", "no_priors"],
+    )
+    def test_demo_fit_fallbacks_are_bounded(self, tmp_path, monkeypatch, with_priors, points, merges):
+        # The demo's clamps: at most one warning per kind per recovery, one per
+        # non-monotone merge, and the grid points they name add up to these totals.
+        args = priors_fit_args(tmp_path)
+        if not with_priors:
+            at = args.index("--priors")
+            del args[at : at + 2]
+        calls = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", PrecisionRecoveryWarning)
+
+            def spy(fn):
+                def call(*a):
+                    start = len(caught)
+                    result = fn(*a)
+                    calls.append((fn.__name__, [str(w.message) for w in caught[start:]]))
+                    return result
+
+                return call
+
+            monkeypatch.setattr(pipeline, "recover_precision", spy(recover_precision))
+            monkeypatch.setattr(pipeline, "merge_priors", spy(merge_priors))
+            assert main(args) == EXIT_OK
+        assert len(caught) == sum(len(messages) for _, messages in calls)
+        totals, monotonized = {}, 0
+        for name, messages in calls:
+            if name == "merge_priors":
+                assert len(messages) <= 1
+                monotonized += len(messages)
+                continue
+            kinds = [m.split(" at ")[0] for m in messages]
+            assert len(kinds) == len(set(kinds)), messages
+            for kind, m in zip(kinds, messages):
+                totals[kind] = totals.get(kind, 0) + int(m.split(" at ")[1].split(" grid points")[0])
+        assert (totals, monotonized) == (points, merges)
+
     def test_fit_on_component_rows_alone(self, tmp_path):
         sim_dir = tmp_path / "sim"
         assert main(["simulate", "--seed", "0", "--out", str(sim_dir)]) == EXIT_OK
@@ -775,10 +817,13 @@ class TestCliHostileInputs:
             ("t,cdf\n-1e308,0\n", " row 2"),
             ("t,cdf\n1,1e308\n", " row 2"),
             ("t,cdf\n\n0,0\n2,inf\n", " row 4"),
+            ("t,cdf\n0,0\n2000,1\n500,0.2\n1000,0.9\n", " row 4"),
+            ("t,cdf\n0,0.5\n1,0.25\n", " row 3"),
         ],
         ids=[
             "header_only", "three_columns", "nan", "not_a_number", "no_header", "empty",
-            "negative_time", "cdf_above_one", "infinite_cdf_after_blank_line",
+            "negative_time", "cdf_above_one", "infinite_cdf_after_blank_line", "time_going_back",
+            "cdf_falling",
         ],
     )
     def test_malformed_overlay(self, tmp_path, capsys, text, where):

@@ -1,6 +1,6 @@
 """Check that the working tree fits and exports exactly what a parent revision does.
 
-Each side runs a fixed matrix of 234 cases in its own child interpreter:
+Each side runs a fixed matrix of 286 cases in its own child interpreter:
 demo seeds 0-9 at 30 observations per node and 0-2 at 300, each with and
 without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by

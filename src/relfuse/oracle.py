@@ -192,14 +192,16 @@ class WeibullLifetime:
 
 
 class StructuralLifetime:
-    """Lifetime of a block diagram node driven by per-component samplers.
+    """Lifetime of a block diagram node driven by per-component laws.
 
     A series group fails when its first child fails (minimum), a parallel
     group when its last child fails (maximum).  The exact CDF follows the
-    same recursion with survival products and CDF products.
+    same recursion with survival products and CDF products, element by
+    element, so a leaf, any object with a ``cdf`` method, may return one
+    column per sampled path; ``sample`` is needed only for sampling.
     """
 
-    def __init__(self, node: RbdNode, leaves: Mapping[str, WeibullLifetime]):
+    def __init__(self, node: RbdNode, leaves: Mapping[str, object]):
         missing = [c.id for c in node.iter_components() if c.id not in leaves]
         if missing:
             raise ValueError(f"no sampler for components: {', '.join(sorted(missing))}")

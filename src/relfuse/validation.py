@@ -2,34 +2,40 @@
 
 Each check exercises one estimation route against an independent reference:
 closed-form worked examples, the Kaplan-Meier product limit, Monte Carlo
-path and fusion sampling, and the exact three-beta product density.  The
-estimates checked are the moment curves a fit exports.  Checks are seeded;
-Monte Carlo comparisons use a four-standard-error tolerance, and
-``_moment_z`` alone turns draws into moments and z-scores.  That bound is
-not met for every seed: ``run_checks`` fails on 5 of seeds 0-299.
+paths of single processes and of the demo diagram, and the exact
+three-beta product density.  The estimates checked are the moment curves
+and bands a fit exports.  Checks are seeded; every Monte Carlo path comes
+from ``sample_bsp_paths``, comparisons use a four-standard-error tolerance,
+and ``_moment_z`` alone turns draws into moments and z-scores.  That bound
+is not met for every seed: ``run_checks`` fails on 4 of seeds 0-299.
 ``shared_band_widths`` and ``covers_truth`` are the statistics of
 replication studies, read from ``CurveExport``s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import _scipy
 from .bsp import BetaStacyProcess, DiscreteCdf, beta_match, dp_prior, posterior_update
-from .fusion import MomentCurve, combine_parallel, combine_series, moments_of, recover_precision
+from .demo import demo_config
+from .errors import PrecisionRecoveryWarning
+from .fusion import MomentCurve, combine_series, moments_of, recover_precision
 from .oracle import (
-    _check_count,
+    StructuralLifetime,
     _check_seed,
     exact_three_beta_product_pdf,
     kaplan_meier,
     sample_bsp_paths,
     three_beta_product_cdf_grid,
 )
+from .pipeline import curve_export, fit_system
 
 __all__ = ["CheckResult", "run_checks", "format_report", "shared_band_widths", "covers_truth"]
 
@@ -39,7 +45,8 @@ _KM_SETS = 200
 _MAX_SAMPLES = 50
 _MC_PROCESSES = 5
 _MC_PATHS = 100_000
-_FUSION_DRAWS = 50_000
+# Paths per component: run_checks(0) peaks near 150 MB with 5,000, and path memory grows with the count.
+_DIAGRAM_PATHS = 5_000
 _ROUNDTRIP_CURVES = 50
 
 
@@ -185,38 +192,43 @@ def check_second_moment_mc(seed: int) -> CheckResult:
     )
 
 
-def check_fusion_mc(seed: int, n_cases: int = 10) -> CheckResult:
-    """Fused moments sit within 4 standard errors of pointwise Monte Carlo."""
-    n_cases = _check_count(n_cases, "n_cases")
+def _path_leaf(process: BetaStacyProcess, seed: int) -> SimpleNamespace:
+    """A ``StructuralLifetime`` leaf whose ``cdf(t)`` is paths of ``process`` at ``t``, 0 before its grid."""
+    paths = np.vstack((np.zeros((1, _DIAGRAM_PATHS)), sample_bsp_paths(process, _DIAGRAM_PATHS, seed)))
+    return SimpleNamespace(cdf=lambda t: paths[np.searchsorted(process.grid, t, side="right")])
+
+
+# The demo's censoring is calibrated once per process.
+_demo = functools.cache(demo_config)
+
+
+def check_diagram_mc(seed: int) -> CheckResult:
+    """The demo's system fit from component data matches its law by Monte Carlo.
+
+    That law is the structure function applied to independent component
+    posteriors: each component's sampled paths go through the diagram with
+    ``StructuralLifetime``.  The fitted moments must sit within 4 standard
+    errors of the system paths, and the exported 95% band must hold a mean
+    share of them in [0.945, 0.958] over rows with mean in (0.02, 0.98).
+    """
+    cfg = _demo()
+    components = [c.id for c in cfg.spec.root.iter_components()]
+    datasets = [d for d in cfg.simulate(seed) if d.label in components]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionRecoveryWarning)
+        fit = fit_system(cfg.spec, datasets)
     rng = np.random.default_rng(seed)
-    worst_z = 0.0
-    for _ in range(n_cases):
-        n_pts = int(rng.integers(2, 6))
-        grid = np.arange(1.0, n_pts + 1.0)
-        shapes = []
-        for _ in range(2):
-            ab = [(rng.uniform(0.5, 8.0), rng.uniform(0.5, 8.0)) for _ in range(n_pts)]
-            ab.sort(key=lambda p: p[0] / (p[0] + p[1]))
-            shapes.append(ab)
-        curves = [
-            MomentCurve(
-                grid,
-                np.array([a / (a + b) for a, b in ab]),
-                np.array([a * (a + 1) / ((a + b) * (a + b + 1)) for a, b in ab]),
-            )
-            for ab in shapes
-        ]
-        for kind in ("series", "parallel"):
-            fuse = combine_series if kind == "series" else combine_parallel
-            fused = fuse(curves[0], curves[1])
-            fa = np.column_stack([rng.beta(a, b, _FUSION_DRAWS) for a, b in shapes[0]])
-            fb = np.column_stack([rng.beta(a, b, _FUSION_DRAWS) for a, b in shapes[1]])
-            fs = 1.0 - (1.0 - fa) * (1.0 - fb) if kind == "series" else fa * fb
-            worst_z = max(worst_z, _moment_z(fused, fs.T))
+    leaves = {c: _path_leaf(fit.node_posteriors[c], int(rng.integers(0, 2**63))) for c in components}
+    export = curve_export(fit.posterior)
+    paths = StructuralLifetime(cfg.spec.root, leaves).cdf(export.t)
+    worst_z = _moment_z(moments_of(fit.posterior), paths)
+    inside = (paths >= export.lower[:, None]) & (paths <= export.upper[:, None])
+    interior = (export.mean > 0.02) & (export.mean < 0.98)
+    share = float(inside[interior].mean())
     return CheckResult(
-        f"fused moments match Monte Carlo ({n_cases} two-node cases)",
-        worst_z <= 4.0,
-        f"worst |z| {worst_z:.2f}",
+        f"demo fit matches diagram Monte Carlo ({_DIAGRAM_PATHS} paths)",
+        worst_z <= 4.0 and 0.945 <= share <= 0.958,
+        f"worst |z| {worst_z:.2f}, band share {share:.4f}",
     )
 
 
@@ -281,7 +293,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
         check_data_only(),
         check_kaplan_meier(seed + 1),
         check_second_moment_mc(seed + 2),
-        check_fusion_mc(seed + 3),
+        check_diagram_mc(seed + 3),
         check_series_degenerate(),
         check_roundtrip(seed + 4),
         check_three_beta_product(),

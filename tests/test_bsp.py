@@ -300,7 +300,6 @@ class TestPosteriorUpdate:
             second_moment(post, 3.0)
 
     @pytest.mark.xfail(
-        strict=True,
         reason="the precision carried past a censoring time still counts the units censored there",
     )
     def test_two_batches_give_the_one_batch_posterior(self):

@@ -300,7 +300,6 @@ class TestRecoverPrecision:
         self.assert_roundtrip(proc)
 
     @pytest.mark.xfail(
-        strict=True,
         raises=AssertionError,
         reason="survival_second cancels to a negative precision at t=0.5, clamped to 0, and the no-data update "
         "then cuts the curve there (ROADMAP items 6 and 13); once either lands this is an @example above",

@@ -206,6 +206,13 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
         fit_system_only(*cases["unlabelled-root-n30-seed0"])
 
 
+def test_docstring_counts_the_case_matrix():
+    # Per seed: the demo without and with priors, and each variant; each fitted two ways.
+    n_seeds = sum(len(seeds) for seeds in identity_check.SEEDS.values())
+    n_cases = n_seeds * (2 + len(identity_check.VARIANTS)) * 2
+    assert f"a fixed matrix of {n_cases} cases" in " ".join(identity_check.__doc__.split())
+
+
 def test_flat_series_folds_the_nine_demo_components_in_one_group():
     cfg = demo_config()
     datasets = cfg.simulate(0)

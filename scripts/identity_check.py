@@ -1,20 +1,21 @@
 """Check that the working tree fits and exports exactly what a parent revision does.
 
-Each side runs a fixed matrix of 286 cases in its own child interpreter:
+Each side runs a fixed matrix of 312 cases in its own child interpreter:
 demo seeds 0-9 at 30 observations per node and 0-2 at 300, each with and
 without Dirichlet-process priors (precision 5 on 40 times of the exact
 ``system`` and ``electric`` CDFs), fitted by ``fit_system`` and by
-``fit_system_only``.  Five variants of the demo diagram, fitted on the
+``fit_system_only``.  Six variants of the demo diagram, fitted on the
 same seeds, reach the branches of the fold that the demo leaves out: an
 unlabelled group passing its fused curve up, a labelled group with a prior
-and no data, a component with a prior, an unlabelled root with no data
-of its own, and a component with neither data nor a prior.  A variant
-binds only data and priors whose labels it has.  Per case the child keeps
-every ``curve_export`` column and flag of every node posterior (the system
-posterior is one of them), or the ``BindingError`` text, the components
-the fit reports as uninformed, and the ordered ``PrecisionRecoveryWarning``
-messages.  Per simulated set it keeps the lines ``save_lifetimes`` writes,
-so a change in the drawn data shows up before the fits it feeds.  It also
+and no data, a component with a prior, a component with a prior and no
+data, an unlabelled root with no data of its own, and a component with
+neither data nor a prior.  A variant binds only data and priors whose
+labels it has.  Per case the child keeps every ``curve_export`` column
+and flag of every node posterior (the system posterior is one of them),
+or the ``BindingError`` text, the components the fit reports as
+uninformed, and the ordered ``PrecisionRecoveryWarning`` messages.  Per
+simulated set it keeps the lines ``save_lifetimes`` writes, so a change in
+the drawn data shows up before the fits it feeds.  It also
 calls ``censoring_rate`` directly, on every demo node at censored shares
 0.15 and 0.3 and on a grid of Weibull shapes, scales (1e-250 to 1e250) and
 shares, and keeps each rate's hex or the ``ValueError`` text, followed by
@@ -134,6 +135,7 @@ VARIANTS = {
     "unlabelled-groups": (_cut("propulsion@", "gas@"), (), ()),
     "group-prior-no-data": (_cut(), ("electric",), ("electric",)),
     "component-prior": (_cut(), (), ("batteries",)),
+    "component-prior-no-data": (_cut(), ("batteries",), ("batteries",)),
     "unlabelled-root": (_cut("system@"), (), ()),
     "withheld-gearing": (_cut(), ("gearing",), ()),
     "flat-series": (_flat_series, (), ()),

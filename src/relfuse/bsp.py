@@ -15,10 +15,11 @@ Conventions:
 * Wherever the base measure equals 1 the random CDF is 1 almost surely; the
   precision carries no information there and is stored as NaN ("undefined").
   Second moments are fixed at 1 on that segment.
-* A posterior update stops at its *horizon*: the first time where neither
-  prior mass nor at-risk units remain (a zero-denominator hazard).  The
-  posterior's grid ends before the horizon instead of extrapolating, and
-  queries at or past it raise ``NotEstimableError``.
+* An update on no data returns the prior itself.  An update on data stops
+  at its *horizon*: the first time where neither prior mass nor at-risk
+  units remain (a zero-denominator hazard).  The posterior's grid ends
+  before the horizon instead of extrapolating, and queries at or past it
+  raise ``NotEstimableError``.
 * Queries beyond the last grid point but before the horizon return the last
   grid value.  An export (``pipeline.curve_export``) holds the grid rows
   only, so no such value appears in one.
@@ -234,13 +235,13 @@ def posterior_update(prior: BetaStacyProcess, times, events) -> BetaStacyProcess
     but still discount the precision).  Base-measure survival products are
     accumulated as running sums of ``log1p(-hazard)``.
 
-    With no samples the posterior is the prior up to rounding, cut at its
-    first point of zero precision.  The first union time whose hazard
-    denominator is zero (no prior mass and no at-risk units) becomes the
-    posterior's horizon: the grid ends before it rather than extrapolating.
+    With no samples the posterior is ``prior`` itself.  Otherwise the first
+    union time whose hazard denominator is zero (no prior mass and no
+    at-risk units) becomes the posterior's horizon: the grid ends before it
+    rather than extrapolating.
     """
     times, events = _check_lifetimes(times, events)
-    if times.size == 0 and prior.grid.size == 0:
+    if times.size == 0:
         return prior
 
     failed = times[events]

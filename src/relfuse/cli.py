@@ -11,7 +11,7 @@ Subcommands:
 * ``validate``: run the self-check suite and report.
 
 Exit codes: 0 on success, 1 for parse, format, binding, or file-access
-failures, 2 when numerical degeneracy prevents estimation.
+failures.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .dataio import (
     save_lifetimes,
 )
 from .demo import demo_config, load_sim_config
-from .errors import DataFormatError, NotEstimableError, RbdError, RelfuseError
+from .errors import DataFormatError, RbdError, RelfuseError
 from .oracle import MAX_SEED
 from .pipeline import curve_export, fit_system, fit_system_only
 from .rbd import load_system_source
@@ -37,7 +37,6 @@ __all__ = ["cmd_fit", "cmd_simulate", "cmd_validate", "main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_DEGENERATE = 2
 
 _UNINFORMED = "warning: component '{}' has neither data nor a prior; the fused prior of '{}' is dropped"
 _DROPPED = ", so '{}' uses none of the data or priors of {}"
@@ -60,8 +59,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         unused = ", ".join(f"'{name}'" for name in result.dropped[ancestor])
         tail = _DROPPED.format(ancestor, unused) if unused else ""
         print(_UNINFORMED.format(label, ancestor) + tail, file=sys.stderr)
-    if not result.posterior.grid.size:
-        raise NotEstimableError("no grid point is estimable from the given inputs")
     curve = curve_export(result.posterior, args.level)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "system_cdf.csv"
@@ -154,9 +151,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"fit": cmd_fit, "simulate": cmd_simulate, "validate": cmd_validate}[args.command]
     try:
         return handler(args)
-    except NotEstimableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (RelfuseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

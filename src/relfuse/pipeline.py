@@ -4,8 +4,10 @@ The fit walks the diagram bottom-up.  Each component becomes a posterior
 from its own prior (elicited, or zero-precision when none is given) and its
 own data.  Each group fuses its children's moment curves, converts the
 fused curve back to a process, blends in the node's elicited prior if any,
-and conditions on the node's own data if any; a group with no data answers
-with that prior, so component and subsystem data alone give a system answer.
+and conditions on the node's own data if any.  Conditioning on no data is
+the identity, so a node with no data answers with its prior: component and
+subsystem data alone give a system answer, and an untested component with
+an elicited prior keeps that prior, however vague.
 The root always ends as a process, so credible bands are available on the
 full union grid.
 
@@ -121,9 +123,7 @@ def fit_system(
         if fused is not None:
             recovered = recover_precision(fused)
             prior = recovered if prior is None else recover_precision(merge_priors(recovered, prior))
-        # With no data of its own a group answers with its fused prior: an
-        # update on nothing would cut the curve at its first zero precision.
-        post = prior if fused is not None and ds is None else _update(prior, ds)
+        post = _update(prior, ds)
         posteriors[label if label is not None else "<root>"] = post
         return post if root else moments_of(post)
 

@@ -153,9 +153,9 @@ def covers_truth(curve, true_cdf, percent: int = 50) -> bool:
 
 
 def check_prior_only() -> CheckResult:
-    """No data: posterior base and precision must equal the prior."""
+    """No data: posterior base and precision must equal the prior exactly."""
     err = _prior_only_error(dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 5.0))
-    return CheckResult("prior-only update is the identity", err <= _EXACT_TOL, f"max error {err:.3e}")
+    return CheckResult("prior-only update is the identity", err == 0.0, f"max error {err:.3e}")
 
 
 def check_data_only() -> CheckResult:

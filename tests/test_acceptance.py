@@ -9,6 +9,7 @@ import math
 import time
 import warnings
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from relfuse.demo import demo_config
 from relfuse.errors import PrecisionRecoveryWarning
 from relfuse.fusion import MomentCurve, combine_parallel, combine_series, moments_of
 from relfuse.oracle import kaplan_meier, sample_bsp_paths, three_beta_product_cdf_grid
-from relfuse.pipeline import curve_export, fit_system, fit_system_only
+from relfuse.pipeline import FitResult, curve_export, fit_system, fit_system_only
 from relfuse.validation import (
     _kaplan_meier_error,
     _moment_z,
@@ -53,7 +54,7 @@ def _best_time(fn, repeats=5):
 def test_01_prior_only_exactness():
     prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 3.0)
     err = _prior_only_error(prior)
-    assert err <= 1e-12
+    assert err == 0.0 and posterior_update(prior, [], []) is prior
     elapsed = _best_time(lambda: posterior_update(prior, [], []))
     assert elapsed < 1e-3
     print(f"\ncriterion 1 PASS: prior-only identity, max error {err:.2e}, {elapsed*1e6:.0f} us")
@@ -317,42 +318,90 @@ def test_09_hierarchical_bands_are_narrower():
     print(f"criterion 9 PASS: hierarchical bands narrower in {wins}/100 replicates")
 
 
-# Grid quantiles at which criteria 10–12 report coverage; only the
+# Grid quantiles at which criteria 10–13 report coverage; only the
 # median's is bounded.
 COVERAGE_PERCENTS = (10, 25, 50, 75, 90)
+N_REPLICATES = 200
 
 
-def _coverage(withheld=()):
-    """Per grid quantile, how many of 200 demo fits cover the true CDF; and the last fit."""
+class Replication(NamedTuple):
+    """Criterion 10's loop: coverage per grid quantile, and the median row's band width and bias."""
+
+    covered: dict[int, int]
+    width: float  # median over the fits of the median row's band width
+    bias: float  # median over the fits of the median row's mean minus the true CDF
+    last: FitResult
+
+    @property
+    def rate(self) -> float:
+        return self.covered[50] / N_REPLICATES
+
+    @property
+    def report(self) -> str:
+        return ", ".join(f"{p}% {n}/{N_REPLICATES}" for p, n in self.covered.items())
+
+
+def _system_prior(stretch):
+    """A DP prior of precision 20 on 'system': 40 times of its true CDF stretched ``stretch``-fold in time.
+
+    The times and the last value of 1 are as ``cli-priors-n300`` builds its priors.
+    """
+    sampler = demo_config().samplers()["system"]
+    t_hi = sampler.time_scale()
+    while sampler.cdf(t_hi) < 0.999:
+        t_hi *= 2.0
+    times = np.linspace(t_hi / 40, t_hi, 40)
+    cdf = np.asarray(sampler.cdf(times / stretch), dtype=np.float64)
+    cdf[-1] = 1.0
+    return dp_prior(times, cdf, 20.0)
+
+
+def _coverage(withheld=(), stretch=None):
+    """The ``Replication`` of 200 demo fits without the data of ``withheld``.
+
+    With a ``stretch``, 'system' has the prior ``_system_prior(stretch)``.
+    """
     cfg = demo_config()
+    priors = None if stretch is None else {"system": _system_prior(stretch)}
     covered = dict.fromkeys(COVERAGE_PERCENTS, 0)
-    for seed in range(200):
+    widths, biases = [], []
+    for seed in range(N_REPLICATES):
         datasets = [d for d in cfg.simulate(seed) if d.label not in withheld]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PrecisionRecoveryWarning)
-            result = fit_system(cfg.spec, datasets)
+            result = fit_system(cfg.spec, datasets, priors)
         curve = curve_export(result.posterior)
         assert len(curve) > 0, f"seed {seed}: empty export"
         for percent in COVERAGE_PERCENTS:
             covered[percent] += covers_truth(curve, cfg.true_system_cdf, percent)
-    report = ", ".join(f"{p}% {n}/200" for p, n in covered.items())
-    return covered[50] / 200.0, report, result
+        i = len(curve) // 2
+        widths.append(curve.upper[i] - curve.lower[i])
+        biases.append(curve.mean[i] - cfg.true_system_cdf(float(curve.t[i])))
+    return Replication(covered, float(np.median(widths)), float(np.median(biases)), result)
 
 
-def test_10_coverage_calibration():
-    rate, report, _ = _coverage()
-    assert 0.85 <= rate <= 0.99
-    print(f"criterion 10 PASS: coverage {rate:.3f} at the median grid time ({report})")
+@pytest.fixture(scope="module")
+def coverage():
+    """``_coverage``, run once per set of arguments, so criterion 13 reuses criterion 10's pass."""
+    return functools.cache(_coverage)
 
 
-def test_11_coverage_with_a_component_withheld():
+def test_10_coverage_calibration(coverage):
+    run = coverage()
+    assert 0.85 <= run.rate <= 0.99
+    print(f"criterion 10 PASS: coverage {run.rate:.3f} at the median grid time ({run.report})")
+
+
+def test_11_coverage_with_a_component_withheld(coverage):
     # Criterion 10's loop with no data for 'gearing', a child of the system:
     # the system fits on its own data instead of treating 'gearing' as a
     # part that never fails.
-    rate, report, result = _coverage(withheld=("gearing",))
-    assert 0.85 <= rate <= 0.99
-    assert result.uninformed == {"gearing": "system"}
-    print(f"criterion 11 PASS: coverage {rate:.3f} at the median grid time with 'gearing' withheld ({report})")
+    run = coverage(withheld=("gearing",))
+    assert 0.85 <= run.rate <= 0.99
+    assert run.last.uninformed == {"gearing": "system"}
+    print(
+        f"criterion 11 PASS: coverage {run.rate:.3f} at the median grid time with 'gearing' withheld ({run.report})"
+    )
 
 
 @pytest.mark.parametrize(
@@ -360,9 +409,32 @@ def test_11_coverage_with_a_component_withheld():
     [(("system",), "'system' withheld"), (("system", "propulsion", "electric", "gas"), "component data alone")],
     ids=["no-system-data", "components-only"],
 )
-def test_12_system_answer_from_component_data(withheld, what):
+def test_12_system_answer_from_component_data(coverage, withheld, what):
     # Criterion 10's loop without the system's data, and without any group's:
     # the system answers with the prior fused from the data below it.
-    rate, report, _ = _coverage(withheld)
-    assert 0.90 <= rate <= 0.99
-    print(f"criterion 12 PASS: coverage {rate:.3f} at the median grid time with {what} ({report})")
+    run = coverage(withheld)
+    assert 0.90 <= run.rate <= 0.99
+    print(f"criterion 12 PASS: coverage {run.rate:.3f} at the median grid time with {what} ({run.report})")
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, reason="merge_priors mixes the fused and elicited priors as laws (ROADMAP item 15)"
+)
+def test_13_expert_opinion(coverage):
+    # Criterion 10's loop with an expert prior on 'system': the truth, and
+    # the truth stretched 1.3-fold in time, whose CDF lies below the truth.
+    # A true prior must not lose coverage beyond two standard errors of
+    # criterion 10's or widen the band; the stretched one must pull the
+    # median-row mean down, toward itself.
+    none, truth, stretched = coverage(), coverage(stretch=1.0), coverage(stretch=1.3)
+    se = math.sqrt(none.rate * (1.0 - none.rate) / N_REPLICATES)
+    shift = stretched.bias - none.bias
+    print(
+        f"\ncriterion 13: median-row coverage {truth.rate:.3f} with the true prior, {none.rate:.3f} without "
+        f"(floor {none.rate - 2.0 * se:.3f}); median width {truth.width:.3f} with, {none.width:.3f} without; "
+        f"median bias {truth.bias:+.3f} with, {none.bias:+.3f} without; stretched prior's bias shift {shift:+.3f}"
+    )
+    assert truth.rate >= none.rate - 2.0 * se
+    assert truth.width <= none.width
+    assert shift < 0.0
+    print(f"criterion 13 PASS: coverage with a true prior ({truth.report})")

@@ -2,9 +2,9 @@
 
 Each example writes fuzzed input files to a fresh directory and runs
 ``relfuse fit`` or ``relfuse simulate`` on them.  Whatever the input, the
-call must end in exit code 0, 1 or 2; an exception escaping ``main`` would
+call must end in exit code 0 or 1; an exception escaping ``main`` would
 reach the user as a traceback.  Fuzzed bytes in one input file, the others
-being good, must end in exit code 1 or 2.
+being good, must end in exit code 1.
 """
 
 import contextlib
@@ -119,7 +119,7 @@ def test_fit_returns_an_exit_code(rbd, lifetimes, priors, overlay, system_only):
             (tmp / "true_system_cdf.csv").write_text(overlay, encoding="utf-8")
         if system_only:
             argv.append("--system-only")
-        assert _run(argv) in (0, 1, 2)
+        assert _run(argv) in (0, 1)
 
 
 @given(_SIM_CONFIGS, st.integers(0, 3))
@@ -129,7 +129,7 @@ def test_simulate_returns_an_exit_code(config, seed):
         tmp = Path(tmp)
         (tmp / "sim.json").write_text(json.dumps(config), encoding="utf-8")
         argv = ["simulate", "--config", str(tmp / "sim.json"), "--seed", str(seed), "--out", str(tmp / "sim")]
-        assert _run(argv) in (0, 1, 2)
+        assert _run(argv) in (0, 1)
 
 
 # Per flag, the file it names and the texts that bytes are spliced into.
@@ -148,7 +148,7 @@ _GOOD_FILES = {
 
 @given(flag=st.sampled_from(list(_BYTE_INPUTS)), data=st.data())
 @FUZZ
-def test_bytes_in_one_input_file_end_in_exit_one_or_two(flag, data):
+def test_bytes_in_one_input_file_end_in_exit_one(flag, data):
     name, texts = _BYTE_INPUTS[flag]
     raw = data.draw(file_bytes(texts))
     err = io.StringIO()
@@ -162,7 +162,7 @@ def test_bytes_in_one_input_file_end_in_exit_one_or_two(flag, data):
         else:
             argv = ["fit", *(f"{f}={tmp / n}" for f, (n, _) in _BYTE_INPUTS.items() if f != "--config")]
             argv += ["--out", str(tmp / "out")]
-        assert _run(argv, err) in (1, 2)
+        assert _run(argv, err) == 1
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError:

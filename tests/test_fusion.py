@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relfuse.bsp import (
@@ -294,20 +294,16 @@ class TestRecoverPrecision:
         np.testing.assert_allclose(again.first, c.first, atol=1e-9)
         np.testing.assert_allclose(again.second, c.second, atol=1e-9)
 
+    # A base one ulp below 1: survival_second cancels to a negative precision
+    # at t=0.5, clamped to 0.  The update on no data keeps the recovered
+    # process whole, so the moments still come back.
+    @example(
+        BetaStacyProcess(DiscreteCdf(np.array([0.5, 1.0]), np.array([1.0 - 2.0**-53, 1.0])), np.array([0.5, np.nan]))
+    )
     @given(bsp_processes(min_precision=0.05))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_on_process_curves(self, proc):
         self.assert_roundtrip(proc)
-
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        reason="survival_second cancels to a negative precision at t=0.5, clamped to 0, and the no-data update "
-        "then cuts the curve there (ROADMAP items 6 and 13); once either lands this is an @example above",
-    )
-    def test_roundtrip_on_a_base_one_ulp_below_one(self):
-        # A process test_roundtrip_on_process_curves's own strategy can draw.
-        base = DiscreteCdf(np.array([0.5, 1.0]), np.array([1.0 - 2.0**-53, 1.0]))
-        self.assert_roundtrip(BetaStacyProcess(base, np.array([0.5, np.nan])))
 
 
 class TestMergePriors:

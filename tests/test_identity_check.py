@@ -132,8 +132,9 @@ def test_precision_probes_reach_every_branch():
     def export(case, column):
         return arrays[f"precision/{case}/{column}"]
 
-    # A zero precision and no data cut the posterior at its first point.
-    assert export("dp-zero-none", "t").size == 0 and export("dp-zero-none", "horizon") == 1.0
+    # An update on no data is the prior, whole, even at zero precision.
+    np.testing.assert_array_equal(export("dp-zero-none", "t"), priors["dp-zero"].grid)
+    assert export("dp-zero-none", "horizon") == np.inf
     # A terminal row reports the last non-terminal precision; with no such point it is NaN.
     np.testing.assert_array_equal(export("flat-step-none", "precision"), [2.0, 4.0, 1.0, 1.0])
     for case in ("one-terminal-none", "two-terminal-none", "two-terminal-past"):
@@ -150,8 +151,10 @@ def fold_branches(spec, data_labels, prior_labels) -> set[str]:
     for node in spec.root.iter_nodes():
         label = node.binding_label
         has_data, has_prior = label in data_labels, label in prior_labels
-        if node.kind == "component":
-            out.add("component-prior" if has_prior else "component" if has_data else "component-uninformed")
+        if node.kind == "component" and has_prior:
+            out.add("component-prior" if has_data else "component-prior-no-data")
+        elif node.kind == "component":
+            out.add("component" if has_data else "component-uninformed")
         elif node is spec.root:
             out.add("labelled-root" if label is not None else "unlabelled-root")
             if not has_data:
@@ -176,6 +179,7 @@ def test_variants_reach_the_fold_branches_the_demo_leaves_out():
         "unlabelled-groups": "group-pass-up",
         "group-prior-no-data": "group-prior-no-data",
         "component-prior": "component-prior",
+        "component-prior-no-data": "component-prior-no-data",
         "unlabelled-root": "unlabelled-root-no-data",
         "withheld-gearing": "component-uninformed",
         "flat-series": None,

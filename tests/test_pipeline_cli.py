@@ -13,7 +13,7 @@ import relfuse
 from relfuse import pipeline
 from relfuse._scipy import special_ufuncs
 from relfuse.bsp import BetaStacyProcess, beta_match, dp_prior, posterior_update
-from relfuse.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
+from relfuse.cli import EXIT_INPUT, EXIT_OK, main
 from relfuse.dataio import Dataset
 from relfuse.demo import MAX_N_PER_NODE, DemoConfig, demo_config, load_sim_config
 from relfuse.errors import BindingError, PrecisionRecoveryWarning
@@ -32,6 +32,7 @@ from relfuse.rbd import MAX_DEPTH, SystemSpec, parse_rbd
 from conftest import (
     bsp_processes,
     censored_samples,
+    grids,
     nested_series_dsl,
     nested_series_json,
     priors_fit_args,
@@ -181,6 +182,54 @@ class TestFitSystem:
         assert len(curve_export(result.posterior)) > 0
         assert [label for label, post in result.node_posteriors.items() if not post.grid.size] == []
 
+    @given(rbd_trees(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_node_without_data_answers_with_its_prior(self, tree, data):
+        # About half the labels get data and 30% a DP prior, some of precision 0.
+        datasets, priors = [], {}
+        for node in tree.iter_nodes():
+            label = node.binding_label
+            if label is None:
+                continue
+            if data.draw(st.booleans()):
+                datasets.append(Dataset(label, *data.draw(censored_samples(max_size=8))))
+            if data.draw(st.integers(0, 9)) < 3:
+                grid = data.draw(grids())
+                precision = data.draw(st.just(0.0) | st.floats(0.1, 50.0))
+                priors[label] = dp_prior(grid, np.arange(1.0, grid.size + 1.0) / grid.size, precision)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PrecisionRecoveryWarning)
+                result = fit_system(SystemSpec(tree), datasets, priors)
+        except BindingError:
+            return
+        assert [label for label, post in result.node_posteriors.items() if not post.grid.size] == []
+        untested = {c.id for c in tree.iter_components()} - {d.label for d in datasets}
+        for label in untested & priors.keys():
+            assert result.node_posteriors[label] is priors[label], label
+
+    def test_vague_prior_keeps_an_untested_component_failing(self):
+        # 'b' has no data and a zero-precision prior: it counts as that prior,
+        # not as a part that never fails, which would leave the system
+        # answering from 'a' alone (mean 0.533 at the median row).
+        spec = parse_rbd("sys@series(a, b)")
+        a = dataset("a", 100.0 * np.random.default_rng(0).weibull(2.0, 30))
+        rows = {}
+        for precision in (0.0, 1.0):
+            prior = dp_prior([50.0, 100.0, 150.0, 200.0], [0.25, 0.5, 0.75, 1.0], precision)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PrecisionRecoveryWarning)
+                result = fit_system(spec, [a], {"b": prior})
+            assert result.node_posteriors["b"] is prior
+            curve = curve_export(result.posterior)
+            i = len(curve) // 2
+            rows[precision] = (curve.t[i], curve.mean[i], curve.lower[i], curve.upper[i])
+        (t, mean, lower, upper), (t1, mean1, lower1, upper1) = rows[0.0], rows[1.0]
+        assert (t, mean) == (t1, mean1) and t == pytest.approx(92.14, abs=0.01) and mean == pytest.approx(0.675)
+        # The vaguer prior gives the wider band: (0.233, 0.972) against (0.351, 0.923).
+        assert lower < lower1 and upper1 < upper
+        np.testing.assert_allclose([lower, upper, lower1, upper1], [0.233, 0.972, 0.351, 0.923], atol=1e-3)
+
     def test_root_without_information_is_rejected(self):
         # Three failures of 'a' say nothing about 'b', so nothing informs the system.
         spec = parse_rbd("sys@series(a, b)")
@@ -254,10 +303,8 @@ class TestCurveExport:
 
     @pytest.mark.parametrize("level", [1.5, -1.0, float("nan")], ids=["above_one", "negative", "nan"])
     def test_level_is_checked_on_an_empty_grid(self, level):
-        post = posterior_update(dp_prior([1.0, 2.0], [0.5, 1.0], 0.0), [], [])
-        assert post.grid.size == 0
         with pytest.raises(ValueError, match="level must lie strictly inside"):
-            curve_export(post, level=level)
+            curve_export(BetaStacyProcess.noninformative(), level=level)
 
     @given(bsp_processes(min_precision=0.0), st.sampled_from([0.5, 0.9, 0.95, 0.99]))
     @settings(max_examples=100, deadline=None)
@@ -578,7 +625,8 @@ class TestCliErrors:
         assert line.startswith("error: --seed ") and str(seed) in line
         assert not (tmp_path / "sim").exists()
 
-    def test_degenerate_inputs_exit_two(self, tmp_path, capsys):
+    def test_root_with_only_a_prior_exports_that_prior(self, tmp_path, capsys):
+        # No data at all and a zero-precision prior: the fit is the prior.
         (tmp_path / "sys.rbd").write_text("sys")
         (tmp_path / "d.csv").write_text("node,time,event\n")
         (tmp_path / "p.csv").write_text(
@@ -590,10 +638,13 @@ class TestCliErrors:
                 "--rbd", str(tmp_path / "sys.rbd"),
                 "--data", str(tmp_path / "d.csv"),
                 "--priors", str(tmp_path / "p.csv"),
+                "--out", str(tmp_path / "out"),
             ]
         )
-        assert code == EXIT_DEGENERATE
-        assert "estimable" in capsys.readouterr().err
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "system_cdf.csv").read_text().splitlines()
+        assert rows[1:] == ["1,0.4,0.4,0,1,0,", "2,1,1,1,1,0,terminal"]
 
     def test_unbound_component_is_reported_not_fatal(self, tmp_path, capsys):
         (tmp_path / "sys.rbd").write_text("sys@series(a, b)")

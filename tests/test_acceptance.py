@@ -27,12 +27,12 @@ from relfuse.pipeline import FitResult, curve_export, fit_system, fit_system_onl
 from relfuse.validation import (
     _kaplan_meier_error,
     _moment_z,
-    _prior_only_error,
     _random_bsp,
     _random_censored_samples,
     _roundtrip_error,
     check_data_only,
     check_diagram_mc,
+    check_prior_only,
     check_series_degenerate,
     check_three_beta_product,
     covers_truth,
@@ -52,12 +52,22 @@ def _best_time(fn, repeats=5):
 
 
 def test_01_prior_only_exactness():
+    result = check_prior_only()
+    assert result.passed, result.detail
     prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 3.0)
-    err = _prior_only_error(prior)
-    assert err == 0.0 and posterior_update(prior, [], []) is prior
     elapsed = _best_time(lambda: posterior_update(prior, [], []))
     assert elapsed < 1e-3
-    print(f"\ncriterion 1 PASS: prior-only identity, max error {err:.2e}, {elapsed*1e6:.0f} us")
+    print(f"\ncriterion 1 PASS: prior-only identity, {result.detail}, {elapsed*1e6:.0f} us")
+
+
+def test_prior_only_check_rejects_an_equal_copy(monkeypatch):
+    # A copy equals the prior in every array, so only the identity tells them apart.
+    def copy_of_prior(prior, times, events):
+        return BetaStacyProcess(prior.base, prior.precision, prior.horizon)
+
+    monkeypatch.setattr(validation, "posterior_update", copy_of_prior)
+    result = check_prior_only()
+    assert (result.passed, result.detail) == (False, "posterior is a new object")
 
 
 def test_02_data_only_exactness():
@@ -90,7 +100,8 @@ def test_04_second_moment_oracle():
     for _ in range(100):
         proc = _random_bsp(rng, max_points=20)
         paths = sample_bsp_paths(proc, 200000, int(rng.integers(0, 2**63)))
-        worst_z = max(worst_z, _moment_z(moments_of(proc), paths))
+        curve = moments_of(proc)
+        worst_z = max(worst_z, _moment_z(curve.first, curve.second, paths))
     elapsed = time.perf_counter() - t0
     assert worst_z <= 4.0
     assert elapsed <= 60.0
@@ -105,15 +116,6 @@ def test_nan_errors_are_never_dropped(monkeypatch):
     # neighbour; the loops above keep only a worst error that compares.
     rng = np.random.default_rng(3)
     errors = []
-    prior = dp_prior([1.0, 2.0, 3.0], [1 / 3, 2 / 3, 1.0], 3.0)
-    nan_precision = np.where(np.arange(3) == 1, np.nan, prior.precision)
-    post = SimpleNamespace(
-        grid=prior.grid, precision_defined=prior.precision_defined, base=prior.base, precision=nan_precision
-    )
-    monkeypatch.setattr(validation, "posterior_update", lambda *args: post)
-    errors.append(_prior_only_error(prior))
-    monkeypatch.undo()
-
     times, events = _random_censored_samples(rng)
     km = kaplan_meier(times, events)
     km_values = np.where(np.arange(km.grid.size) == km.grid.size - 1, np.nan, km.values)
@@ -125,13 +127,14 @@ def test_nan_errors_are_never_dropped(monkeypatch):
     proc = _random_bsp(rng)
     paths = sample_bsp_paths(proc, 1000, 0)
     paths[np.flatnonzero(paths.std(axis=1) > 0.0)[-1], 0] = np.nan
-    errors.append(_moment_z(moments_of(proc), paths))
+    curve = moments_of(proc)
+    errors.append(_moment_z(curve.first, curve.second, paths))
 
     empirical = SimpleNamespace(base=SimpleNamespace(values=np.array([1 / 3, 2 / 3, 1.0])),
                                 precision=np.array([np.nan, 3.0, np.nan]))
     monkeypatch.setattr(validation, "posterior_update", lambda *args: empirical)
     data_only = check_data_only()
-    assert errors == [math.inf] * 3 and (data_only.passed, data_only.detail) == (False, "max error inf")
+    assert errors == [math.inf] * 2 and (data_only.passed, data_only.detail) == (False, "max error inf")
 
 
 def test_05_fusion_against_monte_carlo():

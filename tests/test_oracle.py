@@ -65,7 +65,8 @@ class TestPathSimulation:
 
     def test_mean_matches_base_measure(self):
         prior = dp_prior(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.6, 1.0]), 4.0)
-        assert _moment_z(moments_of(prior), sample_bsp_paths(prior, 40000, seed=5)) < 4.0
+        curve = moments_of(prior)
+        assert _moment_z(curve.first, curve.second, sample_bsp_paths(prior, 40000, seed=5)) < 4.0
 
     def test_zero_precision_interior_jump_rejected(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 0.0)
@@ -91,8 +92,9 @@ class TestPathSimulation:
 
     def test_standard_errors_need_two_paths(self):
         prior = dp_prior(np.array([1.0, 2.0]), np.array([0.4, 1.0]), 3.0)
+        curve = moments_of(prior)
         with pytest.raises(ValueError, match="at least 2 paths"):
-            _moment_z(moments_of(prior), sample_bsp_paths(prior, 1, seed=1))
+            _moment_z(curve.first, curve.second, sample_bsp_paths(prior, 1, seed=1))
 
     @pytest.mark.parametrize("n_paths, seed", [(10.5, 1), (10, 1.5)], ids=["n_paths", "seed"])
     def test_counts_and_seeds_must_be_integers(self, n_paths, seed):
